@@ -95,8 +95,6 @@ def cmd_fit(args):
     x1 = None
     if args.x1 is not None:
         x1 = _parse_vector(args.x1) if series.model_tag == "nm" else float(args.x1)
-        if series.model_tag == "nm" and x1.size == 1:
-            x1 = float(x1[0])
     fit = mle_fit(series, x1=x1, options=_opts_from_args(args))
     if args.out:
         odio.write_fit_result(args.out, fit)

@@ -54,6 +54,8 @@ class FitResult:
             "n_inner": self.n_inner,
             "constraint_margin": self.constraint_margin,
             "x1": x1.tolist() if isinstance(x1, np.ndarray) else x1,
+            "seed": self.seed,
+            "projected_grad_norm": self.projected_grad_norm,
         }
 
 

@@ -3,9 +3,10 @@
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import psi
 
 from . import kernels
-from .models import _check_obs, _check_state
+from .models import _check_obs, _check_state, _step
 from .params import NbinParams, Series
 from .reparam import feasible_map_for
 
@@ -14,7 +15,7 @@ def digamma(x):
     """Derivative of ln Gamma, for x > 0."""
     if not np.isfinite(x) or x <= 0:
         raise ValueError("digamma requires x > 0")
-    return kernels.digamma(float(x))
+    return float(psi(x))
 
 
 @dataclass
@@ -45,13 +46,8 @@ def _as_y(series):
 def iterate_f(params, x, y_slice):
     """Compose the state-update map along y_slice; empty slice returns x."""
     x = _check_state(params, x)
-    y_slice = np.asarray(y_slice, dtype=float).ravel()
-    for y in y_slice:
-        y = _check_obs(params, y)
-        if params.tag == "nm":
-            x = params.omega_vec + params.A @ x + y * y * params.b_vec
-        else:
-            x = params.omega + params.a * x + params.b * y
+    for y in _check_obs(params, np.asarray(y_slice, dtype=float).ravel()):
+        x = _step(params, x, y)
     return x
 
 

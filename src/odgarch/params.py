@@ -12,31 +12,14 @@ from typing import Union
 import numpy as np
 
 
-def spectral_radius(m, tol=1e-10, max_iter=10_000):
-    """Spectral radius of an entrywise non-negative matrix.
-
-    Power iteration (valid by Perron-Frobenius); falls back to the
-    min of the induced 1- and inf-norms (an upper bound) if the
-    iteration does not settle.
-    """
+def spectral_radius(m):
+    """Spectral radius of an entrywise non-negative matrix: max |eigenvalue|."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("square matrix required")
     if np.any(m < 0):
         raise ValueError("entries must be non-negative")
-    v = np.ones(m.shape[0])
-    lam = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        lam_new = w.sum() / v.sum()
-        nw = w.sum()
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return min(np.abs(m).sum(axis=0).max(), np.abs(m).sum(axis=1).max())
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def _check_positive(name, value):

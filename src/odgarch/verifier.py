@@ -11,11 +11,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 from scipy.stats import qmc
 
-from .models import psi_step, sample_emission
-from .params import params_to_dict, spectral_radius
+from .models import log_emission, psi_step, sample_emission
+from .params import params_to_dict
 
 STATE_HI = 1e3
 N_Y_DISCRETE = 201     # y in {0..200}
@@ -96,29 +95,6 @@ def _y_from_unit(params, u):
     return nodes[idx] * scale
 
 
-def _log_g(params, x, y):
-    """Vectorized log emission density; x is (n,) or (n, d)."""
-    if params.tag == "nbin":
-        r = params.r
-        return (gammaln(y + r) - gammaln(r) - gammaln(y + 1)
-                + y * np.log(x) - (y + r) * np.log1p(x))
-    if params.tag == "ting":
-        lam = np.minimum(x, params.tau)
-        return -lam + y * np.log(lam) - gammaln(y + 1)
-    comps = (np.log(params.gamma)[None, :]
-             - 0.5 * y[:, None] ** 2 / x
-             - 0.5 * np.log(2.0 * np.pi * x))
-    return logsumexp(comps, axis=1)
-
-
-def _psi(params, x, y):
-    """Vectorized state update; x is (n,) or (n, d)."""
-    if params.tag == "nm":
-        return (params.omega_vec[None, :] + x @ params.A.T
-                + (y ** 2)[:, None] * params.b_vec[None, :])
-    return params.omega + params.a * x + params.b * y
-
-
 def _sample_triples(params, n, seed):
     d = params.d if params.tag == "nm" else 1
     u = _halton(2 * d + 1, n, seed)
@@ -134,15 +110,9 @@ def _sample_triples(params, n, seed):
 
 def _perron_weights(a_mat):
     """Left Perron vector of a non-negative matrix, made strictly positive."""
-    m = np.asarray(a_mat, dtype=float) + 1e-12
-    w = np.ones(m.shape[0])
-    for _ in range(10_000):
-        w_new = m.T @ w
-        w_new /= w_new.sum()
-        if np.max(np.abs(w_new - w)) < 1e-14:
-            break
-        w = w_new
-    return w_new
+    vals, vecs = np.linalg.eig((np.asarray(a_mat, dtype=float) + 1e-12).T)
+    w = np.abs(vecs[:, np.argmax(vals.real)].real)
+    return w / w.sum()
 
 
 def check_contraction(params, n_triples=10_000, seed=0):
@@ -151,7 +121,7 @@ def check_contraction(params, n_triples=10_000, seed=0):
     if params.tag == "nm":
         w = _perron_weights(params.A)
         rho_w = float(np.max((params.A.T @ w) / w))
-        num = np.abs(_psi(params, x, y) - _psi(params, xp, y)) @ w
+        num = np.abs(psi_step(params, x, y) - psi_step(params, xp, y)) @ w
         den = np.abs(x - xp) @ w
         mask = den > 0
         ratio = num[mask] / den[mask]
@@ -160,7 +130,7 @@ def check_contraction(params, n_triples=10_000, seed=0):
         info = {"rho_weighted": rho_w}
     else:
         mask = x != xp
-        dpsi = np.abs(_psi(params, x, y) - _psi(params, xp, y))[mask]
+        dpsi = np.abs(psi_step(params, x, y) - psi_step(params, xp, y))[mask]
         dx = np.abs(x - xp)[mask]
         # |psi(x)-psi(x')| = a|x-x'| exactly; allow rounding at state scale
         scale = np.maximum(1.0, np.maximum(x, xp)[mask])
@@ -204,20 +174,12 @@ def check_drift(params, n_triples=10_000, seed=0, mc_points=20, mc_draws=2000):
     idx = np.linspace(0, len(x) - 1, mc_points).astype(int)
     mc_fail = 0
     for i in idx:
-        xi = x[i]
-        vals = np.empty(mc_draws)
-        for t in range(mc_draws):
-            yt = sample_emission(params, xi, rng)
-            xn = psi_step(params, xi, yt)
-            if params.tag == "nm":
-                _, vn, _, _ = _drift_closed_form(params, xn[None, :])
-                vals[t] = vn[0]
-            else:
-                vals[t] = xn
+        xi = np.broadcast_to(x[i], (mc_draws,) + np.shape(x[i]))
+        xn = psi_step(params, xi, sample_emission(params, xi, rng))
+        vals = _drift_closed_form(params, xn)[1]
         est = vals.mean()
         se = vals.std(ddof=1) / math.sqrt(mc_draws)
-        target = rv[i]
-        if abs(est - target) > 4.0 * se + 1e-9:
+        if abs(est - rv[i]) > 4.0 * se + 1e-9:
             mc_fail += 1
     violations += mc_fail
     return CheckRecord("drift", n_triples + mc_points, violations,
@@ -245,8 +207,8 @@ def check_minorization(params, n_triples=10_000, seed=0):
     x, xp, y = _sample_triples(params, n_triples, seed)
     alpha = minorization_alpha(params, x, xp)
     phi = np.minimum(x, xp)
-    lhs = np.exp(np.minimum(_log_g(params, x, y), _log_g(params, xp, y)))
-    rhs = alpha * np.exp(_log_g(params, phi, y))
+    lhs = np.exp(np.minimum(log_emission(params, x, y), log_emission(params, xp, y)))
+    rhs = alpha * np.exp(log_emission(params, phi, y))
     slack = (lhs + SLACK_TIGHT) - rhs
     bad_alpha = int(np.sum((alpha <= 0) | (alpha > 1.0 + SLACK_TIGHT)))
     violations = int(np.sum(slack < 0)) + bad_alpha
@@ -266,7 +228,7 @@ def _lipschitz_k(params, y):
 def check_lipschitz_logg(params, n_triples=10_000, seed=0):
     """|ln g(x;y) - ln g(x';y)| <= K(y) |x - x'| on X1 = [omega_floor, inf)."""
     x, xp, y = _sample_triples(params, n_triples, seed)
-    lhs = np.abs(_log_g(params, x, y) - _log_g(params, xp, y))
+    lhs = np.abs(log_emission(params, x, y) - log_emission(params, xp, y))
     if params.tag == "nm":
         dist = np.abs(x - xp).sum(axis=1)
     else:

@@ -55,6 +55,18 @@ def test_fit_roundtrip(tmp_path, capsys):
     assert d["loglik_hat"] >= d["loglik_init"] - 1e-12
 
 
+def test_fit_nm_d1_scalar_x1(tmp_path, capsys):
+    series = str(tmp_path / "nm.csv")
+    assert run(["simulate", "--model", "nm", "--gamma", "1", "--omega", "1",
+                "--A", ".4", "--bvec", ".25", "--n", "256", "--seed", "3",
+                "--out", series]) == 0
+    out = str(tmp_path / "fit.json")
+    assert run(["fit", "--series", series, "--x1", "2.0", "--tol", "1e-5",
+                "--out", out]) == 0
+    d = json.loads(open(out).read())
+    assert d["model"] == "nm" and d["x1"] == [2.0]
+
+
 def test_fit_truncated_csv(tmp_path):
     series = str(tmp_path / "bad.csv")
     with open(series, "w") as fh:

@@ -152,9 +152,11 @@ def test_mle_fit_x1_override_and_seed():
     assert fit.x1_used == 7.5
     d = fit.to_dict()
     for key in ("model", "theta_init", "theta_hat", "loglik_init", "loglik_hat",
-                "converged", "n_outer", "n_inner", "constraint_margin", "x1"):
+                "converged", "n_outer", "n_inner", "constraint_margin", "x1",
+                "seed", "projected_grad_norm"):
         assert key in d
     assert d["x1"] == 7.5
+    assert d["seed"] == 5 and d["projected_grad_norm"] == fit.projected_grad_norm
 
 
 def test_mle_fit_ting():

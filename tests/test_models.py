@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from conftest import random_nbin, random_nm, random_ting
 
-from odgarch import NbinParams, NmParams, TingParams, log_emission, psi_step, sample_emission, simulate
+from odgarch import (NbinParams, NmParams, TingParams, log_emission, loglik, psi_step,
+                     sample_emission, simulate)
 
 
 def test_psi_step_examples():
@@ -48,6 +49,16 @@ def test_log_emission_hand_values():
     assert abs(log_emission(p, np.array([1.0]), 0.0)
                - math.log(1.0 / math.sqrt(2 * math.pi))) < 1e-12
     assert abs(log_emission(TingParams(1, .2, .2, 1), 2.0, 0.0) + 1.0) < 1e-12
+
+
+def test_log_emission_zero_mixture_weight():
+    # gamma on the edge of the simplex: the zero-weight component drops out
+    p = NmParams(gamma=[1.0, 0.0], omega_vec=[1.0, 2.0],
+                 A=[[0.3, 0.1], [0.05, 0.25]], b_vec=[0.2, 0.1])
+    ref = -0.5 * (0.25 / 1.5 + math.log(2 * math.pi * 1.5))
+    assert abs(log_emission(p, np.array([1.5, 4.0]), 0.5) - ref) < 1e-14
+    s = simulate(p, 64, seed=1)
+    assert np.isfinite(loglik(p, p.fixed_point(), s).value)
 
 
 def test_log_emission_exact_rational_oracle():
@@ -126,6 +137,59 @@ def test_sampler_conditional_means_4se():
     assert abs(d.mean() - float(p.gamma @ x)) <= 4.0 * d.std(ddof=1) / math.sqrt(m)
 
 
+def test_batches_match_single_states():
+    rng = np.random.default_rng(9)
+    nbin, ting = NbinParams(3, .2, .2, 2), TingParams(3, .35, .1, 4)
+    nm = NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0],
+                  A=[[0.3, 0.1], [0.05, 0.25]], b_vec=[0.2, 0.1])
+    for p, x, y in [(nbin, rng.uniform(0.5, 20.0, (3, 4)), rng.integers(0, 30, (3, 4))),
+                    (ting, rng.uniform(0.5, 20.0, 7), rng.integers(0, 30, 7)),
+                    (nm, rng.uniform(0.5, 20.0, (7, 2)), rng.normal(0.0, 2.0, 7))]:
+        y = y.astype(float)
+        lg = log_emission(p, x, y)
+        xn = psi_step(p, x, y)
+        assert lg.shape == y.shape and xn.shape == x.shape
+        for i in np.ndindex(y.shape):
+            assert abs(lg[i] - log_emission(p, x[i], y[i])) <= 1e-13 * abs(lg[i])
+            assert np.allclose(xn[i], psi_step(p, x[i], y[i]), rtol=1e-14, atol=0)
+        draws = sample_emission(p, x, rng)
+        assert draws.shape == y.shape and np.all(np.isfinite(draws))
+    with pytest.raises(ValueError):
+        psi_step(nm, np.ones((3, 1)), np.zeros(3))  # wrong state dimension
+    with pytest.raises(ValueError):
+        log_emission(nbin, np.array([1.0, -1.0]), np.zeros(2))
+
+
+def test_batched_sampler_moments():
+    rng = np.random.default_rng(10)
+    draws = sample_emission(NbinParams(1, .2, .2, 2), np.full(100_000, 5.0), rng)
+    assert abs(draws.mean() - 10.0) < 0.2  # NB mean r*x
+    x = np.tile([1.0, 3.0], (100_000, 1))
+    p = NmParams(gamma=[0.5, 0.5], omega_vec=[1.0, 1.0],
+                 A=np.eye(2) * 0.1, b_vec=[0.1, 0.1])
+    assert abs((sample_emission(p, x, rng) ** 2).mean() - 2.0) < 0.05
+
+
+def test_simulate_stream_pinned():
+    # first draws at seed 2024, recorded before the samplers took batches
+    nm = NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0],
+                  A=[[0.3, 0.1], [0.05, 0.25]], b_vec=[0.2, 0.1])
+    cases = [
+        (NbinParams(3.0, 0.2, 0.2, 2.0),
+         [7.0, 7.0, 9.0, 18.0, 4.0, 6.0, 3.0, 22.0], 4.654259833821181),
+        (TingParams(3.0, 0.35, 0.1, 4.0),
+         [4.0, 6.0, 1.0, 4.0, 3.0, 4.0, 10.0, 1.0], 5.815127671232684),
+        (nm, [0.637384188834783, -0.08539930671636535, -0.7267155751782998,
+              -3.479039464473635, 0.14304855402714134, -2.875669140937221,
+              -2.9027264607498418, 0.3905513267840969],
+         [4.197511931629888, 3.973755965814944]),
+    ]
+    for p, ys, x_last in cases:
+        s = simulate(p, 8, seed=2024, burn_in=50)
+        assert s.y.tolist() == ys
+        assert s.x_trace[-1].tolist() == x_last
+
+
 def test_simulate_determinism_and_trace():
     p = NbinParams(3, .2, .2, 2)
     s1 = simulate(p, 200, seed=42)
@@ -157,6 +221,14 @@ def test_simulate_unstable_warns():
     with pytest.warns(UserWarning):
         s = simulate(p, 16, seed=0, burn_in=5)
     assert not s.stable
+
+
+def test_simulate_overflow_raises():
+    # an explosive NM path overflows to inf; simulate must not return it
+    p = NmParams(gamma=[1.0], omega_vec=[1.0], A=[[1.5]], b_vec=[0.9])
+    with pytest.warns(UserWarning), np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            simulate(p, 5000, seed=1, burn_in=10)
 
 
 def test_stationary_mean_m1():

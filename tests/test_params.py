@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,41 @@ def test_spectral_radius_matches_eig():
         m = rng.uniform(0.0, 1.0, (d, d))
         ref = float(np.max(np.abs(np.linalg.eigvals(m))))
         assert abs(spectral_radius(m) - ref) < 1e-7 * max(1.0, ref)
+
+
+def _nonnegative(rng, d, kind):
+    """A random non-negative d x d matrix and, where known, its spectral radius."""
+    if kind == "periodic":  # weighted cycle i -> i+1: eigenvalues are rho * roots of 1
+        c = rng.uniform(0.1, 2.0, d)
+        return np.roll(np.diag(c), 1, axis=1), float(np.prod(c) ** (1.0 / d))
+    m = rng.uniform(0.0, 1.0, (d, d)) * (rng.random((d, d)) < 0.6)
+    if kind == "reducible" and d > 1:  # block upper triangular
+        k = int(rng.integers(1, d))
+        m[k:, :k] = 0.0
+        return m, max(float(np.max(np.abs(np.linalg.eigvals(m[:k, :k])))),
+                      float(np.max(np.abs(np.linalg.eigvals(m[k:, k:])))))
+    return m, None
+
+
+@pytest.mark.parametrize("kind", ["sparse", "periodic", "reducible"])
+def test_spectral_radius_property(kind):
+    rng = np.random.default_rng(["sparse", "periodic", "reducible"].index(kind))
+    for _ in range(200):
+        d = int(rng.integers(1, 6))
+        m, known = _nonnegative(rng, d, kind)
+        got = spectral_radius(m)
+        ref = float(np.max(np.abs(np.linalg.eigvals(m))))
+        assert abs(got - ref) <= 1e-12 * max(1.0, ref)
+        if known is not None:
+            assert abs(got - known) <= 1e-10 * max(1.0, known)
+
+
+def test_spectral_radius_periodic_fixed_point():
+    # power iteration oscillates on this matrix; its spectral radius is sqrt(0.8)
+    a_mat = [[0.0, 2.0], [0.4, 0.0]]
+    assert abs(spectral_radius(a_mat) - math.sqrt(0.8)) < 1e-15
+    q = NmParams(gamma=[0.5, 0.5], omega_vec=[1.0, 1.0], A=a_mat, b_vec=[0.01, 0.01])
+    assert np.allclose(q.fixed_point(), [15.0, 7.0], rtol=1e-14)
 
 
 def test_spectral_radius_errors():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from odgarch import NbinParams, NmParams, TingParams, verify_model
-from odgarch.verifier import (_drift_closed_form, _log_g, _lipschitz_k,
+from odgarch import NbinParams, NmParams, TingParams, log_emission, verify_model
+from odgarch.verifier import (_drift_closed_form, _lipschitz_k, _perron_weights,
                               check_contraction, check_drift, minorization_alpha)
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
@@ -33,6 +33,17 @@ def test_contraction_nm_weighted_norm():
     rec = check_contraction(NM2, n_triples=2000, seed=0)
     assert rec.passed
     assert rec.info["rho_weighted"] < 1.0
+
+
+def test_contraction_nm_periodic_a():
+    # the left Perron vector of [[0, 2], [0.4, 0]] is (1, sqrt(5)); its rate is sqrt(0.8)
+    a_mat = np.array([[0.0, 2.0], [0.4, 0.0]])
+    w = _perron_weights(a_mat)
+    assert abs(w[1] / w[0] - math.sqrt(5.0)) < 1e-9
+    assert abs(np.max((a_mat.T @ w) / w) - math.sqrt(0.8)) < 1e-9
+    p = NmParams(gamma=[0.5, 0.5], omega_vec=[1.0, 1.0], A=a_mat, b_vec=[0.01, 0.01])
+    rec = check_contraction(p, n_triples=2000, seed=0)
+    assert rec.passed and abs(rec.info["rho_weighted"] - math.sqrt(0.8)) < 1e-9
 
 
 def test_drift_closed_form_values():
@@ -71,22 +82,22 @@ def test_minorization_equality_at_equal_states():
     # x == x': alpha = 1 and the bound holds with equality
     x = np.array([4.0])
     y = np.array([3.0])
-    lhs = _log_g(M1, x, y)
+    lhs = log_emission(M1, x, y)
     assert abs(math.exp(lhs[0]) - minorization_alpha(M1, 4.0, 4.0)
-               * math.exp(_log_g(M1, x, y)[0])) < 1e-15
+               * math.exp(log_emission(M1, x, y)[0])) < 1e-15
 
 
 def test_lipschitz_hand_values():
     p = NbinParams(3.0, 0.2, 0.2, 2.0)
     bound = _lipschitz_k(p, 0.0) * 1.0
-    actual = abs(_log_g(p, np.array([4.0]), np.array([0.0]))[0]
-                 - _log_g(p, np.array([5.0]), np.array([0.0]))[0])
+    actual = abs(log_emission(p, np.array([4.0]), np.array([0.0]))[0]
+                 - log_emission(p, np.array([5.0]), np.array([0.0]))[0])
     assert abs(actual - 2.0 * math.log(6.0 / 5.0)) < 1e-12
     assert actual <= bound == 2.0
 
     q = NmParams(gamma=[1.0], omega_vec=[1.0], A=[[0.3]], b_vec=[0.2])
-    actual = abs(_log_g(q, np.array([[2.0]]), np.array([0.0]))[0]
-                 - _log_g(q, np.array([[3.0]]), np.array([0.0]))[0])
+    actual = abs(log_emission(q, np.array([[2.0]]), np.array([0.0]))[0]
+                 - log_emission(q, np.array([[3.0]]), np.array([0.0]))[0])
     assert abs(actual - 0.5 * math.log(1.5)) < 1e-12
     assert actual <= _lipschitz_k(q, 0.0) * 1.0 == 0.5
 
