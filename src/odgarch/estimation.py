@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .likelihood import grad_loglik_nbin, grad_loglik_numeric, loglik
-from .params import NbinParams, NmParams, TingParams, params_to_dict
+from .params import NbinParams, NmParams, Series, TingParams, params_to_dict
 from .reparam import FeasibleMap
 
 EPS_MARGIN = 1e-4
@@ -111,8 +111,23 @@ def cls_init_nbin(series):
     return NbinParams(omega=w0, a=a0, b=b0, r=r0)
 
 
-def init_generic(series, model_tag):
-    """Feasible, roughly scaled starting point for any model."""
+def _mixture_size(series, x1):
+    """NM component count: from the series' parameters or state trace, else x1, else 1."""
+    params = getattr(series, "params", None)
+    if params is not None and params.tag == "nm":
+        return params.d
+    x_trace = getattr(series, "x_trace", None)
+    if x_trace is not None:
+        return x_trace.shape[1] if x_trace.ndim == 2 else 1
+    return np.size(x1) if x1 is not None else 1
+
+
+def init_generic(series, model_tag, x1=None):
+    """Feasible, roughly scaled starting point for any model.
+
+    For NM, x1 (the state anchor of the fit) gives the number of mixture
+    components when the series carries neither parameters nor a state trace.
+    """
     if model_tag == "nbin":
         return cls_init_nbin(series)
     y = _validate_series(series.y if hasattr(series, "y") else series)
@@ -125,18 +140,17 @@ def init_generic(series, model_tag):
         tau0 = max(float(u.max()), EPS_MARGIN)
         return TingParams(omega=w0, a=a0, b=b0, tau=tau0)
     if model_tag == "nm":
-        d = 1
+        # Equal weights, A = 0.3 I and b = 0.2 put the spectral radius of
+        # A + b gamma' at 0.5 for every d. The stationary component variances
+        # are m2 * spread with spread in (0.5, 1.5) and mean 1, so gamma'X
+        # matches the sample second moment m2; distinct components keep BFGS
+        # off the symmetric set where all components stay equal.
+        d = _mixture_size(series, x1)
         m2 = max(float((y * y).mean()), EPS_MARGIN)
-        gamma = np.full(d, 1.0 / d)
-        omega_vec = np.full(d, m2 * 0.5 / d)
-        a_mat = 0.3 * np.eye(d)
-        b_vec = np.full(d, 0.2 / d)
-        p = NmParams(gamma=gamma, omega_vec=omega_vec, A=a_mat, b_vec=b_vec)
-        if p.margin() < EPS_MARGIN:
-            scale = (1.0 - EPS_MARGIN) / (1.0 - p.margin())
-            p = NmParams(gamma=gamma, omega_vec=omega_vec,
-                         A=a_mat * scale, b_vec=b_vec * scale)
-        return p
+        spread = 0.5 + (np.arange(d) + 0.5) / d
+        return NmParams(gamma=np.full(d, 1.0 / d),
+                        omega_vec=m2 * (0.5 + 0.7 * (spread - 1.0)),
+                        A=0.3 * np.eye(d), b_vec=np.full(d, 0.2))
     raise ValueError(f"unknown model tag {model_tag!r}")
 
 
@@ -167,10 +181,13 @@ def _constraint_grad_z(params, fmap, fd_step):
     return g
 
 
-def _bfgs(f_and_g, z0, tol, max_iter):
-    """BFGS with Armijo backtracking. Returns (z, fval, grad, n_iter, ok)."""
+def _bfgs(f_and_g, z0, tol, max_iter, start=None):
+    """BFGS with Armijo backtracking. Returns (z, fval, grad, n_iter, ok).
+
+    start, when given, is f_and_g(z0) already in hand.
+    """
     z = z0.copy()
-    fval, g = f_and_g(z)
+    fval, g = f_and_g(z) if start is None else start
     h = np.eye(z.size)
     n_iter = 0
     n_flat = 0
@@ -218,27 +235,40 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
     """Maximize the conditional log-likelihood over the stable region."""
     opts = options or FitOptions()
     tag = model_tag or series.model_tag
-    y = _validate_series(series.y if hasattr(series, "y") else series)
-    theta0 = theta_init if theta_init is not None else init_generic(y, tag)
+    if not isinstance(series, Series):
+        series = Series(y=series, model_tag=tag)  # checks y, builds the count table once
+    _validate_series(series.y)
+    theta0 = theta_init if theta_init is not None else init_generic(series, tag, x1)
     if theta0.margin() < opts.margin:
         theta0 = _pull_inside(theta0, opts.margin)
     if x1 is None:
         x1 = theta0.fixed_point()
     fmap = FeasibleMap(tag, d=theta0.d if tag == "nm" else 1)
+    z = fmap.encode(theta0)
+    theta0 = fmap.decode(z)  # the start as the optimizer evaluates it
 
-    def ll_and_grad_z(params):
+    def grad_z(params):
         if tag == "nbin":
-            val = loglik(params, x1, y).value
-            gz = fmap.chain_rule(grad_loglik_nbin(params, x1, y), params)
-        else:
-            val = loglik(params, x1, y).value
-            gz = grad_loglik_numeric(params, x1, y, step=opts.fd_step)
-        return val, gz
+            return fmap.chain_rule(grad_loglik_nbin(params, x1, series), params)
+        return grad_loglik_numeric(params, x1, series, step=opts.fd_step)
 
-    ll0 = loglik(theta0, x1, y).value
+    def penalized(params, val, gz, lam, mu):
+        c = _constraint(params, opts.margin)
+        t = min(lam / mu + c, 1e100)  # clip wild trial points
+        if t > 0:
+            pen = 0.5 * mu * t * t
+            cg = np.clip(_constraint_grad_z(params, fmap, opts.fd_step), -1e100, 1e100)
+            pen_g = min(mu * t, 1e100) * cg
+        else:
+            pen = 0.0
+            pen_g = 0.0
+        return -val + pen, -gz + pen_g
+
+    ll0 = loglik(theta0, x1, series).value
+    gz0 = grad_z(theta0)
     lam = 0.0
     mu = 10.0
-    z = fmap.encode(theta0)
+    start = penalized(theta0, ll0, gz0, lam, mu)  # the first inner problem starts at z
     n_inner_total = 0
     n_outer = 0
     inner_ok = False
@@ -247,20 +277,11 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
     for n_outer in range(1, opts.max_outer + 1):
         def f_and_g(zv, _lam=lam, _mu=mu):
             params = fmap.decode(zv)
-            val, gz = ll_and_grad_z(params)
-            c = _constraint(params, opts.margin)
-            t = min(_lam / _mu + c, 1e100)  # clip wild trial points
-            if t > 0:
-                pen = 0.5 * _mu * t * t
-                cg = np.clip(_constraint_grad_z(params, fmap, opts.fd_step),
-                             -1e100, 1e100)
-                pen_g = min(_mu * t, 1e100) * cg
-            else:
-                pen = 0.0
-                pen_g = 0.0
-            return -val + pen, -gz + pen_g
+            return penalized(params, loglik(params, x1, series).value, grad_z(params),
+                             _lam, _mu)
 
-        z, fv, _, n_it, inner_ok = _bfgs(f_and_g, z, opts.tol, opts.max_inner)
+        z, fv, _, n_it, inner_ok = _bfgs(f_and_g, z, opts.tol, opts.max_inner, start)
+        start = None
         n_inner_total += n_it
         theta = fmap.decode(z)
         c = _constraint(theta, opts.margin)
@@ -277,13 +298,14 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
     theta_hat = fmap.decode(z)
     if theta_hat.margin() <= 0:  # numerical safety: never return an unstable point
         theta_hat = _pull_inside(theta_hat, opts.margin)
-    ll_hat = loglik(theta_hat, x1, y).value
+    ll_hat = loglik(theta_hat, x1, series).value
     if ll_hat < ll0 - 1e-12:
-        theta_hat, ll_hat = theta0, ll0
+        theta_hat, ll_hat, gz = theta0, ll0, gz0
         inner_ok = False
+    else:
+        gz = grad_z(theta_hat)
 
     c_final = _constraint(theta_hat, opts.margin)
-    _, gz = ll_and_grad_z(theta_hat)
     if c_final >= -1e-8:
         cg = _constraint_grad_z(theta_hat, fmap, opts.fd_step)
         cg_norm = np.linalg.norm(cg)

@@ -8,6 +8,13 @@ ceil(log2 n) doubling passes of whole-array numpy operations, a prefix
 scan (Blelloch 1990, "Prefix sums and their applications"). The
 log-likelihood is the mean of the model's log density along the path.
 
+The count models' log pmfs split into a part that depends on the count
+alone and a part that depends on the state. The count-only part, and the
+digamma term of the NBIN gradient, are summed over the distinct counts,
+weighted by their frequencies: a series of n counts has far fewer
+distinct values than n. The NBIN and TING kernels take that table,
+``params.count_table(y)``, as their last argument.
+
 The kernels run with numpy raising on overflow, invalid operations and
 division by zero: a parameter point whose path or density leaves the
 floating-point range raises ``FloatingPointError`` instead of returning
@@ -17,7 +24,8 @@ inf or nan.
 import numpy as np
 from scipy.special import psi
 
-from .models import nbin_log_pmf, nm_log_density, poisson_log_pmf
+from .models import (nbin_count_term, nbin_state_term, nm_log_density, poisson_count_term,
+                     poisson_state_term)
 
 # There is a single numpy backend and no JIT. The flag stays because the
 # environment block of perfbench/run.py reads it.
@@ -76,24 +84,28 @@ def nm_filter(y, x1, wv, A, bv):
 
 
 @_raise_fp
-def nbin_loglik(y, x1, w, a, b, r):
-    return np.mean(nbin_log_pmf(affine_filter(y, x1, w, a, b), y, r))
+def nbin_loglik(y, x1, w, a, b, r, table):
+    values, weights = table
+    u = affine_filter(y, x1, w, a, b)
+    return weights @ nbin_count_term(values, r) + np.mean(nbin_state_term(u, y, r))
 
 
 @_raise_fp
-def nbin_loglik_grad(y, x1, w, a, b, r):
-    """Normalized log-likelihood and its exact gradient in (w, a, b, r)."""
+def nbin_loglik_grad(y, x1, w, a, b, r, table):
+    """Exact gradient of the normalized log-likelihood in (w, a, b, r)."""
+    values, weights = table
     u, du = nbin_filter(y, x1, w, a, b)
     grad = np.empty(4)
     grad[:3] = (y / u - (y + r) / (1.0 + u)) @ du / len(y)
-    grad[3] = np.mean(psi(r + y) - np.log1p(u)) - psi(r)
-    return np.mean(nbin_log_pmf(u, y, r)), grad
+    grad[3] = weights @ psi(r + values) - psi(r) - np.mean(np.log1p(u))
+    return grad
 
 
 @_raise_fp
-def ting_loglik(y, x1, w, a, b, tau):
-    u = affine_filter(y, x1, w, a, b)
-    return np.mean(poisson_log_pmf(np.minimum(u, tau), y))
+def ting_loglik(y, x1, w, a, b, tau, table):
+    values, weights = table
+    lam = np.minimum(affine_filter(y, x1, w, a, b), tau)
+    return weights @ poisson_count_term(values) + np.mean(poisson_state_term(lam, y))
 
 
 @_raise_fp

@@ -7,7 +7,7 @@ from scipy.special import psi
 
 from . import kernels
 from .models import _check_obs, _check_state, _step
-from .params import NbinParams, Series
+from .params import NbinParams, Series, count_table
 from .reparam import feasible_map_for
 
 
@@ -43,6 +43,12 @@ def _as_y(series):
     return y
 
 
+def _count_table(series, y):
+    """The series' distinct-count table, or one built from y for a plain array."""
+    table = getattr(series, "count_table", None)
+    return count_table(y) if table is None else table
+
+
 def iterate_f(params, x, y_slice):
     """Compose the state-update map along y_slice; empty slice returns x."""
     x = _check_state(params, x)
@@ -70,9 +76,11 @@ def loglik(params, x1, series):
     y = _as_y(series)
     x1 = _check_state(params, x1)
     if params.tag == "nbin":
-        value = kernels.nbin_loglik(y, x1, params.omega, params.a, params.b, params.r)
+        value = kernels.nbin_loglik(y, x1, params.omega, params.a, params.b, params.r,
+                                    _count_table(series, y))
     elif params.tag == "ting":
-        value = kernels.ting_loglik(y, x1, params.omega, params.a, params.b, params.tau)
+        value = kernels.ting_loglik(y, x1, params.omega, params.a, params.b, params.tau,
+                                    _count_table(series, y))
     else:
         value = kernels.nm_loglik(y, x1, params.omega_vec, params.A,
                                   params.b_vec, params.gamma)
@@ -87,22 +95,22 @@ def grad_loglik_nbin(params, x1, series):
         raise TypeError("grad_loglik_nbin requires NbinParams")
     y = _as_y(series)
     x1 = _check_state(params, x1)
-    _, grad = kernels.nbin_loglik_grad(y, x1, params.omega, params.a,
-                                       params.b, params.r)
-    return grad
+    return kernels.nbin_loglik_grad(y, x1, params.omega, params.a, params.b, params.r,
+                                    _count_table(series, y))
 
 
 def grad_loglik_numeric(params, x1, series, step=1e-5):
     """Central-difference gradient in the unconstrained reparameterization."""
-    y = _as_y(series)
+    if not isinstance(series, Series):
+        series = _as_y(series)
     fmap = feasible_map_for(params)
     z0 = fmap.encode(params)
     grad = np.empty(z0.size)
     for i in range(z0.size):
         z = z0.copy()
         z[i] = z0[i] + step
-        hi = loglik(fmap.decode(z), x1, y).value
+        hi = loglik(fmap.decode(z), x1, series).value
         z[i] = z0[i] - step
-        lo = loglik(fmap.decode(z), x1, y).value
+        lo = loglik(fmap.decode(z), x1, series).value
         grad[i] = (hi - lo) / (2.0 * step)
     return grad

@@ -16,15 +16,34 @@ from .params import Series
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def nbin_count_term(y, r):
+    """The part of the NBIN log pmf that depends on the count only: log C(y + r - 1, y)."""
+    return gammaln(y + r) - gammaln(r) - gammaln(y + 1.0)
+
+
+def nbin_state_term(x, y, r):
+    """The part of the NBIN log pmf that depends on the state x."""
+    return y * np.log(x) - (y + r) * np.log1p(x)
+
+
 def nbin_log_pmf(x, y, r):
     """Log pmf of NB(r, x/(1+x)) at y, elementwise."""
-    return (gammaln(y + r) - gammaln(r) - gammaln(y + 1.0)
-            + y * np.log(x) - (y + r) * np.log1p(x))
+    return nbin_count_term(y, r) + nbin_state_term(x, y, r)
+
+
+def poisson_count_term(y):
+    """The part of the Poisson log pmf that depends on the count only: -log y!."""
+    return -gammaln(y + 1.0)
+
+
+def poisson_state_term(lam, y):
+    """The part of the Poisson log pmf that depends on the intensity lam."""
+    return y * np.log(lam) - lam
 
 
 def poisson_log_pmf(lam, y):
     """Log pmf of Poisson(lam) at y, elementwise."""
-    return -lam + y * np.log(lam) - gammaln(y + 1.0)
+    return poisson_count_term(y) + poisson_state_term(lam, y)
 
 
 def nm_log_density(x, y, gamma):

@@ -178,6 +178,7 @@ def config_to_dict(config):
             "max_outer": config.options.max_outer,
             "max_inner": config.options.max_inner,
             "margin": config.options.margin,
+            "fd_step": config.options.fd_step,
         },
         "drop_nonconverged": config.drop_nonconverged,
     }

@@ -191,9 +191,23 @@ def params_from_dict(tag, d):
     raise ValueError(f"unknown model tag {tag!r}")
 
 
+def count_table(y):
+    """Distinct values of y and their relative frequencies.
+
+    A mean over y of a function of the count alone is weights @ f(values),
+    one evaluation per distinct count instead of one per observation.
+    """
+    values, counts = np.unique(y, return_counts=True)
+    return values, counts / y.size
+
+
 @dataclass
 class Series:
-    """An observed sample with optional simulated hidden-state trace."""
+    """An observed sample with optional simulated hidden-state trace.
+
+    For the count models, ``count_table`` holds ``count_table(y)``, built
+    once here for the likelihood kernels; y is not to be changed afterwards.
+    """
 
     y: np.ndarray
     model_tag: str
@@ -202,6 +216,7 @@ class Series:
     stable: bool = True
     burn_in: int = 0
     params: ModelParams | None = field(default=None, repr=False)
+    count_table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -210,6 +225,7 @@ class Series:
         if self.model_tag in ("nbin", "ting"):
             if np.any(self.y < 0) or np.any(self.y != np.round(self.y)):
                 raise ValueError("count models require non-negative integer observations")
+            self.count_table = count_table(self.y)
         if self.x_trace is not None:
             self.x_trace = np.asarray(self.x_trace, dtype=float)
             if self.x_trace.shape[0] != self.y.shape[0]:

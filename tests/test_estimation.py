@@ -8,6 +8,7 @@ from odgarch import (FeasibleMap, FitOptions, NbinParams, NmParams, TingParams,
                      cls_init_nbin, grad_loglik_nbin, init_generic, loglik, mle_fit,
                      simulate)
 from odgarch.estimation import EPS_MARGIN
+from odgarch.params import Series
 from odgarch.reparam import feasible_map_for
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
@@ -177,6 +178,53 @@ def test_mle_fit_nm_d1():
 
 
 def test_mle_fit_degenerate_series():
-    from odgarch.params import Series
     with pytest.raises(ValueError):
         mle_fit(Series(y=np.full(50, 3.0), model_tag="nbin"))
+
+
+def test_mle_fit_evaluates_each_point_once(monkeypatch):
+    # the count table is built once per fit, and every gradient is paired with
+    # exactly one value call at the same point: no value is computed twice
+    from collections import Counter
+
+    from odgarch import kernels, likelihood, params
+    built, values, grads = [], Counter(), Counter()
+    real_table, real_ll, real_grad = (params.count_table, kernels.nbin_loglik,
+                                      kernels.nbin_loglik_grad)
+
+    def table(y):
+        built.append(len(y))
+        return real_table(y)
+
+    def ll(y, *args):
+        value = real_ll(y, *args)  # an overflowing trial point raises: no pair
+        values[args[:5]] += 1
+        return value
+
+    def grad(y, *args):
+        g = real_grad(y, *args)
+        grads[args[:5]] += 1
+        return g
+
+    y = simulate(M1, 512, seed=8).y
+    monkeypatch.setattr(params, "count_table", table)
+    monkeypatch.setattr(likelihood, "count_table", table)
+    monkeypatch.setattr(kernels, "nbin_loglik", ll)
+    monkeypatch.setattr(kernels, "nbin_loglik_grad", grad)
+    fit = mle_fit(y, model_tag="nbin")
+    assert fit.converged
+    assert built == [512]
+    assert grads and grads == values
+
+
+def test_mle_fit_nm_takes_d_from_series():
+    p = NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0],
+                 A=[[0.3, 0.1], [0.05, 0.25]], b_vec=[0.2, 0.1])
+    s = simulate(p, 256, seed=3)
+    assert init_generic(Series(y=s.y, model_tag="nm", x_trace=s.x_trace), "nm").d == 2
+    assert init_generic(s.y, "nm", x1=np.ones(3)).d == 3
+    start = init_generic(s, "nm")
+    assert start.d == 2 and start.margin() >= EPS_MARGIN
+    fit = mle_fit(s, options=FitOptions(tol=1e-4, max_outer=3, max_inner=60))
+    assert fit.theta_hat.d == 2 and fit.theta_hat.stable()
+    assert fit.loglik_hat >= fit.loglik_init

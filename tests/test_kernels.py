@@ -8,6 +8,7 @@ from conftest import random_nm
 from scipy.special import digamma
 
 from odgarch import NbinParams, TingParams, kernels, simulate
+from odgarch.params import count_table
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 SIZES = (1, 2, 128, 4096)
@@ -77,26 +78,43 @@ def test_affine_scan_matches_loop(n):
         np.testing.assert_allclose(kernels.affine_scan(c, a), ref_scan(c, a), **TOL)
 
 
-@pytest.mark.parametrize("n", SIZES)
+def count_series(params, kind):
+    """A simulated series of length kind, or a series whose counts stress the
+    distinct-count table: heavy repeats (mostly zeros, a long run of one
+    count) or all counts distinct."""
+    if kind == "repeats":
+        y = np.zeros(4096)
+        y[1000:2500] = 7.0
+        y[::61] = 2.0
+        return y
+    if kind == "distinct":
+        return np.random.default_rng(5).permutation(512).astype(float)
+    return simulate(params, kind, seed=kind).y
+
+
+COUNT_KINDS = SIZES + ("repeats", "distinct")
+
+
+@pytest.mark.parametrize("n", COUNT_KINDS)
 def test_nbin_kernels_match_loop(n):
-    y = simulate(NBIN, n, seed=n).y
+    y = count_series(NBIN, n)
     args = (y, 7.5, NBIN.omega, NBIN.a, NBIN.b, NBIN.r)
     u, du, value, grad = ref_nbin(*args)
     np.testing.assert_allclose(kernels.affine_filter(*args[:5]), u, **TOL)
     got_u, got_du = kernels.nbin_filter(*args[:5])
     np.testing.assert_allclose(got_u, u, **TOL)
     np.testing.assert_allclose(got_du, du, **TOL)
-    np.testing.assert_allclose(kernels.nbin_loglik(*args), value, **TOL)
-    got_value, got_grad = kernels.nbin_loglik_grad(*args)
-    np.testing.assert_allclose(got_value, value, **TOL)
-    np.testing.assert_allclose(got_grad, grad, **TOL)
+    table = count_table(y)
+    np.testing.assert_allclose(kernels.nbin_loglik(*args, table), value, **TOL)
+    np.testing.assert_allclose(kernels.nbin_loglik_grad(*args, table), grad, **TOL)
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", COUNT_KINDS)
 def test_ting_kernel_matches_loop(n):
-    y = simulate(TING, n, seed=n).y
+    y = count_series(TING, n)
     args = (y, 5.0, TING.omega, TING.a, TING.b, TING.tau)
-    np.testing.assert_allclose(kernels.ting_loglik(*args), ref_ting(*args), **TOL)
+    np.testing.assert_allclose(kernels.ting_loglik(*args, count_table(y)), ref_ting(*args),
+                               **TOL)
 
 
 @pytest.mark.parametrize("d", (1, 2, 3))
@@ -114,6 +132,6 @@ def test_overflow_raises():
     # an explosive trial point overflows the state path: an error, not inf
     y = simulate(NBIN, 4096, seed=1).y
     with pytest.raises(FloatingPointError):
-        kernels.nbin_loglik(y, 7.5, 3.0, 5.0, 0.2, 2.0)
+        kernels.nbin_loglik(y, 7.5, 3.0, 5.0, 0.2, 2.0, count_table(y))
     with pytest.raises(FloatingPointError):
-        kernels.nbin_loglik_grad(y, 7.5, 3.0, 5.0, 0.2, 2.0)
+        kernels.nbin_loglik_grad(y, 7.5, 3.0, 5.0, 0.2, 2.0, count_table(y))

@@ -128,6 +128,19 @@ def test_grad_nbin_single_term():
     assert abs(g[3] + math.log(2.0)) < 1e-12  # d/dr = -ln(1 + x1)
 
 
+def test_series_and_array_agree():
+    # a Series brings its distinct-count table; a plain array has one built per call
+    rng = np.random.default_rng(16)
+    for p in (random_nbin(rng), random_ting(rng)):
+        s = simulate(p, 512, seed=int(rng.integers(1 << 30)))
+        x1 = p.fixed_point()
+        np.testing.assert_allclose(loglik(p, x1, s).value, loglik(p, x1, s.y).value,
+                                   rtol=1e-14, atol=0)
+        if p.tag == "nbin":
+            np.testing.assert_allclose(grad_loglik_nbin(p, x1, s),
+                                       grad_loglik_nbin(p, x1, s.y), rtol=1e-14, atol=0)
+
+
 def test_grad_nbin_vs_finite_differences():
     rng = np.random.default_rng(15)
     for _ in range(30):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from odgarch import (ExperimentConfig, NbinParams, loglik_gap, made, mle_fit,
+from odgarch import (ExperimentConfig, FitOptions, NbinParams, loglik_gap, made, mle_fit,
                      run_experiment, simulate)
 from odgarch.montecarlo import config_to_dict, replicate_seed
 
@@ -58,13 +58,14 @@ def test_config_validation():
 
 def test_config_dict_roundtrip():
     cfg = ExperimentConfig(model_tag="nbin", theta_star=M1,
-                           sample_sizes=(64, 128), m=5, base_seed=99)
+                           sample_sizes=(64, 128), m=5, base_seed=99,
+                           options=FitOptions(fd_step=3e-6))
     d = config_to_dict(cfg)
     cfg2 = ExperimentConfig.from_dict(d)
     assert cfg2.sample_sizes == (64, 128)
     assert cfg2.m == 5 and cfg2.base_seed == 99
     assert np.allclose(cfg2.theta_star.as_array(), M1.as_array())
-    assert cfg2.options.tol == cfg.options.tol
+    assert cfg2.options == cfg.options
 
 
 def test_single_replicate_identity():
