@@ -24,6 +24,13 @@ def _parse_vector(text):
     return np.array([float(v) for v in text.replace(";", ",").split(",") if v != ""])
 
 
+def _parse_state(text, model_tag):
+    """The --x1 state: a comma list for NM, a float for the scalar-state models."""
+    if text is None:
+        return None
+    return _parse_vector(text) if model_tag == "nm" else float(text)
+
+
 def _parse_matrix(text):
     rows = [r for r in text.split(";") if r != ""]
     return np.array([[float(v) for v in r.split(",")] for r in rows])
@@ -79,23 +86,21 @@ def _opts_from_args(args):
 
 def cmd_simulate(args):
     params = _params_from_args(args)
+    x0 = _parse_state(args.x1, params.tag)
     if not params.stable():
         print("warning: parameters are outside the stability region", file=sys.stderr)
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        series = simulate(params, args.n, x0=args.x1, seed=args.seed,
-                          burn_in=args.burn_in)
+        series = simulate(params, args.n, x0=x0, seed=args.seed, burn_in=args.burn_in)
     odio.write_series(args.out, series)
     return 0
 
 
 def cmd_fit(args):
     series = odio.read_series(args.series, model_tag=args.model)
-    x1 = None
-    if args.x1 is not None:
-        x1 = _parse_vector(args.x1) if series.model_tag == "nm" else float(args.x1)
-    fit = mle_fit(series, x1=x1, options=_opts_from_args(args))
+    fit = mle_fit(series, x1=_parse_state(args.x1, series.model_tag),
+                  options=_opts_from_args(args))
     if args.out:
         odio.write_fit_result(args.out, fit)
     names = fit.theta_hat.param_names
@@ -168,7 +173,7 @@ def build_parser():
     _add_param_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--x1", type=float, default=None)
+    p.add_argument("--x1", default=None, help="start state: scalar, or comma list for nm")
     p.add_argument("--burn-in", type=int, default=500)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)

@@ -181,20 +181,21 @@ def _constraint_grad_z(params, fmap, fd_step):
     return g
 
 
-def _bfgs(f_and_g, z0, tol, max_iter, start=None):
-    """BFGS with Armijo backtracking. Returns (z, fval, grad, n_iter, ok).
+def _bfgs(f_and_g, z0, start, tol, max_iter):
+    """BFGS with Armijo backtracking. Returns (z, fval, grad, extra, n_iter, ok).
 
-    start, when given, is f_and_g(z0) already in hand.
+    f_and_g(z) returns (fval, grad, extra); extra is handed back unchanged for
+    the returned point. start is f_and_g(z0), already in hand.
     """
     z = z0.copy()
-    fval, g = f_and_g(z) if start is None else start
+    fval, g, extra = start
     h = np.eye(z.size)
     n_iter = 0
     n_flat = 0
     for n_iter in range(1, max_iter + 1):
         gnorm = np.max(np.abs(g))
         if gnorm < tol:
-            return z, fval, g, n_iter - 1, True
+            return z, fval, g, extra, n_iter - 1, True
         p = -h @ g
         slope = g @ p
         if slope >= 0:  # lost curvature; restart from steepest descent
@@ -206,20 +207,20 @@ def _bfgs(f_and_g, z0, tol, max_iter, start=None):
         for _ in range(60):
             z_new = z + step * p
             try:
-                f_new, g_new = f_and_g(z_new)
+                f_new, g_new, extra_new = f_and_g(z_new)
             except (FloatingPointError, OverflowError, ValueError):
                 f_new = np.inf
-                g_new = None
+                g_new = extra_new = None
             if np.isfinite(f_new) and f_new <= fval + 1e-4 * step * slope:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
-            return z, fval, g, n_iter, False
+            return z, fval, g, extra, n_iter, False
         # stop once improvements sink below double precision for a while
         n_flat = n_flat + 1 if fval - f_new <= 1e-13 * max(1.0, abs(fval)) else 0
         if n_flat >= 3:
-            return z_new, f_new, g_new, n_iter, np.max(np.abs(g_new)) < tol
+            return z_new, f_new, g_new, extra_new, n_iter, np.max(np.abs(g_new)) < tol
         s = z_new - z
         yk = g_new - g
         sy = s @ yk
@@ -227,8 +228,8 @@ def _bfgs(f_and_g, z0, tol, max_iter, start=None):
             rho = 1.0 / sy
             v = np.eye(z.size) - rho * np.outer(s, yk)
             h = v @ h @ v.T + rho * np.outer(s, s)
-        z, fval, g = z_new, f_new, g_new
-    return z, fval, g, n_iter, np.max(np.abs(g)) < tol
+        z, fval, g, extra = z_new, f_new, g_new, extra_new
+    return z, fval, g, extra, n_iter, np.max(np.abs(g)) < tol
 
 
 def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed=None):
@@ -266,9 +267,9 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
 
     ll0 = loglik(theta0, x1, series).value
     gz0 = grad_z(theta0)
+    theta, ll_z, gz_z = theta0, ll0, gz0  # the point z, its loglik and gradient
     lam = 0.0
     mu = 10.0
-    start = penalized(theta0, ll0, gz0, lam, mu)  # the first inner problem starts at z
     n_inner_total = 0
     n_outer = 0
     inner_ok = False
@@ -277,11 +278,13 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
     for n_outer in range(1, opts.max_outer + 1):
         def f_and_g(zv, _lam=lam, _mu=mu):
             params = fmap.decode(zv)
-            return penalized(params, loglik(params, x1, series).value, grad_z(params),
-                             _lam, _mu)
+            val, gz = loglik(params, x1, series).value, grad_z(params)
+            return (*penalized(params, val, gz, _lam, _mu), (val, gz))
 
-        z, fv, _, n_it, inner_ok = _bfgs(f_and_g, z, opts.tol, opts.max_inner, start)
-        start = None
+        # each inner problem starts at the point the last one accepted
+        start = (*penalized(theta, ll_z, gz_z, lam, mu), (ll_z, gz_z))
+        z, fv, _, (ll_z, gz_z), n_it, inner_ok = _bfgs(f_and_g, z, start, opts.tol,
+                                                      opts.max_inner)
         n_inner_total += n_it
         theta = fmap.decode(z)
         c = _constraint(theta, opts.margin)
@@ -295,15 +298,13 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
         v_prev = v
         fv_prev = fv
 
-    theta_hat = fmap.decode(z)
+    theta_hat, ll_hat, gz = theta, ll_z, gz_z
     if theta_hat.margin() <= 0:  # numerical safety: never return an unstable point
         theta_hat = _pull_inside(theta_hat, opts.margin)
-    ll_hat = loglik(theta_hat, x1, series).value
+        ll_hat, gz = loglik(theta_hat, x1, series).value, grad_z(theta_hat)
     if ll_hat < ll0 - 1e-12:
         theta_hat, ll_hat, gz = theta0, ll0, gz0
         inner_ok = False
-    else:
-        gz = grad_z(theta_hat)
 
     c_final = _constraint(theta_hat, opts.margin)
     if c_final >= -1e-8:

@@ -1,12 +1,22 @@
-"""Log-likelihood kernels: one affine scan, then elementwise log densities.
+"""Log-likelihood kernels: one affine recursion, then elementwise log densities.
 
 All three models move their state by the affine map x' = w + A x + b h(y),
 with h(y) = y for NBIN and TING and h(y) = y^2 for NM. A state path is
 therefore the linear recurrence x[k] = A x[k-1] + c[k] with the drive
-c[0] = x1, c[k] = w + b h(y[k-1]). ``affine_scan`` evaluates it in
-ceil(log2 n) doubling passes of whole-array numpy operations, a prefix
-scan (Blelloch 1990, "Prefix sums and their applications"). The
+c[0] = x1, c[k] = w + b h(y[k-1]), which ``affine_scan`` evaluates. For
+the scalar a of NBIN and TING it is the unit lower-bidiagonal system
+L x = c with -a below the diagonal, solved in one O(n) forward
+substitution by the BLAS banded solver ``dtbsv``. For NM's d x d matrix A
+it is a prefix scan of ceil(log2 n) doubling passes of whole-array numpy
+operations (Blelloch 1990, "Prefix sums and their applications"). The
 log-likelihood is the mean of the model's log density along the path.
+
+The NBIN gradient in (w, a, b) is the adjoint of the state recursion
+(reverse mode, Griewank & Walther 2008, "Evaluating Derivatives"): with
+the score g[k] = d log p / d u[k], one reverse solve v[j] = g[j] + a v[j+1]
+gives d/dtheta sum_k log p = sum_{j>=1} v[j] dc[j]/dtheta, where the
+drive's derivatives are (1, u[j-1], y[j-1]). ``nbin_filter`` returns the
+forward sensitivities du, which ``likelihood.filter_series`` reports.
 
 The count models' log pmfs split into a part that depends on the count
 alone and a part that depends on the state. The count-only part, and the
@@ -18,10 +28,12 @@ distinct values than n. The NBIN and TING kernels take that table,
 The kernels run with numpy raising on overflow, invalid operations and
 division by zero: a parameter point whose path or density leaves the
 floating-point range raises ``FloatingPointError`` instead of returning
-inf or nan.
+inf or nan. BLAS ignores numpy's error state, so ``affine_scan`` checks
+its result itself.
 """
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.special import psi
 
 from .models import (nbin_count_term, nbin_state_term, nm_log_density, poisson_count_term,
@@ -37,19 +49,33 @@ _raise_fp = np.errstate(over="raise", invalid="raise", divide="raise")
 def affine_scan(c, a):
     """x[0] = c[0], x[k] = a x[k-1] + c[k], for a scalar or a d x d matrix a.
 
-    c has shape (n, ...) for a scalar a and (n, d) for a matrix. Before
-    the pass with shift s, x[k] holds the last s terms of the recurrence,
-    sum over j in (k-s, k] of a^(k-j) c[j]; adding a^s x[k-s] doubles that.
+    c has shape (n,) or (n, m) for a scalar a and (n, d) for a matrix.
+    Raises FloatingPointError when the path leaves the floating-point range.
     """
-    x = np.array(c, dtype=float)
-    matrix = np.ndim(a) == 2
-    power = a
-    shift = 1
-    while shift < len(x):
-        x[shift:] += x[:-shift] @ power.T if matrix else x[:-shift] * power
-        shift *= 2
-        if shift < len(x):
-            power = power @ power if matrix else power * power
+    x = np.array(c, dtype=float, order="C")
+    if np.ndim(a) == 2:
+        # Doubling: before the pass with shift s, x[k] holds the last s terms of
+        # the recurrence, sum over j in (k-s, k] of a^(k-j) c[j]; adding
+        # a^s x[k-s] doubles that.
+        power = a
+        shift = 1
+        while shift < len(x):
+            x[shift:] += x[:-shift] @ power.T
+            shift *= 2
+            if shift < len(x):
+                power = power @ power
+    else:
+        # L in banded storage: row 1 is the subdiagonal -a; with diag=1 dtbsv
+        # takes the diagonal as ones and never reads row 0. Column j of x is
+        # the strided vector flat[j::m], solved in place.
+        n = len(x)
+        m = x.size // n if n else 0
+        band = np.full((2, n), -a, order="F")
+        flat = x.reshape(-1)
+        for j in range(m):
+            dtbsv(1, band, flat, incx=m, offx=j, lower=1, diag=1, overwrite_x=1)
+    if not np.isfinite(x).all():
+        raise FloatingPointError("affine recursion left the floating-point range")
     return x
 
 
@@ -92,11 +118,18 @@ def nbin_loglik(y, x1, w, a, b, r, table):
 
 @_raise_fp
 def nbin_loglik_grad(y, x1, w, a, b, r, table):
-    """Exact gradient of the normalized log-likelihood in (w, a, b, r)."""
+    """Exact gradient of the normalized log-likelihood in (w, a, b, r).
+
+    The (w, a, b) part comes from one reverse solve of the state recursion
+    driven by the score; the forward sensitivities are never formed.
+    """
     values, weights = table
-    u, du = nbin_filter(y, x1, w, a, b)
+    u = affine_filter(y, x1, w, a, b)
+    score = y / u - (y + r) / (1.0 + u)
+    v = affine_scan(score[::-1], a)[-2::-1]  # v[j] = score[j] + a v[j+1], j >= 1
     grad = np.empty(4)
-    grad[:3] = (y / u - (y + r) / (1.0 + u)) @ du / len(y)
+    grad[:3] = (v.sum(), v @ u[:-1], v @ y[:-1])
+    grad[:3] /= len(y)
     grad[3] = weights @ psi(r + values) - psi(r) - np.mean(np.log1p(u))
     return grad
 

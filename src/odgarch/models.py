@@ -58,7 +58,7 @@ def _check_state(params, x):
     x = np.asarray(x, dtype=float)
     if params.tag == "nm" and x.shape[-1:] != (params.d,):
         raise ValueError(f"state must have shape ({params.d},)")
-    if np.any(x <= 0) or not np.all(np.isfinite(x)):
+    if not ((x > 0) & (x < np.inf)).all():  # also false for nan
         raise ValueError("state must be positive and finite")
     return x[()]
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from odgarch.cli import main
+from odgarch.io import read_series
 
 M1_FLAGS = ["--model", "nbin", "--omega", "3", "--a", ".2", "--b", ".2", "--r", "2"]
 
@@ -65,6 +66,14 @@ def test_fit_nm_d1_scalar_x1(tmp_path, capsys):
                 "--out", out]) == 0
     d = json.loads(open(out).read())
     assert d["model"] == "nm" and d["x1"] == [2.0]
+
+
+def test_simulate_nm_vector_x1(tmp_path):
+    out = str(tmp_path / "nm2.csv")
+    assert run(["simulate", "--model", "nm", "--gamma", ".4,.6", "--omega", "1,2",
+                "--A", ".3,.1;.05,.25", "--bvec", ".2,.1", "--n", "8", "--seed", "1",
+                "--burn-in", "0", "--x1", "2,3", "--out", out]) == 0
+    np.testing.assert_array_equal(read_series(out).x_trace[0], [2.0, 3.0])
 
 
 def test_fit_truncated_csv(tmp_path):

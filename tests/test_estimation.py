@@ -183,8 +183,8 @@ def test_mle_fit_degenerate_series():
 
 
 def test_mle_fit_evaluates_each_point_once(monkeypatch):
-    # the count table is built once per fit, and every gradient is paired with
-    # exactly one value call at the same point: no value is computed twice
+    # the count table is built once per fit, every gradient is paired with one
+    # value call at the same point, and no point is evaluated twice
     from collections import Counter
 
     from odgarch import kernels, likelihood, params
@@ -215,6 +215,7 @@ def test_mle_fit_evaluates_each_point_once(monkeypatch):
     assert fit.converged
     assert built == [512]
     assert grads and grads == values
+    assert max(values.values()) == 1
 
 
 def test_mle_fit_nm_takes_d_from_series():

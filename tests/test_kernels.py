@@ -13,7 +13,14 @@ from odgarch.params import count_table
 TOL = dict(rtol=1e-12, atol=1e-12)
 SIZES = (1, 2, 128, 4096)
 NBIN = NbinParams(3.0, 0.2, 0.2, 2.0)
-TING = TingParams(3.0, 0.35, 0.1, 4.0)
+# The count kernels are compared at a = 0.2, 0.5 and 0.95. At a = 0.5 and
+# n = 4096 the powers a^s of a doubling scan are subnormal; at a = 0.95 the
+# recursion forgets its start slowly.
+NBINS = (NBIN, NbinParams(3.0, 0.5, 0.2, 2.0), NbinParams(0.5, 0.95, 0.02, 2.0))
+# The first TING set caps nearly every state at tau; in the other three
+# 3-15 % of the states are capped.
+TINGS = (TingParams(3.0, 0.35, 0.1, 4.0), TingParams(2.0, 0.2, 0.1, 3.2),
+         TingParams(1.2, 0.5, 0.1, 3.2), TingParams(0.1, 0.95, 0.02, 3.5))
 
 
 def ref_nbin(y, x1, w, a, b, r):
@@ -74,6 +81,7 @@ def test_affine_scan_matches_loop(n):
     rng = np.random.default_rng(n)
     for c, a in [(rng.uniform(0, 2, n), 0.7),
                  (rng.uniform(0, 2, (n, 3)), 0.95),
+                 (np.asfortranarray(rng.uniform(0, 2, (n, 3))), 0.5),
                  (rng.uniform(0, 2, (n, 3)), rng.uniform(0, 0.3, (3, 3)))]:
         np.testing.assert_allclose(kernels.affine_scan(c, a), ref_scan(c, a), **TOL)
 
@@ -97,24 +105,26 @@ COUNT_KINDS = SIZES + ("repeats", "distinct")
 
 @pytest.mark.parametrize("n", COUNT_KINDS)
 def test_nbin_kernels_match_loop(n):
-    y = count_series(NBIN, n)
-    args = (y, 7.5, NBIN.omega, NBIN.a, NBIN.b, NBIN.r)
-    u, du, value, grad = ref_nbin(*args)
-    np.testing.assert_allclose(kernels.affine_filter(*args[:5]), u, **TOL)
-    got_u, got_du = kernels.nbin_filter(*args[:5])
-    np.testing.assert_allclose(got_u, u, **TOL)
-    np.testing.assert_allclose(got_du, du, **TOL)
-    table = count_table(y)
-    np.testing.assert_allclose(kernels.nbin_loglik(*args, table), value, **TOL)
-    np.testing.assert_allclose(kernels.nbin_loglik_grad(*args, table), grad, **TOL)
+    for p in NBINS:
+        y = count_series(p, n)
+        args = (y, 7.5, p.omega, p.a, p.b, p.r)
+        u, du, value, grad = ref_nbin(*args)
+        np.testing.assert_allclose(kernels.affine_filter(*args[:5]), u, **TOL)
+        got_u, got_du = kernels.nbin_filter(*args[:5])
+        np.testing.assert_allclose(got_u, u, **TOL)
+        np.testing.assert_allclose(got_du, du, **TOL)
+        table = count_table(y)
+        np.testing.assert_allclose(kernels.nbin_loglik(*args, table), value, **TOL)
+        np.testing.assert_allclose(kernels.nbin_loglik_grad(*args, table), grad, **TOL)
 
 
 @pytest.mark.parametrize("n", COUNT_KINDS)
 def test_ting_kernel_matches_loop(n):
-    y = count_series(TING, n)
-    args = (y, 5.0, TING.omega, TING.a, TING.b, TING.tau)
-    np.testing.assert_allclose(kernels.ting_loglik(*args, count_table(y)), ref_ting(*args),
-                               **TOL)
+    for p in TINGS:
+        y = count_series(p, n)
+        args = (y, 5.0, p.omega, p.a, p.b, p.tau)
+        np.testing.assert_allclose(kernels.ting_loglik(*args, count_table(y)),
+                                   ref_ting(*args), **TOL)
 
 
 @pytest.mark.parametrize("d", (1, 2, 3))
@@ -135,3 +145,6 @@ def test_overflow_raises():
         kernels.nbin_loglik(y, 7.5, 3.0, 5.0, 0.2, 2.0, count_table(y))
     with pytest.raises(FloatingPointError):
         kernels.nbin_loglik_grad(y, 7.5, 3.0, 5.0, 0.2, 2.0, count_table(y))
+    # TING caps the state at tau: an infinite state must raise, not become tau
+    with pytest.raises(FloatingPointError):
+        kernels.ting_loglik(y, 5.0, 3.0, 5.0, 0.1, 4.0, count_table(y))
