@@ -248,10 +248,13 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
     z = fmap.encode(theta0)
     theta0 = fmap.decode(z)  # the start as the optimizer evaluates it
 
-    def grad_z(params):
+    def value_and_grad_z(params):
+        """The loglik and its gradient in z; NBIN gets both from one state solve."""
         if tag == "nbin":
-            return fmap.chain_rule(grad_loglik_nbin(params, x1, series), params)
-        return grad_loglik_numeric(params, x1, series, step=opts.fd_step)
+            val, grad = grad_loglik_nbin(params, x1, series, with_value=True)
+            return val, fmap.chain_rule(grad, params)
+        return (loglik(params, x1, series).value,
+                grad_loglik_numeric(params, x1, series, step=opts.fd_step))
 
     def penalized(params, val, gz, lam, mu):
         c = _constraint(params, opts.margin)
@@ -265,8 +268,7 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
             pen_g = 0.0
         return -val + pen, -gz + pen_g
 
-    ll0 = loglik(theta0, x1, series).value
-    gz0 = grad_z(theta0)
+    ll0, gz0 = value_and_grad_z(theta0)
     theta, ll_z, gz_z = theta0, ll0, gz0  # the point z, its loglik and gradient
     lam = 0.0
     mu = 10.0
@@ -278,7 +280,7 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
     for n_outer in range(1, opts.max_outer + 1):
         def f_and_g(zv, _lam=lam, _mu=mu):
             params = fmap.decode(zv)
-            val, gz = loglik(params, x1, series).value, grad_z(params)
+            val, gz = value_and_grad_z(params)
             return (*penalized(params, val, gz, _lam, _mu), (val, gz))
 
         # each inner problem starts at the point the last one accepted
@@ -299,9 +301,10 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
         fv_prev = fv
 
     theta_hat, ll_hat, gz = theta, ll_z, gz_z
-    if theta_hat.margin() <= 0:  # numerical safety: never return an unstable point
+    # the outer loop accepts a violation up to 1e-8: never return a point inside the margin
+    if theta_hat.margin() < opts.margin:
         theta_hat = _pull_inside(theta_hat, opts.margin)
-        ll_hat, gz = loglik(theta_hat, x1, series).value, grad_z(theta_hat)
+        ll_hat, gz = value_and_grad_z(theta_hat)
     if ll_hat < ll0 - 1e-12:
         theta_hat, ll_hat, gz = theta0, ll0, gz0
         inner_ok = False
@@ -330,20 +333,26 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
 
 
 def _pull_inside(params, margin):
-    """Scale parameters toward the stable region until margin is met."""
+    """Scale parameters toward the stable region until margin is met.
+
+    The target is a hair inside, 1 - margin (1 + 1e-9): the rescaled point is
+    rounded (NM's spectral radius most of all), and a target of exactly
+    1 - margin can leave its margin an ulp or so short.
+    """
+    target = 1.0 - margin * (1.0 + 1e-9)
     if params.tag == "nbin":
         s = params.a + params.b * params.r
-        if s > 1.0 - margin:
-            shrink = (1.0 - margin) / s
+        if s > target:
+            shrink = target / s
             return NbinParams(params.omega, params.a * shrink, params.b * shrink, params.r)
         return params
     if params.tag == "ting":
-        if params.a > 1.0 - margin:
-            return TingParams(params.omega, 1.0 - margin, params.b, params.tau)
+        if params.a > target:
+            return TingParams(params.omega, target, params.b, params.tau)
         return params
     rho = 1.0 - params.margin()
-    if rho > 1.0 - margin:
-        shrink = (1.0 - margin) / rho
+    if rho > target:
+        shrink = target / rho
         return NmParams(params.gamma, params.omega_vec,
                         params.A * shrink, params.b_vec * shrink)
     return params

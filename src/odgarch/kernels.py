@@ -15,8 +15,10 @@ The NBIN gradient in (w, a, b) is the adjoint of the state recursion
 (reverse mode, Griewank & Walther 2008, "Evaluating Derivatives"): with
 the score g[k] = d log p / d u[k], one reverse solve v[j] = g[j] + a v[j+1]
 gives d/dtheta sum_k log p = sum_{j>=1} v[j] dc[j]/dtheta, where the
-drive's derivatives are (1, u[j-1], y[j-1]). ``nbin_filter`` returns the
-forward sensitivities du, which ``likelihood.filter_series`` reports.
+drive's derivatives are (1, u[j-1], y[j-1]). ``nbin_loglik_grad`` returns
+the value and the gradient from one solve of the state path, for a fitter
+that needs both at every point. ``nbin_filter`` returns the forward
+sensitivities du, which ``likelihood.filter_series`` reports.
 
 The count models' log pmfs split into a part that depends on the count
 alone and a part that depends on the state. The count-only part, and the
@@ -118,20 +120,25 @@ def nbin_loglik(y, x1, w, a, b, r, table):
 
 @_raise_fp
 def nbin_loglik_grad(y, x1, w, a, b, r, table):
-    """Exact gradient of the normalized log-likelihood in (w, a, b, r).
+    """The normalized log-likelihood and its exact gradient in (w, a, b, r).
 
-    The (w, a, b) part comes from one reverse solve of the state recursion
-    driven by the score; the forward sensitivities are never formed.
+    Returns (value, grad) from one solve of the state path; the value is
+    ``nbin_loglik``'s, bit for bit. The (w, a, b) part of the gradient comes
+    from one reverse solve of the state recursion driven by the score; the
+    forward sensitivities are never formed.
     """
     values, weights = table
     u = affine_filter(y, x1, w, a, b)
+    l1p = np.log1p(u)
+    # nbin_state_term(u, y, r), with log1p(u) shared with grad[3]
+    value = weights @ nbin_count_term(values, r) + np.mean(y * np.log(u) - (y + r) * l1p)
     score = y / u - (y + r) / (1.0 + u)
     v = affine_scan(score[::-1], a)[-2::-1]  # v[j] = score[j] + a v[j+1], j >= 1
     grad = np.empty(4)
     grad[:3] = (v.sum(), v @ u[:-1], v @ y[:-1])
     grad[:3] /= len(y)
-    grad[3] = weights @ psi(r + values) - psi(r) - np.mean(np.log1p(u))
-    return grad
+    grad[3] = weights @ psi(r + values) - psi(r) - np.mean(l1p)
+    return value, grad
 
 
 @_raise_fp

@@ -89,14 +89,23 @@ def loglik(params, x1, series):
     return LoglikValue(value=float(value), n=y.size, x1=x1)
 
 
-def grad_loglik_nbin(params, x1, series):
-    """Exact gradient of the normalized NBIN log-likelihood in (omega, a, b, r)."""
+def grad_loglik_nbin(params, x1, series, *, with_value=False):
+    """Exact gradient of the normalized NBIN log-likelihood in (omega, a, b, r).
+
+    With with_value, returns (value, gradient) from one solve of the state
+    path; the value equals ``loglik(params, x1, series).value`` bit for bit.
+    """
     if not isinstance(params, NbinParams):
         raise TypeError("grad_loglik_nbin requires NbinParams")
     y = _as_y(series)
     x1 = _check_state(params, x1)
-    return kernels.nbin_loglik_grad(y, x1, params.omega, params.a, params.b, params.r,
-                                    _count_table(series, y))
+    value, grad = kernels.nbin_loglik_grad(y, x1, params.omega, params.a, params.b,
+                                           params.r, _count_table(series, y))
+    if not with_value:
+        return grad
+    if not np.isfinite(value):
+        raise FloatingPointError("log-likelihood is not finite")
+    return float(value), grad
 
 
 def grad_loglik_numeric(params, x1, series, step=1e-5):

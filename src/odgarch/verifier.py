@@ -5,13 +5,18 @@ contraction, drift RV <= lambda*V + beta, the alpha/phi minorization of
 the emission family, and the Lipschitz bound on log emission ratios) on
 a low-discrepancy grid and reports any violation beyond double-precision
 slack. These are certificates on sampled points, not proofs.
+
+The grid is Owen's scrambled Halton sequence (Owen 2017, "A randomized
+Halton algorithm in R", arXiv:1706.02808), generated in this module. It
+gives the same points, bit for bit, as scipy's
+``qmc.Halton(d, scramble=True, seed=seed).random(n)``, without importing
+``scipy.stats``.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .models import log_emission, psi_step, sample_emission
 from .params import params_to_dict
@@ -19,6 +24,8 @@ from .params import params_to_dict
 STATE_HI = 1e3
 N_Y_DISCRETE = 201     # y in {0..200}
 N_Y_NODES = 64         # Gauss-Hermite-style nodes for the continuous model
+# symmetric probabilists'-Hermite nodes, scaled per model to the stationary spread
+_Y_NODES = np.polynomial.hermite_e.hermegauss(N_Y_NODES)[0]
 SLACK_TIGHT = 1e-12
 SLACK_LOOSE = 1e-10
 
@@ -74,8 +81,50 @@ def _omega_floor(params):
     return params.omega
 
 
+def _primes(k):
+    """The first k primes."""
+    primes = []
+    m = 2
+    while len(primes) < k:
+        if all(m % p for p in primes if p * p <= m):
+            primes.append(m)
+        m += 1
+    return primes
+
+
 def _halton(dims, n, seed):
-    return qmc.Halton(d=dims, scramble=True, seed=seed).random(n)
+    """n points of the scrambled Halton sequence in [0, 1)^dims.
+
+    Column c is the van der Corput sequence in the c-th prime base b, with
+    digit j of every point mapped through the random permutation perms[j]
+    of 0..b-1; the permutations are drawn as scipy draws them. Point i sums
+    perms[j][digit_j(i)] / b^(j+1) over j in the same order, so the result
+    rounds exactly as scipy's per-point loop. Only the first ceil(log_b n)
+    digits vary over the n points: their partial sums are built for every
+    digit combination at once, and the remaining digits are all 0, so they
+    add the same constant perms[j][0] / b^(j+1) to every point.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((n, dims))
+    for col, base in enumerate(_primes(dims)):
+        # every digit whose weight b^-(j+1) exceeds 2^-54 gets a permutation
+        count = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], count, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        s = np.zeros(1)
+        b2r = 1.0 / base
+        j = 0
+        while s.size < n:  # s[i] for i < b^j: the sum over the digits of i so far
+            s = (s[None, :] + (perms[j] * b2r)[:, None]).ravel()
+            b2r /= base
+            j += 1
+        s = s[:n]
+        for k in range(j, count):
+            s += perms[k, 0] * b2r
+            b2r /= base
+        out[:, col] = s
+    return out
 
 
 def _state_from_unit(params, u):
@@ -88,11 +137,9 @@ def _state_from_unit(params, u):
 def _y_from_unit(params, u):
     if params.tag in ("nbin", "ting"):
         return np.floor(u * N_Y_DISCRETE)
-    # symmetric probabilists'-Hermite nodes scaled to the stationary spread
-    nodes = np.polynomial.hermite_e.hermegauss(N_Y_NODES)[0]
     scale = math.sqrt(max(float(params.gamma @ params.fixed_point()), 1.0))
     idx = np.minimum((u * N_Y_NODES).astype(int), N_Y_NODES - 1)
-    return nodes[idx] * scale
+    return _Y_NODES[idx] * scale
 
 
 def _sample_triples(params, n, seed):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from odgarch import (FeasibleMap, FitOptions, NbinParams, NmParams, TingParams,
                      cls_init_nbin, grad_loglik_nbin, init_generic, loglik, mle_fit,
                      simulate)
-from odgarch.estimation import EPS_MARGIN
+from odgarch.estimation import EPS_MARGIN, _pull_inside
 from odgarch.params import Series
 from odgarch.reparam import feasible_map_for
 
@@ -183,39 +183,76 @@ def test_mle_fit_degenerate_series():
 
 
 def test_mle_fit_evaluates_each_point_once(monkeypatch):
-    # the count table is built once per fit, every gradient is paired with one
-    # value call at the same point, and no point is evaluated twice
+    # the count table is built once per fit, each point is evaluated by exactly
+    # one fused value-and-gradient call, and the value-only kernel is not used
     from collections import Counter
 
     from odgarch import kernels, likelihood, params
-    built, values, grads = [], Counter(), Counter()
-    real_table, real_ll, real_grad = (params.count_table, kernels.nbin_loglik,
-                                      kernels.nbin_loglik_grad)
+    built, value_only, fused = [], [], Counter()
+    real_table, real_ll, real_fused = (params.count_table, kernels.nbin_loglik,
+                                       kernels.nbin_loglik_grad)
 
     def table(y):
         built.append(len(y))
         return real_table(y)
 
     def ll(y, *args):
-        value = real_ll(y, *args)  # an overflowing trial point raises: no pair
-        values[args[:5]] += 1
-        return value
+        value_only.append(args[:5])
+        return real_ll(y, *args)
 
-    def grad(y, *args):
-        g = real_grad(y, *args)
-        grads[args[:5]] += 1
-        return g
+    def fused_call(y, *args):
+        fused[args[:5]] += 1  # before the call: a trial point that overflows counts too
+        return real_fused(y, *args)
 
     y = simulate(M1, 512, seed=8).y
     monkeypatch.setattr(params, "count_table", table)
     monkeypatch.setattr(likelihood, "count_table", table)
     monkeypatch.setattr(kernels, "nbin_loglik", ll)
-    monkeypatch.setattr(kernels, "nbin_loglik_grad", grad)
+    monkeypatch.setattr(kernels, "nbin_loglik_grad", fused_call)
     fit = mle_fit(y, model_tag="nbin")
     assert fit.converged
     assert built == [512]
-    assert grads and grads == values
-    assert max(values.values()) == 1
+    assert fused and max(fused.values()) == 1
+    assert value_only == []
+    # the fused value is the value-only kernel's, bit for bit
+    assert fit.loglik_hat == loglik(fit.theta_hat, fit.x1_used, y).value
+    assert fit.loglik_init == loglik(fit.theta_init, fit.x1_used, y).value
+
+
+def _at_margin(params, excess):
+    """params rescaled so that its stability quantity is 1 - EPS_MARGIN + excess."""
+    target = 1.0 - EPS_MARGIN + excess
+    if params.tag == "ting":
+        return TingParams(params.omega, target, params.b, params.tau)
+    shrink = target / (1.0 - params.margin())
+    if params.tag == "nbin":
+        return NbinParams(params.omega, params.a * shrink, params.b * shrink, params.r)
+    return NmParams(params.gamma, params.omega_vec, params.A * shrink, params.b_vec * shrink)
+
+
+@pytest.mark.parametrize("draw", [random_nbin, random_ting, random_nm],
+                         ids=["nbin", "ting", "nm"])
+def test_pull_inside_meets_margin(draw):
+    # a point 2e-12 inside the margin comes out with the margin met exactly
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        p = _at_margin(draw(rng), 2e-12)
+        assert p.margin() < EPS_MARGIN
+        q = _pull_inside(p, EPS_MARGIN)
+        assert q.margin() >= EPS_MARGIN
+        assert q.margin() < EPS_MARGIN + 1e-9
+
+
+def test_mle_fit_nm_ends_outside_margin():
+    # this NM fit used to end at margin 9.999999794e-05, under FitOptions.margin
+    truth = NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0],
+                     A=[[0.3, 0.1], [0.05, 0.25]], b_vec=[0.2, 0.1])
+    start = NmParams(gamma=[0.5, 0.5], omega_vec=[0.8, 1.5],
+                     A=[[0.25, 0.05], [0.05, 0.2]], b_vec=[0.15, 0.15])
+    series = simulate(truth, 256, seed=3929593871)
+    fit = mle_fit(series, theta_init=start)
+    assert fit.theta_hat.margin() >= FitOptions().margin
+    assert fit.loglik_hat == loglik(fit.theta_hat, fit.x1_used, series).value
 
 
 def test_mle_fit_nm_takes_d_from_series():

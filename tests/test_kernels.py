@@ -115,7 +115,10 @@ def test_nbin_kernels_match_loop(n):
         np.testing.assert_allclose(got_du, du, **TOL)
         table = count_table(y)
         np.testing.assert_allclose(kernels.nbin_loglik(*args, table), value, **TOL)
-        np.testing.assert_allclose(kernels.nbin_loglik_grad(*args, table), grad, **TOL)
+        got_value, got_grad = kernels.nbin_loglik_grad(*args, table)
+        np.testing.assert_allclose(got_value, value, **TOL)
+        np.testing.assert_allclose(got_grad, grad, **TOL)
+        assert got_value == kernels.nbin_loglik(*args, table)
 
 
 @pytest.mark.parametrize("n", COUNT_KINDS)

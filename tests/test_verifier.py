@@ -1,10 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from conftest import random_nm
 
-from odgarch import NbinParams, NmParams, TingParams, log_emission, verify_model
-from odgarch.verifier import (_drift_closed_form, _lipschitz_k, _perron_weights,
+import odgarch
+from odgarch import NbinParams, NmParams, TingParams, log_emission, verifier, verify_model
+from odgarch.verifier import (_drift_closed_form, _halton, _lipschitz_k, _perron_weights,
                               check_contraction, check_drift, minorization_alpha)
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
@@ -121,3 +127,57 @@ def test_verify_deterministic():
     r1 = verify_model(M1, n_triples=1000, seed=4)
     r2 = verify_model(M1, n_triples=1000, seed=4)
     assert [c.worst_slack for c in r1.checks] == [c.worst_slack for c in r2.checks]
+
+
+def _scipy_halton(dims, n, seed):
+    """scipy's scrambled Halton engine: the reference for the package's grid."""
+    from scipy.stats import qmc
+    return qmc.Halton(d=dims, scramble=True, seed=seed).random(n)
+
+
+# sizes whose indices exactly fill k digits in one of the bases 2..17 (b^k), or need one more (b^k + 1)
+HALTON_NS = sorted({1, 2, 3, 2 ** 13, 2 ** 13 + 1, 10_000}
+                   | {b ** k + e for b in (2, 3, 5, 7, 11, 13, 17)
+                      for k in (1, 2, 3) for e in (0, 1)})
+
+
+@pytest.mark.parametrize("dims", range(1, 8))
+def test_halton_matches_scipy(dims):
+    for seed in (0, 7, 2 ** 31 + 5, 2 ** 40 + 3):
+        for n in HALTON_NS:
+            got = _halton(dims, n, seed)
+            assert got.shape == (n, dims)
+            assert np.array_equal(got, _scipy_halton(dims, n, seed)), (seed, n)
+
+
+def test_halton_pinned():
+    # the verifier's grid stays fixed even if scipy's Halton changes
+    pinned = [["0x1.9600b82ecb948p-4", "0x1.b9a95a7ee723ap-5", "0x1.33feaf0d8d01bp-2"],
+              ["0x1.32c01705d9729p-1", "0x1.70efeafd43c79p-1", "0x1.66cc2453934dap-1"],
+              ["0x1.65802e0bb2e52p-2", "0x1.8c8a80a53239bp-2", "0x1.9cc7890300d35p-4"],
+              ["0x1.b2c01705d9729p-1", "0x1.51f88f834801cp-3", "0x1.0065bded2ce74p-1"],
+              ["0x1.cb005c1765ca4p-3", "0x1.a9d379362755bp-1", "0x1.cd328ab9f9b40p-1"]]
+    assert [[float(v).hex() for v in row] for row in _halton(3, 5, 0)] == pinned
+
+
+@pytest.mark.parametrize("params", [M2, TingParams(1.2, 0.5, 0.1, 3.2),
+                                    random_nm(np.random.default_rng(41), d=1), NM2,
+                                    random_nm(np.random.default_rng(43), d=3)],
+                         ids=["nbin", "ting", "nm1", "nm2", "nm3"])
+def test_report_same_on_scipy_grid(params, monkeypatch):
+    ours = json.dumps(verify_model(params, n_triples=3000, seed=5).to_dict())
+    monkeypatch.setattr(verifier, "_halton", _scipy_halton)
+    assert json.dumps(verify_model(params, n_triples=3000, seed=5).to_dict()) == ours
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats doubles the import time and adds about 40 MB of memory
+    code = ("import sys, odgarch\n"
+            "odgarch.verify_model(odgarch.NbinParams(3.0, 0.2, 0.2, 2.0), n_triples=200)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(odgarch.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
