@@ -9,44 +9,19 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import io as odio
 from .estimation import FitOptions, mle_fit
 from .models import simulate
 from .montecarlo import ExperimentConfig, run_experiment
-from .params import NbinParams, NmParams, TingParams
+from .params import MODELS, model_class
 from .svgplot import boxplot_panel
 from .verifier import verify_model
 
 
-def _parse_vector(text):
-    return np.array([float(v) for v in text.replace(";", ",").split(",") if v != ""])
-
-
-def _parse_state(text, model_tag):
-    """The --x1 state: a comma list for NM, a float for the scalar-state models."""
-    if text is None:
-        return None
-    return _parse_vector(text) if model_tag == "nm" else float(text)
-
-
-def _parse_matrix(text):
-    rows = [r for r in text.split(";") if r != ""]
-    return np.array([[float(v) for v in r.split(",")] for r in rows])
-
-
 def _params_from_args(args):
-    if args.model == "nbin":
-        _require(args, ["omega", "a", "b", "r"])
-        return NbinParams(omega=float(args.omega), a=args.a, b=args.b, r=args.r)
-    if args.model == "ting":
-        _require(args, ["omega", "a", "b", "tau"])
-        return TingParams(omega=float(args.omega), a=args.a, b=args.b, tau=args.tau)
-    _require(args, ["gamma", "omega", "A", "bvec"])
-    return NmParams(gamma=_parse_vector(args.gamma),
-                    omega_vec=_parse_vector(args.omega),
-                    A=_parse_matrix(args.A), b_vec=_parse_vector(args.bvec))
+    model = model_class(args.model)
+    _require(args, model.cli_flags)
+    return model.from_flags([getattr(args, name) for name in model.cli_flags])
 
 
 def _require(args, names):
@@ -61,7 +36,7 @@ class UsageError(Exception):
 
 
 def _add_param_flags(p):
-    p.add_argument("--model", required=True, choices=["nbin", "nm", "ting"])
+    p.add_argument("--model", required=True, choices=list(MODELS))
     p.add_argument("--omega", help="scalar, or comma list for nm")
     p.add_argument("--a", type=float)
     p.add_argument("--b", type=float)
@@ -86,7 +61,7 @@ def _opts_from_args(args):
 
 def cmd_simulate(args):
     params = _params_from_args(args)
-    x0 = _parse_state(args.x1, params.tag)
+    x0 = None if args.x1 is None else params.parse_state(args.x1)
     if not params.stable():
         print("warning: parameters are outside the stability region", file=sys.stderr)
     import warnings
@@ -99,8 +74,8 @@ def cmd_simulate(args):
 
 def cmd_fit(args):
     series = odio.read_series(args.series, model_tag=args.model)
-    fit = mle_fit(series, x1=_parse_state(args.x1, series.model_tag),
-                  options=_opts_from_args(args))
+    x1 = None if args.x1 is None else model_class(series.model_tag).parse_state(args.x1)
+    fit = mle_fit(series, x1=x1, options=_opts_from_args(args))
     if args.out:
         odio.write_fit_result(args.out, fit)
     names = fit.theta_hat.param_names
@@ -180,7 +155,7 @@ def build_parser():
 
     p = sub.add_parser("fit", help="fit the MLE on a series CSV")
     p.add_argument("--series", required=True)
-    p.add_argument("--model", choices=["nbin", "nm", "ting"])
+    p.add_argument("--model", choices=list(MODELS))
     p.add_argument("--x1", default=None)
     p.add_argument("--out", default=None)
     _add_opt_flags(p)

@@ -11,11 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .likelihood import grad_loglik_nbin, grad_loglik_numeric, loglik
-from .params import NbinParams, NmParams, Series, TingParams, params_to_dict
-from .reparam import FeasibleMap
-
-EPS_MARGIN = 1e-4
+from .params import EPS_MARGIN, NbinParams, Series, model_class, params_to_dict
+from .reparam import feasible_map_for
 
 
 @dataclass
@@ -59,8 +56,9 @@ class FitResult:
         }
 
 
-def _validate_series(y):
-    y = np.asarray(y, dtype=float)
+def _validate_series(series):
+    """The observations of a Series or an array, checked for a fit."""
+    y = np.asarray(series.y if hasattr(series, "y") else series, dtype=float)
     if y.size < 10:
         raise ValueError("need at least 10 observations")
     if np.ptp(y) == 0:
@@ -68,58 +66,9 @@ def _validate_series(y):
     return y
 
 
-def _acf(y, lag):
-    ym = y - y.mean()
-    return float((ym[:-lag] * ym[lag:]).sum() / (ym * ym).sum())
-
-
 def cls_init_nbin(series):
-    """Conditional-least-squares starting point for NBIN.
-
-    The conditional mean follows an ARMA(1,1) in Y with AR coefficient
-    phi = a + r*b, recovered as the autocorrelation ratio rho(2)/rho(1).
-    r comes from the conditional over-dispersion E[(Y-m)^2|m] = m + m^2/r,
-    regressing squared one-step residuals on the squared fitted mean.
-    The (a, b) split is the symmetric one a = phi/2, b = phi/(2 r), and
-    omega = mean * (1 - phi) / r matches the stationary mean.
-    """
-    y = _validate_series(series.y if hasattr(series, "y") else series)
-    mu = y.mean()
-    var = y.var()
-    n = y.size
-    rho1 = _acf(y, 1)
-    rho2 = _acf(y, 2)
-    if abs(rho1) < 2.0 / math.sqrt(n):  # no detectable dependence
-        phi = EPS_MARGIN
-    else:
-        phi = rho2 / rho1
-    phi = min(max(phi, EPS_MARGIN), 1.0 - EPS_MARGIN)
-    # one-step mean proxy with matched lag-1 autocovariance
-    beta1 = min(max(rho1, EPS_MARGIN), 1.0 - EPS_MARGIN)
-    m = mu * (1.0 - beta1) + beta1 * y[:-1]
-    e2 = (y[1:] - m) ** 2
-    den = (m ** 4).sum()
-    slope = ((e2 - m) * m * m).sum() / den if den > 0 else np.inf
-    if var <= mu or slope <= 1e-4:
-        r0 = 10.0  # near-Poisson: no over-dispersion detected
-    else:
-        r0 = 1.0 / slope
-    r0 = min(max(r0, 0.05), 100.0)
-    a0 = phi / 2.0
-    b0 = phi / (2.0 * r0)
-    w0 = max(mu * (1.0 - phi) / r0, EPS_MARGIN)
-    return NbinParams(omega=w0, a=a0, b=b0, r=r0)
-
-
-def _mixture_size(series, x1):
-    """NM component count: from the series' parameters or state trace, else x1, else 1."""
-    params = getattr(series, "params", None)
-    if params is not None and params.tag == "nm":
-        return params.d
-    x_trace = getattr(series, "x_trace", None)
-    if x_trace is not None:
-        return x_trace.shape[1] if x_trace.ndim == 2 else 1
-    return np.size(x1) if x1 is not None else 1
+    """Conditional-least-squares starting point for NBIN (``NbinParams.start``)."""
+    return NbinParams.start(_validate_series(series))
 
 
 def init_generic(series, model_tag, x1=None):
@@ -128,57 +77,8 @@ def init_generic(series, model_tag, x1=None):
     For NM, x1 (the state anchor of the fit) gives the number of mixture
     components when the series carries neither parameters nor a state trace.
     """
-    if model_tag == "nbin":
-        return cls_init_nbin(series)
-    y = _validate_series(series.y if hasattr(series, "y") else series)
-    if model_tag == "ting":
-        base = cls_init_nbin(y)
-        # Rescale the NBIN start to unit shape (TING's mean is x, not r*x).
-        w0, a0, b0 = base.omega * base.r, base.a, base.b * base.r
-        # Running conditional-mean proxy caps the threshold guess.
-        u = w0 / (1.0 - a0) + b0 * y / (1.0 - a0)
-        tau0 = max(float(u.max()), EPS_MARGIN)
-        return TingParams(omega=w0, a=a0, b=b0, tau=tau0)
-    if model_tag == "nm":
-        # Equal weights, A = 0.3 I and b = 0.2 put the spectral radius of
-        # A + b gamma' at 0.5 for every d. The stationary component variances
-        # are m2 * spread with spread in (0.5, 1.5) and mean 1, so gamma'X
-        # matches the sample second moment m2; distinct components keep BFGS
-        # off the symmetric set where all components stay equal.
-        d = _mixture_size(series, x1)
-        m2 = max(float((y * y).mean()), EPS_MARGIN)
-        spread = 0.5 + (np.arange(d) + 0.5) / d
-        return NmParams(gamma=np.full(d, 1.0 / d),
-                        omega_vec=m2 * (0.5 + 0.7 * (spread - 1.0)),
-                        A=0.3 * np.eye(d), b_vec=np.full(d, 0.2))
-    raise ValueError(f"unknown model tag {model_tag!r}")
-
-
-def _constraint(params, margin):
-    """c(theta) <= 0 encodes stability with the interior margin."""
-    if params.tag == "nbin":
-        return params.a + params.b * params.r - (1.0 - margin)
-    if params.tag == "ting":
-        return params.a - (1.0 - margin)
-    return -(params.margin() - margin)
-
-
-def _constraint_grad_z(params, fmap, fd_step):
-    """Gradient of the constraint in unconstrained coordinates."""
-    if params.tag == "nbin":
-        return np.array([0.0, params.a, params.b * params.r, params.b * params.r])
-    if params.tag == "ting":
-        return np.array([0.0, params.a, 0.0, 0.0])
-    z0 = fmap.encode(params)
-    g = np.empty(z0.size)
-    for i in range(z0.size):
-        z = z0.copy()
-        z[i] += fd_step
-        hi = _constraint(fmap.decode(z), 0.0)
-        z[i] = z0[i] - fd_step
-        lo = _constraint(fmap.decode(z), 0.0)
-        g[i] = (hi - lo) / (2.0 * fd_step)
-    return g
+    y = _validate_series(series)
+    return model_class(model_tag).start(y, series, x1)
 
 
 def _bfgs(f_and_g, z0, start, tol, max_iter):
@@ -238,37 +138,29 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
     tag = model_tag or series.model_tag
     if not isinstance(series, Series):
         series = Series(y=series, model_tag=tag)  # checks y, builds the count table once
-    _validate_series(series.y)
+    _validate_series(series)
     theta0 = theta_init if theta_init is not None else init_generic(series, tag, x1)
     if theta0.margin() < opts.margin:
         theta0 = _pull_inside(theta0, opts.margin)
     if x1 is None:
         x1 = theta0.fixed_point()
-    fmap = FeasibleMap(tag, d=theta0.d if tag == "nm" else 1)
+    fmap = feasible_map_for(theta0)
     z = fmap.encode(theta0)
     theta0 = fmap.decode(z)  # the start as the optimizer evaluates it
 
-    def value_and_grad_z(params):
-        """The loglik and its gradient in z; NBIN gets both from one state solve."""
-        if tag == "nbin":
-            val, grad = grad_loglik_nbin(params, x1, series, with_value=True)
-            return val, fmap.chain_rule(grad, params)
-        return (loglik(params, x1, series).value,
-                grad_loglik_numeric(params, x1, series, step=opts.fd_step))
-
     def penalized(params, val, gz, lam, mu):
-        c = _constraint(params, opts.margin)
+        c = params.constraint(opts.margin)
         t = min(lam / mu + c, 1e100)  # clip wild trial points
         if t > 0:
             pen = 0.5 * mu * t * t
-            cg = np.clip(_constraint_grad_z(params, fmap, opts.fd_step), -1e100, 1e100)
+            cg = np.clip(params.constraint_grad_z(fmap, opts.fd_step), -1e100, 1e100)
             pen_g = min(mu * t, 1e100) * cg
         else:
             pen = 0.0
             pen_g = 0.0
         return -val + pen, -gz + pen_g
 
-    ll0, gz0 = value_and_grad_z(theta0)
+    ll0, gz0 = theta0.loglik_and_grad_z(x1, series, fmap, opts.fd_step)
     theta, ll_z, gz_z = theta0, ll0, gz0  # the point z, its loglik and gradient
     lam = 0.0
     mu = 10.0
@@ -280,7 +172,7 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
     for n_outer in range(1, opts.max_outer + 1):
         def f_and_g(zv, _lam=lam, _mu=mu):
             params = fmap.decode(zv)
-            val, gz = value_and_grad_z(params)
+            val, gz = params.loglik_and_grad_z(x1, series, fmap, opts.fd_step)
             return (*penalized(params, val, gz, _lam, _mu), (val, gz))
 
         # each inner problem starts at the point the last one accepted
@@ -289,7 +181,7 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
                                                       opts.max_inner)
         n_inner_total += n_it
         theta = fmap.decode(z)
-        c = _constraint(theta, opts.margin)
+        c = theta.constraint(opts.margin)
         v = max(0.0, c)
         lam = max(0.0, lam + mu * c)
         stalled = abs(fv - fv_prev) <= 1e-12 * max(1.0, abs(fv))
@@ -304,14 +196,14 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
     # the outer loop accepts a violation up to 1e-8: never return a point inside the margin
     if theta_hat.margin() < opts.margin:
         theta_hat = _pull_inside(theta_hat, opts.margin)
-        ll_hat, gz = value_and_grad_z(theta_hat)
+        ll_hat, gz = theta_hat.loglik_and_grad_z(x1, series, fmap, opts.fd_step)
     if ll_hat < ll0 - 1e-12:
         theta_hat, ll_hat, gz = theta0, ll0, gz0
         inner_ok = False
 
-    c_final = _constraint(theta_hat, opts.margin)
+    c_final = theta_hat.constraint(opts.margin)
     if c_final >= -1e-8:
-        cg = _constraint_grad_z(theta_hat, fmap, opts.fd_step)
+        cg = theta_hat.constraint_grad_z(fmap, opts.fd_step)
         cg_norm = np.linalg.norm(cg)
         if cg_norm > 0:
             gz = gz - (gz @ cg) / (cg_norm * cg_norm) * cg
@@ -339,20 +231,4 @@ def _pull_inside(params, margin):
     rounded (NM's spectral radius most of all), and a target of exactly
     1 - margin can leave its margin an ulp or so short.
     """
-    target = 1.0 - margin * (1.0 + 1e-9)
-    if params.tag == "nbin":
-        s = params.a + params.b * params.r
-        if s > target:
-            shrink = target / s
-            return NbinParams(params.omega, params.a * shrink, params.b * shrink, params.r)
-        return params
-    if params.tag == "ting":
-        if params.a > target:
-            return TingParams(params.omega, target, params.b, params.tau)
-        return params
-    rho = 1.0 - params.margin()
-    if rho > target:
-        shrink = target / rho
-        return NmParams(params.gamma, params.omega_vec,
-                        params.A * shrink, params.b_vec * shrink)
-    return params
+    return params.pull_inside(1.0 - margin * (1.0 + 1e-9))

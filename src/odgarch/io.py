@@ -52,18 +52,10 @@ def meta_path(series_path):
 
 
 def write_series(path, series):
-    d = series.x_trace.shape[1] if (series.x_trace is not None
-                                    and series.x_trace.ndim == 2) else 1
-    header = ["k", "y"]
-    if series.x_trace is not None:
-        header += [f"x_{l + 1}" for l in range(d)] if d > 1 else ["x_1"]
-    rows = []
-    for k in range(series.n):
-        row = [k + 1, series.y[k]]
-        if series.x_trace is not None:
-            xt = series.x_trace[k]
-            row += list(np.atleast_1d(xt))
-        rows.append(row)
+    # one column per state component, for a scalar or a vector state alike
+    xs = np.empty((series.n, 0)) if series.x_trace is None else series.x_trace.reshape(series.n, -1)
+    header = ["k", "y"] + [f"x_{l + 1}" for l in range(xs.shape[1])]
+    rows = [[k + 1, series.y[k], *xs[k]] for k in range(series.n)]
     write_csv(path, header, rows)
     meta = {
         "model": series.model_tag,

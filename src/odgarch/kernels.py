@@ -17,8 +17,7 @@ the score g[k] = d log p / d u[k], one reverse solve v[j] = g[j] + a v[j+1]
 gives d/dtheta sum_k log p = sum_{j>=1} v[j] dc[j]/dtheta, where the
 drive's derivatives are (1, u[j-1], y[j-1]). ``nbin_loglik_grad`` returns
 the value and the gradient from one solve of the state path, for a fitter
-that needs both at every point. ``nbin_filter`` returns the forward
-sensitivities du, which ``likelihood.filter_series`` reports.
+that needs both at every point.
 
 The count models' log pmfs split into a part that depends on the count
 alone and a part that depends on the state. The count-only part, and the
@@ -91,27 +90,6 @@ def affine_filter(y, x1, w, a, b):
 
 
 @_raise_fp
-def nbin_filter(y, x1, w, a, b):
-    """State path plus its sensitivity du[k] = d u[k] / d (w, a, b).
-
-    The sensitivities follow the state's recursion from 0, driven by
-    1, u[k-1] and y[k-1].
-    """
-    u = affine_filter(y, x1, w, a, b)
-    c = np.zeros((len(y), 3))
-    c[1:, 0] = 1.0
-    c[1:, 1] = u[:-1]
-    c[1:, 2] = y[:-1]
-    return u, affine_scan(c, a)
-
-
-@_raise_fp
-def nm_filter(y, x1, wv, A, bv):
-    """NM state path: the affine filter driven by the squared observations."""
-    return affine_filter(y * y, x1, wv, A, bv)
-
-
-@_raise_fp
 def nbin_loglik(y, x1, w, a, b, r, table):
     values, weights = table
     u = affine_filter(y, x1, w, a, b)
@@ -150,4 +128,4 @@ def ting_loglik(y, x1, w, a, b, tau, table):
 
 @_raise_fp
 def nm_loglik(y, x1, wv, A, bv, gamma):
-    return np.mean(nm_log_density(nm_filter(y, x1, wv, A, bv), y, gamma))
+    return np.mean(nm_log_density(affine_filter(y * y, x1, wv, A, bv), y, gamma))

@@ -124,7 +124,7 @@ def _run_replicate(args):
     series = simulate(config.theta_star, n, seed=seed, burn_in=config.burn_in)
     fit = mle_fit(series, model_tag=config.model_tag,
                   x1=config.x1, options=config.options)
-    gap = loglik_gap(series, fit.theta_hat, config.theta_star, fit.x1_used)
+    gap = fit.loglik_hat - loglik(config.theta_star, fit.x1_used, series).value
     return n, j, fit.theta_hat.as_array(), gap, fit.converged, seed
 
 

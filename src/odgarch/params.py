@@ -1,15 +1,28 @@
-"""Parameter containers for the three observation-driven models.
+"""The three observation-driven models, one class each, and the observed series.
 
-Each container validates positivity at construction and exposes the
-model's stationarity margin: distance of the parameter point to the
-stability boundary (a + b*r = 1 for NBIN, spectral radius 1 for NM,
-a = 1 for TING).
+Every model moves its state by the affine map X' = w + A X + b h(Y) (Douc,
+Doukhan & Moulines 2013), with h(y) = y for NBIN and TING (scalar state) and
+h(y) = y^2 for NM (d-vector state). All else that is particular to a model
+is held by its class, from the log density to the verifier's closed forms.
+A model tag from outside (JSON, the CSV sidecar, ``--model``) is looked up
+once in ``MODELS``: a new model is one class and one entry there. The classes
+call ``kernels``, ``models`` and ``likelihood`` through module attributes at
+call time; those modules import this one, so they are imported at its end.
 """
 
+import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
+
+# Default interior margin of the stability constraint; the fit's starts keep
+# at least this far from their bounds.
+EPS_MARGIN = 1e-4
+_LOG_FLOOR = 1e-12
+# Rounding allowances of the verifier's checks: SLACK_TIGHT, scaled by the
+# state, for an identity that holds exactly; SLACK_LOOSE for an inequality.
+SLACK_TIGHT = 1e-12
+SLACK_LOOSE = 1e-10
 
 
 def spectral_radius(m):
@@ -27,8 +40,150 @@ def _check_positive(name, value):
         raise ValueError(f"{name} must be a positive finite real, got {value!r}")
 
 
+def _safe_log(v):
+    return np.log(np.maximum(v, _LOG_FLOOR))
+
+
+def _acf(y, lag):
+    ym = y - y.mean()
+    return float((ym[:-lag] * ym[lag:]).sum() / (ym * ym).sum())
+
+
+def _parse_vector(text):
+    return np.array([float(v) for v in text.replace(";", ",").split(",") if v != ""])
+
+
+def _parse_matrix(text):
+    rows = [r for r in text.split(";") if r != ""]
+    return np.array([[float(v) for v in r.split(",")] for r in rows])
+
+
+def _perron_weights(a_mat):
+    """Left Perron vector of a non-negative matrix, made strictly positive."""
+    vals, vecs = np.linalg.eig((np.asarray(a_mat, dtype=float) + 1e-12).T)
+    w = np.abs(vecs[:, np.argmax(vals.real)].real)
+    return w / w.sum()
+
+
+def count_table(y):
+    """Distinct values of y and their relative frequencies.
+
+    A mean over y of a function of the count alone is weights @ f(values),
+    one evaluation per distinct count instead of one per observation.
+    """
+    values, counts = np.unique(y, return_counts=True)
+    return values, counts / y.size
+
+
+class _Model:
+    """What the three model classes share."""
+
+    def stable(self):
+        return self.margin() > 0.0
+
+    @staticmethod
+    def check_obs(y):
+        """y as floats (a scalar for a single observation); raises unless finite."""
+        y = np.asarray(y, dtype=float)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("observation must be finite")
+        return y[()]
+
+    @staticmethod
+    def obs_table(y):
+        """The summary of y that the model's likelihood kernel takes: none."""
+        return None
+
+    def loglik_and_grad_z(self, x1, series, fmap, fd_step):
+        """The loglik and its central-difference gradient in fmap's coordinates."""
+        return (likelihood.loglik(self, x1, series).value,
+                likelihood.grad_loglik_numeric(self, x1, series, step=fd_step))
+
+
+class _CountModel(_Model):
+    """NBIN and TING: the scalar state w + a x + b y, driven by a count y."""
+
+    d = 1
+    state_shape = ()
+    N_Y_GRID = 201  # the verifier's observations: y in {0..200}
+
+    def __post_init__(self):
+        for name in self.param_names:
+            _check_positive(name, getattr(self, name))
+
+    @staticmethod
+    def check_obs(y):
+        y = _Model.check_obs(y)
+        if np.any(y < 0) or np.any(y != np.round(y)):
+            raise ValueError("count models require non-negative integer observations")
+        return y
+
+    @staticmethod
+    def obs_table(y):
+        return count_table(y)
+
+    @staticmethod
+    def h(y):
+        return y
+
+    def coefficients(self):
+        """The state map's (w, A, b)."""
+        return self.omega, self.a, self.b
+
+    def step(self, x, y):
+        return self.omega + self.a * x + self.b * y
+
+    def fixed_point(self):
+        """Fixed point of the noise-free state recursion."""
+        return self.omega / (1.0 - self.a) if self.a < 1.0 else self.omega
+
+    def as_array(self):
+        return np.array([getattr(self, name) for name in self.param_names])
+
+    @classmethod
+    def from_array(cls, v):
+        return cls(*map(float, v))
+
+    from_flags = from_array  # the command-line flags are the parameters, in order
+
+    @staticmethod
+    def parse_state(text):
+        return float(text)
+
+    def to_dict(self):
+        return {name: getattr(self, name) for name in self.param_names}
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(**d)
+
+    def encode(self):
+        return _safe_log(self.as_array())
+
+    @classmethod
+    def decode(cls, z, d):
+        return cls.from_array(np.exp(z))
+
+    def chain_rule(self, grad_theta):
+        """d/dz = theta * d/dtheta: the coordinates are plain logs."""
+        return np.asarray(grad_theta) * self.as_array()
+
+    # the verifier's closed forms
+
+    def y_from_unit(self, u):
+        return np.floor(u * self.N_Y_GRID)
+
+    def contraction(self, x, xp, dpsi):
+        """(pairs checked, slack, violations, info) of |psi(x) - psi(x')| = a |x - x'|."""
+        mask = x != xp
+        dx = np.abs(x - xp)[mask]
+        scale = np.maximum(1.0, np.maximum(x, xp)[mask])
+        slack = SLACK_TIGHT * scale - np.abs(dpsi[mask] - self.a * dx)
+        return mask, slack, int(np.sum(slack < 0)), {"rate": self.a}
+
+
 @dataclass(frozen=True)
-class NbinParams:
+class NbinParams(_CountModel):
     """Negative-binomial INGARCH: state w + a*x + b*y, emission NB(r, x/(1+x))."""
 
     omega: float
@@ -37,32 +192,94 @@ class NbinParams:
     r: float
 
     tag = "nbin"
-    param_names = ("omega", "a", "b", "r")
-
-    def __post_init__(self):
-        for name in self.param_names:
-            _check_positive(name, getattr(self, name))
+    param_names = cli_flags = ("omega", "a", "b", "r")
 
     def margin(self):
         return 1.0 - (self.a + self.b * self.r)
 
-    def stable(self):
-        return self.margin() > 0.0
+    def log_density(self, x, y):
+        """Log pmf of NB(r, x/(1+x)) at y."""
+        return models.nbin_count_term(y, self.r) + models.nbin_state_term(x, y, self.r)
 
-    def fixed_point(self):
-        """Fixed point of the noise-free state recursion."""
-        return self.omega / (1.0 - self.a) if self.a < 1.0 else self.omega
+    def draw(self, x, rng):
+        # Gamma-Poisson compounding gives NB(r, x/(1+x)) exactly.
+        return rng.poisson(rng.gamma(shape=self.r, scale=x))
 
-    def as_array(self):
-        return np.array([self.omega, self.a, self.b, self.r])
+    def kernel_loglik(self, y, x1, table):
+        return kernels.nbin_loglik(y, x1, self.omega, self.a, self.b, self.r, table)
+
+    def loglik_and_grad_z(self, x1, series, fmap, fd_step):
+        """The loglik and its exact gradient in z, from one solve of the state path."""
+        val, grad = likelihood.grad_loglik_nbin(self, x1, series, with_value=True)
+        return val, fmap.chain_rule(grad, self)
+
+    def constraint(self, margin):
+        """c(theta) <= 0 encodes stability with the interior margin."""
+        return self.a + self.b * self.r - (1.0 - margin)
+
+    def constraint_grad_z(self, fmap, fd_step):
+        return np.array([0.0, self.a, self.b * self.r, self.b * self.r])
+
+    def pull_inside(self, target):
+        """Scale a and b so that a + b r is at most target."""
+        s = self.a + self.b * self.r
+        if s > target:
+            shrink = target / s
+            return NbinParams(self.omega, self.a * shrink, self.b * shrink, self.r)
+        return self
 
     @classmethod
-    def from_array(cls, v):
-        return cls(*map(float, v))
+    def start(cls, y, series=None, x1=None):
+        """Conditional-least-squares starting point from the observations y.
+
+        The conditional mean follows an ARMA(1,1) in Y with AR coefficient
+        phi = a + r*b, recovered as the autocorrelation ratio rho(2)/rho(1).
+        r comes from the conditional over-dispersion E[(Y-m)^2|m] = m + m^2/r,
+        regressing squared one-step residuals on the squared fitted mean.
+        The (a, b) split is the symmetric one a = phi/2, b = phi/(2 r), and
+        omega = mean * (1 - phi) / r matches the stationary mean.
+        """
+        mu = y.mean()
+        var = y.var()
+        n = y.size
+        rho1 = _acf(y, 1)
+        rho2 = _acf(y, 2)
+        if abs(rho1) < 2.0 / math.sqrt(n):  # no detectable dependence
+            phi = EPS_MARGIN
+        else:
+            phi = rho2 / rho1
+        phi = min(max(phi, EPS_MARGIN), 1.0 - EPS_MARGIN)
+        # one-step mean proxy with matched lag-1 autocovariance
+        beta1 = min(max(rho1, EPS_MARGIN), 1.0 - EPS_MARGIN)
+        m = mu * (1.0 - beta1) + beta1 * y[:-1]
+        e2 = (y[1:] - m) ** 2
+        den = (m ** 4).sum()
+        slope = ((e2 - m) * m * m).sum() / den if den > 0 else np.inf
+        if var <= mu or slope <= 1e-4:
+            r0 = 10.0  # near-Poisson: no over-dispersion detected
+        else:
+            r0 = 1.0 / slope
+        r0 = min(max(r0, 0.05), 100.0)
+        a0 = phi / 2.0
+        b0 = phi / (2.0 * r0)
+        w0 = max(mu * (1.0 - phi) / r0, EPS_MARGIN)
+        return cls(omega=w0, a=a0, b=b0, r=r0)
+
+    def drift(self, x):
+        """(RV(x), V(x), lambda, beta) with V(x) = x."""
+        lam = self.a + self.b * self.r
+        return self.omega + lam * x, x, lam, self.omega
+
+    def minorization_alpha(self, x, xp):
+        """Closed-form coupling weight alpha(x, x'); phi is the componentwise min."""
+        return ((1.0 + np.minimum(x, xp)) / (1.0 + np.maximum(x, xp))) ** self.r
+
+    def lipschitz_k(self, y):
+        return self.r + y * (1.0 + 1.0 / self.omega)
 
 
 @dataclass(frozen=True)
-class TingParams:
+class TingParams(_CountModel):
     """Threshold INGARCH: state w + a*x + b*y, emission Poisson(min(x, tau))."""
 
     omega: float
@@ -71,31 +288,57 @@ class TingParams:
     tau: float
 
     tag = "ting"
-    param_names = ("omega", "a", "b", "tau")
-
-    def __post_init__(self):
-        for name in self.param_names:
-            _check_positive(name, getattr(self, name))
+    param_names = cli_flags = ("omega", "a", "b", "tau")
 
     def margin(self):
         return 1.0 - self.a
 
-    def stable(self):
-        return self.margin() > 0.0
+    def log_density(self, x, y):
+        lam = np.minimum(x, self.tau)
+        return models.poisson_count_term(y) + models.poisson_state_term(lam, y)
 
-    def fixed_point(self):
-        return self.omega / (1.0 - self.a) if self.a < 1.0 else self.omega
+    def draw(self, x, rng):
+        return rng.poisson(np.minimum(x, self.tau))
 
-    def as_array(self):
-        return np.array([self.omega, self.a, self.b, self.tau])
+    def kernel_loglik(self, y, x1, table):
+        return kernels.ting_loglik(y, x1, self.omega, self.a, self.b, self.tau, table)
+
+    def constraint(self, margin):
+        return self.a - (1.0 - margin)
+
+    def constraint_grad_z(self, fmap, fd_step):
+        return np.array([0.0, self.a, 0.0, 0.0])
+
+    def pull_inside(self, target):
+        if self.a > target:
+            return TingParams(self.omega, target, self.b, self.tau)
+        return self
 
     @classmethod
-    def from_array(cls, v):
-        return cls(*map(float, v))
+    def start(cls, y, series=None, x1=None):
+        base = NbinParams.start(y)
+        # Rescale the NBIN start to unit shape (TING's mean is x, not r*x).
+        w0, a0, b0 = base.omega * base.r, base.a, base.b * base.r
+        # Running conditional-mean proxy caps the threshold guess.
+        u = w0 / (1.0 - a0) + b0 * y / (1.0 - a0)
+        tau0 = max(float(u.max()), EPS_MARGIN)
+        return cls(omega=w0, a=a0, b=b0, tau=tau0)
+
+    def drift(self, x):
+        rv = self.omega + self.a * x + self.b * np.minimum(x, self.tau)
+        return rv, x, self.a, self.omega + self.b * self.tau
+
+    def minorization_alpha(self, x, xp):
+        lo = np.minimum(x, xp)
+        hi = np.maximum(x, xp)
+        return np.exp(-np.minimum(hi, self.tau) + np.minimum(lo, self.tau))
+
+    def lipschitz_k(self, y):
+        return 1.0 + y / min(self.omega, self.tau)
 
 
 @dataclass(frozen=True)
-class NmParams:
+class NmParams(_Model):
     """Gaussian-mixture GARCH with vector state w + A x + y^2 b."""
 
     gamma: np.ndarray
@@ -104,6 +347,10 @@ class NmParams:
     b_vec: np.ndarray
 
     tag = "nm"
+    cli_flags = ("gamma", "omega", "A", "bvec")
+    # The verifier's observations: symmetric probabilists'-Hermite nodes,
+    # scaled to the stationary spread.
+    _Y_NODES = np.polynomial.hermite_e.hermegauss(64)[0]
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", np.atleast_1d(np.asarray(self.gamma, dtype=float)))
@@ -127,6 +374,10 @@ class NmParams:
         return self.gamma.shape[0]
 
     @property
+    def state_shape(self):
+        return (self.d,)
+
+    @property
     def param_names(self):
         d = self.d
         names = [f"gamma{l + 1}" for l in range(d)]
@@ -135,19 +386,50 @@ class NmParams:
         names += [f"b{l + 1}" for l in range(d)]
         return tuple(names)
 
+    @staticmethod
+    def h(y):
+        return y * y
+
+    def coefficients(self):
+        return self.omega_vec, self.A, self.b_vec
+
+    def step(self, x, y):
+        return self.omega_vec + x @ self.A.T + np.multiply.outer(y * y, self.b_vec)
+
     def companion(self):
         return self.A + np.outer(self.b_vec, self.gamma)
 
     def margin(self):
         return 1.0 - spectral_radius(self.companion())
 
-    def stable(self):
-        return self.margin() > 0.0
-
     def fixed_point(self):
         if spectral_radius(self.A) < 1.0:
             return np.linalg.solve(np.eye(self.d) - self.A, self.omega_vec)
         return self.omega_vec.copy()
+
+    def log_density(self, x, y):
+        return models.nm_log_density(x, y, self.gamma)
+
+    def draw(self, x, rng):
+        comp = rng.choice(self.d, size=np.shape(x)[:-1], p=self.gamma)
+        return rng.normal(0.0, np.sqrt(np.take_along_axis(x, comp[..., None], -1)[..., 0]))
+
+    def kernel_loglik(self, y, x1, table):
+        return kernels.nm_loglik(y, x1, self.omega_vec, self.A, self.b_vec, self.gamma)
+
+    def constraint(self, margin):
+        return -(self.margin() - margin)
+
+    def constraint_grad_z(self, fmap, fd_step):
+        return fmap.central_difference(lambda p: p.constraint(0.0), self, fd_step)
+
+    def pull_inside(self, target):
+        """Scale A and b so that the spectral radius is at most target."""
+        rho = 1.0 - self.margin()
+        if rho > target:
+            shrink = target / rho
+            return NmParams(self.gamma, self.omega_vec, self.A * shrink, self.b_vec * shrink)
+        return self
 
     def as_array(self):
         return np.concatenate([self.gamma, self.omega_vec, self.A.ravel(), self.b_vec])
@@ -158,10 +440,117 @@ class NmParams:
         return cls(gamma=v[:d], omega_vec=v[d:2 * d],
                    A=v[2 * d:2 * d + d * d].reshape(d, d), b_vec=v[2 * d + d * d:])
 
+    @classmethod
+    def from_flags(cls, values):
+        """From the literals of --gamma, --omega, --A and --bvec."""
+        gamma, omega, a_mat, b_vec = values
+        return cls(gamma=_parse_vector(gamma), omega_vec=_parse_vector(omega),
+                   A=_parse_matrix(a_mat), b_vec=_parse_vector(b_vec))
 
-ModelParams = Union[NbinParams, NmParams, TingParams]
+    @staticmethod
+    def parse_state(text):
+        return _parse_vector(text)
 
-MODEL_TAGS = ("nbin", "nm", "ting")
+    def to_dict(self):
+        return {"gamma": self.gamma.tolist(), "omega_vec": self.omega_vec.tolist(),
+                "A": self.A.tolist(), "b_vec": self.b_vec.tolist()}
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(gamma=d["gamma"], omega_vec=d["omega_vec"], A=d["A"], b_vec=d["b_vec"])
+
+    def encode(self):
+        """Softmax logits of gamma with the first pinned to 0, then logs."""
+        logits = _safe_log(self.gamma)
+        logits = logits[1:] - logits[0]
+        return np.concatenate([logits, _safe_log(self.omega_vec),
+                               _safe_log(self.A.ravel()), _safe_log(self.b_vec)])
+
+    @classmethod
+    def decode(cls, z, d):
+        logits = np.concatenate([[0.0], z[:d - 1]])
+        logits -= logits.max()
+        gamma = np.exp(logits)
+        gamma /= gamma.sum()
+        rest = np.exp(z[d - 1:])
+        return cls(gamma=gamma, omega_vec=rest[:d],
+                   A=rest[d:d + d * d].reshape(d, d), b_vec=rest[d + d * d:])
+
+    def chain_rule(self, grad_theta):
+        raise NotImplementedError("analytic gradients are not provided for NM")
+
+    @classmethod
+    def start(cls, y, series=None, x1=None):
+        """Moment start; d from the series' parameters or state trace, else x1, else 1.
+
+        Equal weights, A = 0.3 I and b = 0.2 put the spectral radius of
+        A + b gamma' at 0.5 for every d. The stationary component variances
+        are m2 * spread with spread in (0.5, 1.5) and mean 1, so gamma'X
+        matches the sample second moment m2; distinct components keep BFGS
+        off the symmetric set where all components stay equal.
+        """
+        truth = getattr(series, "params", None)
+        x_trace = getattr(series, "x_trace", None)
+        if isinstance(truth, cls):
+            d = truth.d
+        elif x_trace is not None:
+            d = x_trace.shape[1] if x_trace.ndim == 2 else 1
+        else:
+            d = np.size(x1) if x1 is not None else 1
+        m2 = max(float((y * y).mean()), EPS_MARGIN)
+        spread = 0.5 + (np.arange(d) + 0.5) / d
+        return cls(gamma=np.full(d, 1.0 / d), omega_vec=m2 * (0.5 + 0.7 * (spread - 1.0)),
+                   A=0.3 * np.eye(d), b_vec=np.full(d, 0.2))
+
+    # the verifier's closed forms
+
+    def y_from_unit(self, u):
+        scale = math.sqrt(max(float(self.gamma @ self.fixed_point()), 1.0))
+        idx = np.minimum((u * len(self._Y_NODES)).astype(int), len(self._Y_NODES) - 1)
+        return self._Y_NODES[idx] * scale
+
+    def contraction(self, x, xp, dpsi):
+        """(pairs checked, slack, violations, info) in the Perron-weighted l1 norm."""
+        w = _perron_weights(self.A)
+        rho_w = float(np.max((self.A.T @ w) / w))
+        num = dpsi @ w
+        den = np.abs(x - xp) @ w
+        mask = den > 0
+        ratio = num[mask] / den[mask]
+        slack = (rho_w + SLACK_LOOSE) - ratio
+        violations = int(np.sum(slack < 0) + (rho_w >= 1.0))
+        return mask, slack, violations, {"rho_weighted": rho_w}
+
+    def drift(self, x):
+        """(RV(x), V(x), lambda, beta) with V(x) = x'(1 + x0), x0 from the companion."""
+        k = self.companion()
+        one_plus_x0 = np.linalg.solve(np.eye(self.d) - k.T, np.ones(self.d))
+        x0 = one_plus_x0 - 1.0
+        v = x @ one_plus_x0
+        rv = float(self.omega_vec @ one_plus_x0) + x @ x0
+        lam = float(np.max(x0 / one_plus_x0))
+        beta = float(self.omega_vec @ one_plus_x0)
+        return rv, v, lam, beta
+
+    def minorization_alpha(self, x, xp):
+        return np.min(np.sqrt(np.minimum(x, xp) / np.maximum(x, xp)), axis=-1)
+
+    def lipschitz_k(self, y):
+        w_min = float(self.omega_vec.min())
+        return 0.5 * (y ** 2 / w_min ** 2 + 1.0 / w_min)
+
+
+ModelParams = NbinParams | NmParams | TingParams
+
+MODELS = {"nbin": NbinParams, "nm": NmParams, "ting": TingParams}
+
+
+def model_class(tag):
+    """The class of a model tag that comes from outside the program."""
+    try:
+        return MODELS[tag]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown model tag {tag!r}") from None
 
 
 def stability_check(params):
@@ -171,34 +560,11 @@ def stability_check(params):
 
 
 def params_to_dict(params):
-    if params.tag == "nm":
-        return {
-            "gamma": params.gamma.tolist(),
-            "omega_vec": params.omega_vec.tolist(),
-            "A": params.A.tolist(),
-            "b_vec": params.b_vec.tolist(),
-        }
-    return {name: getattr(params, name) for name in params.param_names}
+    return params.to_dict()
 
 
 def params_from_dict(tag, d):
-    if tag == "nbin":
-        return NbinParams(**d)
-    if tag == "ting":
-        return TingParams(**d)
-    if tag == "nm":
-        return NmParams(gamma=d["gamma"], omega_vec=d["omega_vec"], A=d["A"], b_vec=d["b_vec"])
-    raise ValueError(f"unknown model tag {tag!r}")
-
-
-def count_table(y):
-    """Distinct values of y and their relative frequencies.
-
-    A mean over y of a function of the count alone is weights @ f(values),
-    one evaluation per distinct count instead of one per observation.
-    """
-    values, counts = np.unique(y, return_counts=True)
-    return values, counts / y.size
+    return model_class(tag).from_dict(d)
 
 
 @dataclass
@@ -220,12 +586,9 @@ class Series:
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
-        if self.model_tag not in MODEL_TAGS:
-            raise ValueError(f"unknown model tag {self.model_tag!r}")
-        if self.model_tag in ("nbin", "ting"):
-            if np.any(self.y < 0) or np.any(self.y != np.round(self.y)):
-                raise ValueError("count models require non-negative integer observations")
-            self.count_table = count_table(self.y)
+        model = model_class(self.model_tag)
+        model.check_obs(self.y)
+        self.count_table = model.obs_table(self.y)
         if self.x_trace is not None:
             self.x_trace = np.asarray(self.x_trace, dtype=float)
             if self.x_trace.shape[0] != self.y.shape[0]:
@@ -234,3 +597,6 @@ class Series:
     @property
     def n(self):
         return self.y.shape[0]
+
+
+from . import kernels, likelihood, models  # noqa: E402  (they import this module)

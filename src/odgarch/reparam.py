@@ -1,70 +1,47 @@
 """Bijection between the feasible parameter region and unconstrained coordinates.
 
 Positivity is handled by log/exp coordinates; the NM mixture weights by a
-softmax with the first logit pinned to zero. The stationarity constraint is
-not encoded here — it is enforced by the augmented-Lagrangian outer loop.
+softmax with the first logit pinned to zero. Each model class holds its own
+encode, decode and chain rule. The stationarity constraint is not encoded
+here — it is enforced by the augmented-Lagrangian outer loop.
 """
 
 import numpy as np
 
-from .params import NbinParams, NmParams, TingParams
-
-_LOG_FLOOR = 1e-12
-
-
-def _safe_log(v):
-    return np.log(np.maximum(v, _LOG_FLOOR))
+from .params import model_class
 
 
 class FeasibleMap:
     """encode: ModelParams -> R^k, decode: inverse, both smooth."""
 
     def __init__(self, model_tag, d=1):
-        if model_tag not in ("nbin", "nm", "ting"):
-            raise ValueError(f"unknown model tag {model_tag!r}")
-        self.model_tag = model_tag
+        self.model = model_class(model_tag)
         self.d = d
 
-    @property
-    def size(self):
-        if self.model_tag == "nm":
-            return (self.d - 1) + 2 * self.d + self.d * self.d
-        return 4
-
     def encode(self, params):
-        if self.model_tag in ("nbin", "ting"):
-            return _safe_log(params.as_array())
-        logits = _safe_log(params.gamma)
-        logits = logits[1:] - logits[0]
-        return np.concatenate([logits, _safe_log(params.omega_vec),
-                               _safe_log(params.A.ravel()), _safe_log(params.b_vec)])
+        return params.encode()
 
     def decode(self, z):
         # clip keeps exp finite; z never reaches +-700 on feasible paths
-        z = np.clip(np.asarray(z, dtype=float), -700.0, 700.0)
-        if self.model_tag == "nbin":
-            return NbinParams.from_array(np.exp(z))
-        if self.model_tag == "ting":
-            return TingParams.from_array(np.exp(z))
-        d = self.d
-        logits = np.concatenate([[0.0], z[:d - 1]])
-        logits -= logits.max()
-        gamma = np.exp(logits)
-        gamma /= gamma.sum()
-        rest = np.exp(z[d - 1:])
-        return NmParams(gamma=gamma, omega_vec=rest[:d],
-                        A=rest[d:d + d * d].reshape(d, d), b_vec=rest[d + d * d:])
+        return self.model.decode(np.clip(np.asarray(z, dtype=float), -700.0, 700.0), self.d)
 
     def chain_rule(self, grad_theta, params):
-        """Map a gradient in natural parameters to unconstrained coordinates.
+        """Map a gradient in natural parameters to unconstrained coordinates."""
+        return params.chain_rule(grad_theta)
 
-        Only supported for the scalar-state models, where the coordinates
-        are plain logs: d/dz = theta * d/dtheta.
-        """
-        if self.model_tag == "nm":
-            raise NotImplementedError("analytic gradients are not provided for NM")
-        return np.asarray(grad_theta) * params.as_array()
+    def central_difference(self, fn, params, step):
+        """Central-difference gradient of fn(theta) in the coordinates, at params."""
+        z0 = self.encode(params)
+        grad = np.empty(z0.size)
+        for i in range(z0.size):
+            z = z0.copy()
+            z[i] = z0[i] + step
+            hi = fn(self.decode(z))
+            z[i] = z0[i] - step
+            lo = fn(self.decode(z))
+            grad[i] = (hi - lo) / (2.0 * step)
+        return grad
 
 
 def feasible_map_for(params):
-    return FeasibleMap(params.tag, d=params.d if params.tag == "nm" else 1)
+    return FeasibleMap(params.tag, d=params.d)

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from odgarch.cli import main
-from odgarch.io import read_series
+from odgarch.io import read_replicates, read_series
 
 M1_FLAGS = ["--model", "nbin", "--omega", "3", "--a", ".2", "--b", ".2", "--r", "2"]
+TING_FLAGS = ["--model", "ting", "--omega", "2", "--a", ".2", "--b", ".1", "--tau", "3.2"]
+NM2_FLAGS = ["--model", "nm", "--gamma", ".4,.6", "--omega", "1,2", "--A", ".3,.1;.05,.25",
+             "--bvec", ".2,.1"]
 
 
 def run(argv):
@@ -43,16 +46,34 @@ def test_missing_flags_usage_error(tmp_path, capsys):
     assert "requires" in capsys.readouterr().err
 
 
-def test_fit_roundtrip(tmp_path, capsys):
+# Each model the README advertises: its parameter flags, a --x1 literal with
+# the value fit.json records for it, extra fit flags, and an experiment config.
+MODELS = {
+    "nbin": (M1_FLAGS, "7.5", 7.5, [],
+             {"model": "nbin", "theta_star": {"omega": 3.0, "a": 0.2, "b": 0.2, "r": 2.0},
+              "sample_sizes": [64, 128], "m": 4, "base_seed": 11}),
+    "ting": (TING_FLAGS, "4", 4.0, [],
+             {"model": "ting", "theta_star": {"omega": 2.0, "a": 0.2, "b": 0.1, "tau": 3.2},
+              "sample_sizes": [64, 128], "m": 4, "base_seed": 11}),
+    "nm": (NM2_FLAGS, "2,3", [2.0, 3.0], ["--tol", "1e-4"],
+           {"model": "nm", "theta_star": {"gamma": [0.4, 0.6], "omega_vec": [1.0, 2.0],
+                                          "A": [[0.3, 0.1], [0.05, 0.25]], "b_vec": [0.2, 0.1]},
+            "sample_sizes": [32, 48], "m": 2, "base_seed": 11,
+            "optimizer": {"tol": 1e-4, "max_outer": 3, "max_inner": 60}}),
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_fit_roundtrip(tmp_path, capsys, model):
+    flags, x1, x1_json, fit_flags, _ = MODELS[model]
     series = str(tmp_path / "s.csv")
-    assert run(["simulate", *M1_FLAGS, "--n", "512", "--seed", "7",
-                "--out", series]) == 0
+    assert run(["simulate", *flags, "--n", "512", "--seed", "7", "--out", series]) == 0
     out = str(tmp_path / "fit.json")
-    assert run(["fit", "--series", series, "--x1", "7.5", "--out", out]) == 0
+    assert run(["fit", "--series", series, "--x1", x1, *fit_flags, "--out", out]) == 0
     text = capsys.readouterr().out
     assert "theta_hat:" in text and "loglik:" in text
     d = json.loads(open(out).read())
-    assert d["model"] == "nbin" and d["x1"] == 7.5
+    assert d["model"] == model and d["x1"] == x1_json
     assert d["loglik_hat"] >= d["loglik_init"] - 1e-12
 
 
@@ -76,6 +97,15 @@ def test_simulate_nm_vector_x1(tmp_path):
     np.testing.assert_array_equal(read_series(out).x_trace[0], [2.0, 3.0])
 
 
+def test_fit_rejects_non_finite_csv(tmp_path, capsys):
+    series = str(tmp_path / "nan.csv")
+    ys = [0.5, -1.2, 2.1, 0.3, -0.7, "nan", 1.4, -0.2, 0.9, -1.8, 0.1, 0.6]
+    with open(series, "w") as fh:
+        fh.write("k,y\n" + "".join(f"{k + 1},{v}\n" for k, v in enumerate(ys)))
+    assert run(["fit", "--series", series, "--model", "nm"]) == 1
+    assert "observation must be finite" in capsys.readouterr().err
+
+
 def test_fit_truncated_csv(tmp_path):
     series = str(tmp_path / "bad.csv")
     with open(series, "w") as fh:
@@ -85,24 +115,26 @@ def test_fit_truncated_csv(tmp_path):
     assert not os.path.exists(out)  # no partial output
 
 
-def test_mc_outputs_and_determinism(tmp_path, capsys):
-    cfg = {"model": "nbin",
-           "theta_star": {"omega": 3.0, "a": 0.2, "b": 0.2, "r": 2.0},
-           "sample_sizes": [64, 128], "m": 4, "base_seed": 11}
+@pytest.mark.parametrize("model", MODELS)
+def test_mc_outputs_and_determinism(tmp_path, capsys, model):
+    cfg = MODELS[model][4]
     cpath = str(tmp_path / "cfg.json")
     with open(cpath, "w") as fh:
         json.dump(cfg, fh)
     d1, d2 = str(tmp_path / "o1"), str(tmp_path / "o2")
     assert run(["mc", "--config", cpath, "--out-dir", d1]) == 0
     table = capsys.readouterr().out
-    assert "(" in table and "n=64" in table  # Table-style report
-    assert run(["mc", "--config", cpath, "--out-dir", d2]) == 0
+    n0 = cfg["sample_sizes"][0]
+    assert "(" in table and f"n={n0}" in table  # Table-style report
+    assert run(["mc", "--config", cpath, "--out-dir", d2, "--jobs", "2"]) == 0
     for name in ("summary.csv", "replicates.csv"):
         b1 = open(os.path.join(d1, name), "rb").read()
         b2 = open(os.path.join(d2, name), "rb").read()
         assert b1 == b2
     lines = open(os.path.join(d1, "summary.csv")).read().splitlines()
-    assert len(lines) == 1 + 2 * 4
+    n_params = len(read_replicates(os.path.join(d1, "replicates.csv"))["param_names"])
+    assert n_params == {"nbin": 4, "ting": 4, "nm": 10}[model]
+    assert len(lines) == 1 + 2 * n_params
 
 
 def test_mc_bad_config(tmp_path, capsys):

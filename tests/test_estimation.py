@@ -206,7 +206,6 @@ def test_mle_fit_evaluates_each_point_once(monkeypatch):
 
     y = simulate(M1, 512, seed=8).y
     monkeypatch.setattr(params, "count_table", table)
-    monkeypatch.setattr(likelihood, "count_table", table)
     monkeypatch.setattr(kernels, "nbin_loglik", ll)
     monkeypatch.setattr(kernels, "nbin_loglik_grad", fused_call)
     fit = mle_fit(y, model_tag="nbin")

@@ -1,9 +1,13 @@
+import ast
 import math
+import os
 
 import numpy as np
 import pytest
 
-from odgarch import NbinParams, NmParams, Series, TingParams, spectral_radius, stability_check
+import odgarch
+from odgarch import (NbinParams, NmParams, Series, TingParams, loglik, spectral_radius,
+                     stability_check)
 from odgarch.params import params_from_dict, params_to_dict
 
 
@@ -151,3 +155,76 @@ def test_series_validation():
     assert s.n == 3
     with pytest.raises(ValueError):
         Series(y=[1.0], model_tag="bogus")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_series_rejects_non_finite(bad):
+    # every model rejects it with the one observation check that psi_step uses
+    for tag in ("nm", "nbin", "ting"):
+        with pytest.raises(ValueError, match="observation must be finite"):
+            Series(y=[1.0, bad, 2.0], model_tag=tag)
+    nm = NmParams(gamma=[1.0], omega_vec=[1.0], A=[[0.4]], b_vec=[0.25])
+    with pytest.raises(ValueError, match="observation must be finite"):
+        loglik(nm, np.array([1.0]), [1.0, bad, 2.0])
+
+
+MODEL_CLASSES = {"NbinParams", "TingParams", "NmParams"}
+
+
+def _selects_model(node):
+    """Whether node compares a model tag (not with None) or tests for a model class."""
+    if isinstance(node, ast.Compare) and not any(
+            isinstance(e, ast.Constant) and e.value is None for e in node.comparators):
+        return any((isinstance(e, ast.Attribute) and e.attr in ("tag", "model_tag", "model"))
+                   or (isinstance(e, ast.Name) and e.id in ("tag", "model_tag"))
+                   for e in [node.left, *node.comparators])
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        classes = node.args[1]
+        names = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+        return any(getattr(n, "id", None) in MODEL_CLASSES for n in names)
+    return False
+
+
+def _is_mismatch(node, parent):
+    """Whether the selection holds only when the model is not the one named."""
+    if isinstance(node, ast.Compare):
+        return all(isinstance(op, (ast.NotEq, ast.NotIn)) for op in node.ops)
+    up = parent.get(node)
+    return isinstance(up, ast.UnaryOp) and isinstance(up.op, ast.Not)
+
+
+def model_branches(source):
+    """Model selections outside the model classes other than a mismatch check that raises."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if not _selects_model(node):
+            continue
+        up, stmt, in_class = node, None, False
+        while up in parent:
+            up = parent[up]
+            if stmt is None and isinstance(up, ast.stmt):
+                stmt = up
+            in_class |= isinstance(up, ast.ClassDef) and (up.name in MODEL_CLASSES
+                                                          or up.name.endswith("Model"))
+        raise_only = (isinstance(stmt, ast.If) and not stmt.orelse
+                      and all(isinstance(s, ast.Raise) for s in stmt.body))
+        if not (in_class or (raise_only and _is_mismatch(node, parent))):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_model_branches_outside_model_classes():
+    # the guard finds a tag branch, an isinstance dispatch and a tag expression
+    assert model_branches("if p.tag == 'nm':\n    x = 1\n") == [1]
+    assert model_branches("def f(p):\n    if isinstance(p, NmParams):\n        return 1\n") == [2]
+    assert model_branches("d = 2 if model_tag in ('nm',) else 1\n") == [1]
+    assert model_branches("if p.tag == 'nm' and x < 0:\n    raise ValueError('bad')\n") == [1]
+    assert model_branches("if p.tag != q.tag:\n    raise ValueError('mismatch')\n") == []
+    assert model_branches("if not isinstance(p, NbinParams):\n    raise TypeError('nbin')\n") == []
+    src = os.path.join(os.path.dirname(os.path.abspath(odgarch.__file__)))
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                assert model_branches(fh.read()) == [], name

@@ -10,8 +10,8 @@ from conftest import random_nm
 
 import odgarch
 from odgarch import NbinParams, NmParams, TingParams, log_emission, verifier, verify_model
-from odgarch.verifier import (_drift_closed_form, _halton, _lipschitz_k, _perron_weights,
-                              check_contraction, check_drift, minorization_alpha)
+from odgarch.params import _perron_weights
+from odgarch.verifier import _halton, check_contraction, check_drift
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
 M2 = NbinParams(3.0, 0.35, 0.1, 1.5)
@@ -53,12 +53,12 @@ def test_contraction_nm_periodic_a():
 
 
 def test_drift_closed_form_values():
-    rv, v, lam, beta = _drift_closed_form(M1, np.array([5.0]))
+    rv, v, lam, beta = M1.drift(np.array([5.0]))
     assert abs(rv[0] - 6.0) < 1e-12
     assert abs(lam - 0.6) < 1e-12 and beta == 3.0
 
     t = TingParams(1.0, 0.5, 0.25, 2.0)
-    rv, v, lam, beta = _drift_closed_form(t, np.array([10.0]))
+    rv, v, lam, beta = t.drift(np.array([10.0]))
     assert abs(rv[0] - 6.5) < 1e-12
     assert rv[0] <= lam * 10.0 + beta + 1e-12
 
@@ -70,18 +70,18 @@ def test_drift_skipped_when_unstable():
 
 
 def test_minorization_alpha_hand_values():
-    assert abs(minorization_alpha(M1, 1.0, 3.0) - 0.25) < 1e-12
+    assert abs(M1.minorization_alpha(1.0, 3.0) - 0.25) < 1e-12
     t = TingParams(1.0, 0.5, 0.25, 1.5)
-    assert abs(minorization_alpha(t, 1.0, 2.0) - math.exp(-0.5)) < 1e-12
-    assert minorization_alpha(M1, 2.0, 2.0) == 1.0
+    assert abs(t.minorization_alpha(1.0, 2.0) - math.exp(-0.5)) < 1e-12
+    assert M1.minorization_alpha(2.0, 2.0) == 1.0
 
 
 def test_minorization_alpha_symmetry():
     rng = np.random.default_rng(5)
     for _ in range(50):
         x, xp = rng.uniform(0.1, 100.0, 2)
-        assert minorization_alpha(M1, x, xp) == minorization_alpha(M1, xp, x)
-        assert minorization_alpha(TING, x, xp) == minorization_alpha(TING, xp, x)
+        assert M1.minorization_alpha(x, xp) == M1.minorization_alpha(xp, x)
+        assert TING.minorization_alpha(x, xp) == TING.minorization_alpha(xp, x)
 
 
 def test_minorization_equality_at_equal_states():
@@ -89,13 +89,13 @@ def test_minorization_equality_at_equal_states():
     x = np.array([4.0])
     y = np.array([3.0])
     lhs = log_emission(M1, x, y)
-    assert abs(math.exp(lhs[0]) - minorization_alpha(M1, 4.0, 4.0)
+    assert abs(math.exp(lhs[0]) - M1.minorization_alpha(4.0, 4.0)
                * math.exp(log_emission(M1, x, y)[0])) < 1e-15
 
 
 def test_lipschitz_hand_values():
     p = NbinParams(3.0, 0.2, 0.2, 2.0)
-    bound = _lipschitz_k(p, 0.0) * 1.0
+    bound = p.lipschitz_k(0.0) * 1.0
     actual = abs(log_emission(p, np.array([4.0]), np.array([0.0]))[0]
                  - log_emission(p, np.array([5.0]), np.array([0.0]))[0])
     assert abs(actual - 2.0 * math.log(6.0 / 5.0)) < 1e-12
@@ -105,7 +105,7 @@ def test_lipschitz_hand_values():
     actual = abs(log_emission(q, np.array([[2.0]]), np.array([0.0]))[0]
                  - log_emission(q, np.array([[3.0]]), np.array([0.0]))[0])
     assert abs(actual - 0.5 * math.log(1.5)) < 1e-12
-    assert actual <= _lipschitz_k(q, 0.0) * 1.0 == 0.5
+    assert actual <= q.lipschitz_k(0.0) * 1.0 == 0.5
 
 
 def test_report_schema():
