@@ -48,10 +48,11 @@ def _add_param_flags(p):
 
 
 def _add_opt_flags(p):
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-outer", type=int, default=20)
-    p.add_argument("--max-inner", type=int, default=500)
-    p.add_argument("--margin", type=float, default=1e-4)
+    defaults = FitOptions()
+    p.add_argument("--tol", type=float, default=defaults.tol)
+    p.add_argument("--max-outer", type=int, default=defaults.max_outer)
+    p.add_argument("--max-inner", type=int, default=defaults.max_inner)
+    p.add_argument("--margin", type=float, default=defaults.margin)
 
 
 def _opts_from_args(args):

@@ -3,7 +3,8 @@
 The stability constraint is enforced by an augmented-Lagrangian outer
 loop; the inner problems are solved by BFGS with Armijo backtracking in
 the unconstrained log/softmax coordinates of FeasibleMap. Gradients are
-analytic for NBIN and central-difference for NM/TING.
+analytic for NBIN and central-difference for NM/TING. Observations are a
+Series of the model or a 1-d array, checked once by ``Series.of``.
 """
 
 import math
@@ -57,18 +58,17 @@ class FitResult:
 
 
 def _validate_series(series):
-    """The observations of a Series or an array, checked for a fit."""
-    y = np.asarray(series.y if hasattr(series, "y") else series, dtype=float)
-    if y.size < 10:
+    """The Series, checked to be long and varied enough for a fit."""
+    if series.n < 10:
         raise ValueError("need at least 10 observations")
-    if np.ptp(y) == 0:
+    if np.ptp(series.y) == 0:
         raise ValueError("degenerate series: all observations equal")
-    return y
+    return series
 
 
 def cls_init_nbin(series):
     """Conditional-least-squares starting point for NBIN (``NbinParams.start``)."""
-    return NbinParams.start(_validate_series(series))
+    return NbinParams.start(_validate_series(Series.of(series, NbinParams.tag)))
 
 
 def init_generic(series, model_tag, x1=None):
@@ -77,8 +77,8 @@ def init_generic(series, model_tag, x1=None):
     For NM, x1 (the state anchor of the fit) gives the number of mixture
     components when the series carries neither parameters nor a state trace.
     """
-    y = _validate_series(series)
-    return model_class(model_tag).start(y, series, x1)
+    s = _validate_series(Series.of(series, model_tag))
+    return model_class(model_tag).start(s, x1)
 
 
 def _bfgs(f_and_g, z0, start, tol, max_iter):
@@ -133,13 +133,14 @@ def _bfgs(f_and_g, z0, start, tol, max_iter):
 
 
 def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed=None):
-    """Maximize the conditional log-likelihood over the stable region."""
+    """Maximize the conditional log-likelihood over the stable region.
+
+    A Series carries its model; a plain array needs model_tag.
+    """
     opts = options or FitOptions()
-    tag = model_tag or series.model_tag
-    if not isinstance(series, Series):
-        series = Series(y=series, model_tag=tag)  # checks y, builds the count table once
-    _validate_series(series)
-    theta0 = theta_init if theta_init is not None else init_generic(series, tag, x1)
+    series = _validate_series(Series.of(series, model_tag))
+    theta0 = (theta_init if theta_init is not None
+              else init_generic(series, series.model_tag, x1))
     if theta0.margin() < opts.margin:
         theta0 = _pull_inside(theta0, opts.margin)
     if x1 is None:
@@ -219,7 +220,7 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
         n_inner=n_inner_total,
         constraint_margin=theta_hat.margin(),
         x1_used=x1,
-        seed=int(seed if seed is not None else getattr(series, "seed", 0)),
+        seed=int(seed if seed is not None else series.seed),
         projected_grad_norm=pg_norm,
     )
 

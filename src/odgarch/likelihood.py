@@ -1,4 +1,8 @@
-"""Conditional log-likelihood: iterated state map, filter trace, gradients."""
+"""Conditional log-likelihood: iterated state map, filter trace, gradients.
+
+Observations are a Series of the params' model or a 1-d array, checked once
+by ``Series.of``.
+"""
 
 from dataclasses import dataclass
 
@@ -33,22 +37,6 @@ class LoglikValue:
     x1: object
 
 
-def _as_y(params, series):
-    """The observations of a Series, or a plain array checked as the model checks them."""
-    if isinstance(series, Series):
-        return series.y
-    y = np.asarray(series, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("observations must be a nonempty 1-d array")
-    return params.check_obs(y)
-
-
-def _obs_table(params, series, y):
-    """The series' distinct-count table, or the model's summary of a plain array."""
-    table = getattr(series, "count_table", None)
-    return params.obs_table(y) if table is None else table
-
-
 def iterate_f(params, x, y_slice):
     """Compose the state-update map along y_slice; empty slice returns x."""
     x = _check_state(params, x)
@@ -59,19 +47,19 @@ def iterate_f(params, x, y_slice):
 
 def filter_series(params, x1, series):
     """Filter trace u[k]: the state path of the affine map along the series."""
-    y = _as_y(params, series)
+    s = Series.of(series, params.tag)
     x1 = _check_state(params, x1)
-    return FilterTrace(u=kernels.affine_filter(params.h(y), x1, *params.coefficients()), x1=x1)
+    return FilterTrace(u=kernels.affine_filter(params.h(s.y), x1, *params.coefficients()), x1=x1)
 
 
 def loglik(params, x1, series):
     """Normalized conditional log-likelihood given X_1 = x1."""
-    y = _as_y(params, series)
+    s = Series.of(series, params.tag)
     x1 = _check_state(params, x1)
-    value = params.kernel_loglik(y, x1, _obs_table(params, series, y))
+    value = params.kernel_loglik(s.y, x1, s.count_table)
     if not np.isfinite(value):
         raise FloatingPointError("log-likelihood is not finite")
-    return LoglikValue(value=float(value), n=y.size, x1=x1)
+    return LoglikValue(value=float(value), n=s.n, x1=x1)
 
 
 def grad_loglik_nbin(params, x1, series, *, with_value=False):
@@ -82,10 +70,10 @@ def grad_loglik_nbin(params, x1, series, *, with_value=False):
     """
     if not isinstance(params, NbinParams):
         raise TypeError("grad_loglik_nbin requires NbinParams")
-    y = _as_y(params, series)
+    s = Series.of(series, params.tag)
     x1 = _check_state(params, x1)
-    value, grad = kernels.nbin_loglik_grad(y, x1, params.omega, params.a, params.b,
-                                           params.r, _obs_table(params, series, y))
+    value, grad = kernels.nbin_loglik_grad(s.y, x1, params.omega, params.a, params.b,
+                                           params.r, s.count_table)
     if not with_value:
         return grad
     if not np.isfinite(value):
@@ -95,7 +83,6 @@ def grad_loglik_nbin(params, x1, series, *, with_value=False):
 
 def grad_loglik_numeric(params, x1, series, step=1e-5):
     """Central-difference gradient in the unconstrained reparameterization."""
-    if not isinstance(series, Series):
-        series = _as_y(params, series)
+    s = Series.of(series, params.tag)
     return feasible_map_for(params).central_difference(
-        lambda p: loglik(p, x1, series).value, params, step)
+        lambda p: loglik(p, x1, s).value, params, step)

@@ -2,14 +2,14 @@
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .estimation import FitOptions, mle_fit
 from .likelihood import loglik
 from .models import simulate
-from .params import params_from_dict, params_to_dict
+from .params import Series, params_from_dict, params_to_dict
 
 
 def splitmix64(x):
@@ -37,6 +37,9 @@ class ExperimentConfig:
     drop_nonconverged: bool = False
 
     def __post_init__(self):
+        if self.model_tag != self.theta_star.tag:
+            raise ValueError(f"model {self.model_tag} is not theta_star's {self.theta_star.tag}")
+        self.sample_sizes = tuple(self.sample_sizes)
         if not self.theta_star.stable():
             raise ValueError("theta_star must be stable")
         if self.m < 1:
@@ -46,14 +49,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        theta = params_from_dict(d["model"], d["theta_star"])
-        opts = FitOptions(**d.get("optimizer", {}))
-        return cls(model_tag=d["model"], theta_star=theta,
-                   sample_sizes=tuple(d.get("sample_sizes", (128, 256, 512, 1024))),
-                   m=d.get("m", 200), base_seed=d.get("base_seed", 0),
-                   x1=d.get("x1"), burn_in=d.get("burn_in", 500),
-                   options=opts,
-                   drop_nonconverged=d.get("drop_nonconverged", False))
+        """From the form of ``config_to_dict``; a key left out takes the field's default."""
+        plain = {f.name for f in fields(cls)} - {"model_tag", "theta_star", "options"}
+        unknown = set(d) - plain - {"model", "theta_star", "optimizer"}
+        if unknown:
+            raise ValueError(f"bad experiment config: unknown keys {sorted(unknown)}")
+        return cls(model_tag=d["model"], theta_star=params_from_dict(d["model"], d["theta_star"]),
+                   options=FitOptions(**d.get("optimizer", {})),
+                   **{k: d[k] for k in plain & set(d)})
 
     @classmethod
     def from_json(cls, path):
@@ -113,9 +116,8 @@ def made(estimates, theta_star):
 
 def loglik_gap(series, theta_hat, theta_star, x1):
     """loglik(theta_hat) - loglik(theta_star) on the same data and anchor."""
-    if theta_hat.tag != theta_star.tag or theta_hat.tag != series.model_tag:
-        raise ValueError("model tag mismatch")
-    return loglik(theta_hat, x1, series).value - loglik(theta_star, x1, series).value
+    s = Series.of(series, theta_star.tag)
+    return loglik(theta_hat, x1, s).value - loglik(theta_star, x1, s).value
 
 
 def _run_replicate(args):
@@ -173,12 +175,6 @@ def config_to_dict(config):
         "base_seed": config.base_seed,
         "x1": config.x1,
         "burn_in": config.burn_in,
-        "optimizer": {
-            "tol": config.options.tol,
-            "max_outer": config.options.max_outer,
-            "max_inner": config.options.max_inner,
-            "margin": config.options.margin,
-            "fd_step": config.options.fd_step,
-        },
+        "optimizer": asdict(config.options),
         "drop_nonconverged": config.drop_nonconverged,
     }

@@ -229,8 +229,8 @@ class NbinParams(_CountModel):
         return self
 
     @classmethod
-    def start(cls, y, series=None, x1=None):
-        """Conditional-least-squares starting point from the observations y.
+    def start(cls, series, x1=None):
+        """Conditional-least-squares starting point from the series' observations y.
 
         The conditional mean follows an ARMA(1,1) in Y with AR coefficient
         phi = a + r*b, recovered as the autocorrelation ratio rho(2)/rho(1).
@@ -239,6 +239,7 @@ class NbinParams(_CountModel):
         The (a, b) split is the symmetric one a = phi/2, b = phi/(2 r), and
         omega = mean * (1 - phi) / r matches the stationary mean.
         """
+        y = series.y
         mu = y.mean()
         var = y.var()
         n = y.size
@@ -315,12 +316,12 @@ class TingParams(_CountModel):
         return self
 
     @classmethod
-    def start(cls, y, series=None, x1=None):
-        base = NbinParams.start(y)
+    def start(cls, series, x1=None):
+        base = NbinParams.start(series)
         # Rescale the NBIN start to unit shape (TING's mean is x, not r*x).
         w0, a0, b0 = base.omega * base.r, base.a, base.b * base.r
         # Running conditional-mean proxy caps the threshold guess.
-        u = w0 / (1.0 - a0) + b0 * y / (1.0 - a0)
+        u = w0 / (1.0 - a0) + b0 * series.y / (1.0 - a0)
         tau0 = max(float(u.max()), EPS_MARGIN)
         return cls(omega=w0, a=a0, b=b0, tau=tau0)
 
@@ -480,7 +481,7 @@ class NmParams(_Model):
         raise NotImplementedError("analytic gradients are not provided for NM")
 
     @classmethod
-    def start(cls, y, series=None, x1=None):
+    def start(cls, series, x1=None):
         """Moment start; d from the series' parameters or state trace, else x1, else 1.
 
         Equal weights, A = 0.3 I and b = 0.2 put the spectral radius of
@@ -489,15 +490,13 @@ class NmParams(_Model):
         matches the sample second moment m2; distinct components keep BFGS
         off the symmetric set where all components stay equal.
         """
-        truth = getattr(series, "params", None)
-        x_trace = getattr(series, "x_trace", None)
-        if isinstance(truth, cls):
-            d = truth.d
-        elif x_trace is not None:
-            d = x_trace.shape[1] if x_trace.ndim == 2 else 1
+        if isinstance(series.params, cls):
+            d = series.params.d
+        elif series.x_trace is not None:
+            d = series.x_trace.shape[1] if series.x_trace.ndim == 2 else 1
         else:
             d = np.size(x1) if x1 is not None else 1
-        m2 = max(float((y * y).mean()), EPS_MARGIN)
+        m2 = max(float((series.y * series.y).mean()), EPS_MARGIN)
         spread = 0.5 + (np.arange(d) + 0.5) / d
         return cls(gamma=np.full(d, 1.0 / d), omega_vec=m2 * (0.5 + 0.7 * (spread - 1.0)),
                    A=0.3 * np.eye(d), b_vec=np.full(d, 0.2))
@@ -586,6 +585,8 @@ class Series:
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
+        if self.y.ndim != 1 or self.y.size == 0:
+            raise ValueError("observations must be a nonempty 1-d array")
         model = model_class(self.model_tag)
         model.check_obs(self.y)
         self.count_table = model.obs_table(self.y)
@@ -593,6 +594,18 @@ class Series:
             self.x_trace = np.asarray(self.x_trace, dtype=float)
             if self.x_trace.shape[0] != self.y.shape[0]:
                 raise ValueError("x_trace must match y in length")
+
+    @classmethod
+    def of(cls, obs, tag=None):
+        """obs as a checked Series of model tag; with tag None, a Series of any model.
+
+        A Series of another model raises; a plain array is wrapped and checked.
+        """
+        if not isinstance(obs, cls):
+            return cls(y=obs, model_tag=tag)
+        if tag is not None and obs.model_tag != tag:
+            raise ValueError(f"a {obs.model_tag} series cannot be used with model {tag}")
+        return obs
 
     @property
     def n(self):

@@ -1,9 +1,11 @@
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from odgarch import FitOptions, cli
 from odgarch.cli import main
 from odgarch.io import read_replicates, read_series
 
@@ -135,6 +137,21 @@ def test_mc_outputs_and_determinism(tmp_path, capsys, model):
     n_params = len(read_replicates(os.path.join(d1, "replicates.csv"))["param_names"])
     assert n_params == {"nbin": 4, "ting": 4, "nm": 10}[model]
     assert len(lines) == 1 + 2 * n_params
+
+
+def test_fit_flag_defaults_are_fit_options(monkeypatch):
+    args = cli.build_parser().parse_args(["fit", "--series", "s.csv"])
+    assert cli._opts_from_args(args) == FitOptions()
+
+    @dataclass
+    class Looser(FitOptions):
+        tol: float = 1e-3
+        max_outer: int = 5
+
+    # the flags read FitOptions' defaults, not copies of them
+    monkeypatch.setattr(cli, "FitOptions", Looser)
+    args = cli.build_parser().parse_args(["fit", "--series", "s.csv"])
+    assert cli._opts_from_args(args) == Looser()
 
 
 def test_mc_bad_config(tmp_path, capsys):

@@ -182,6 +182,12 @@ def test_mle_fit_degenerate_series():
         mle_fit(Series(y=np.full(50, 3.0), model_tag="nbin"))
 
 
+def test_mle_fit_array_needs_model_tag():
+    y = simulate(NbinParams(3.0, 0.2, 0.2, 2.0), 64, seed=1).y
+    with pytest.raises(ValueError, match="model tag"):
+        mle_fit(y)
+
+
 def test_mle_fit_evaluates_each_point_once(monkeypatch):
     # the count table is built once per fit, each point is evaluated by exactly
     # one fused value-and-gradient call, and the value-only kernel is not used

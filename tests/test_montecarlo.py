@@ -54,6 +54,11 @@ def test_config_validation():
         ExperimentConfig(model_tag="nbin", theta_star=M1, m=0)
     with pytest.raises(ValueError):
         ExperimentConfig(model_tag="nbin", theta_star=M1, sample_sizes=(8,))
+    with pytest.raises(ValueError, match="theta_star"):
+        ExperimentConfig(model_tag="ting", theta_star=M1)  # TING fits of NBIN series
+    with pytest.raises(ValueError, match="bad experiment config"):
+        ExperimentConfig.from_dict({"model": "nbin", "theta_star": M1.to_dict(),
+                                    "burnin": 100, "sample_size": [64]})
 
 
 def test_config_dict_roundtrip():
@@ -66,6 +71,9 @@ def test_config_dict_roundtrip():
     assert cfg2.m == 5 and cfg2.base_seed == 99
     assert np.allclose(cfg2.theta_star.as_array(), M1.as_array())
     assert cfg2.options == cfg.options
+    # a key left out takes the field's default
+    assert ExperimentConfig.from_dict({"model": "nbin", "theta_star": M1.to_dict()}) == \
+        ExperimentConfig(model_tag="nbin", theta_star=M1)
 
 
 def test_single_replicate_identity():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import odgarch
-from odgarch import (NbinParams, NmParams, Series, TingParams, loglik, spectral_radius,
-                     stability_check)
+from odgarch import (NbinParams, NmParams, Series, TingParams, cls_init_nbin, filter_series,
+                     grad_loglik_nbin, grad_loglik_numeric, init_generic, loglik, loglik_gap,
+                     mle_fit, simulate, spectral_radius, stability_check)
 from odgarch.params import params_from_dict, params_to_dict
 
 
@@ -155,6 +156,33 @@ def test_series_validation():
     assert s.n == 3
     with pytest.raises(ValueError):
         Series(y=[1.0], model_tag="bogus")
+    for bad in ([], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            Series(y=bad, model_tag="nm")
+    assert Series.of(s, "nbin") is s and Series.of(s) is s
+    assert Series.of([1.0, 2.0, 2.0], "nbin").count_table[0].tolist() == [1.0, 2.0]
+
+
+NB = NbinParams(3.0, 0.2, 0.2, 2.0)
+# Every entry point that takes observations, called for NBIN.
+ENTRY_POINTS = {
+    "loglik": lambda s: loglik(NB, 5.0, s),
+    "grad_loglik_nbin": lambda s: grad_loglik_nbin(NB, 5.0, s),
+    "grad_loglik_numeric": lambda s: grad_loglik_numeric(NB, 5.0, s),
+    "filter_series": lambda s: filter_series(NB, 5.0, s),
+    "mle_fit": lambda s: mle_fit(s, model_tag="nbin"),
+    "init_generic": lambda s: init_generic(s, "nbin"),
+    "cls_init_nbin": cls_init_nbin,
+    "loglik_gap": lambda s: loglik_gap(s, NB, NB, 5.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_series_of_another_model_is_rejected(entry):
+    # an NM series holds real, negative values: never NBIN counts
+    nm = simulate(NmParams(gamma=[1.0], omega_vec=[1.0], A=[[0.4]], b_vec=[0.25]), 64, seed=1)
+    with pytest.raises(ValueError, match="a nm series cannot be used with model nbin"):
+        ENTRY_POINTS[entry](nm)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
