@@ -3,13 +3,13 @@
 All three models move their state by the affine map x' = w + A x + b h(y),
 with h(y) = y for NBIN and TING and h(y) = y^2 for NM. A state path is
 therefore the linear recurrence x[k] = A x[k-1] + c[k] with the drive
-c[0] = x1, c[k] = w + b h(y[k-1]), which ``affine_scan`` evaluates. For
-the scalar a of NBIN and TING it is the unit lower-bidiagonal system
-L x = c with -a below the diagonal, solved in one O(n) forward
-substitution by the BLAS banded solver ``dtbsv``. For NM's d x d matrix A
-it is a prefix scan of ceil(log2 n) doubling passes of whole-array numpy
-operations (Blelloch 1990, "Prefix sums and their applications"). The
-log-likelihood is the mean of the model's log density along the path.
+c[0] = x1, c[k] = w + b h(y[k-1]), which ``affine_scan`` evaluates.
+Stacked into one vector of n d entries, the path solves L x = c, with L
+unit block lower-bidiagonal: identity blocks on its diagonal and -A below
+it. L is banded with 2d - 1 subdiagonals, so one call of the BLAS banded
+solver ``dtbsv`` gives the path by forward substitution in O(n d^2); the
+scalar a of NBIN and TING is the case d = 1. The log-likelihood is the
+mean of the model's log density along the path.
 
 The NBIN gradient in (w, a, b) is the adjoint of the state recursion
 (reverse mode, Griewank & Walther 2008, "Evaluating Derivatives"): with
@@ -50,31 +50,20 @@ _raise_fp = np.errstate(over="raise", invalid="raise", divide="raise")
 def affine_scan(c, a):
     """x[0] = c[0], x[k] = a x[k-1] + c[k], for a scalar or a d x d matrix a.
 
-    c has shape (n,) or (n, m) for a scalar a and (n, d) for a matrix.
+    c has shape (n,) for a scalar a and (n, d) for a d x d matrix.
     Raises FloatingPointError when the path leaves the floating-point range.
     """
     x = np.array(c, dtype=float, order="C")
-    if np.ndim(a) == 2:
-        # Doubling: before the pass with shift s, x[k] holds the last s terms of
-        # the recurrence, sum over j in (k-s, k] of a^(k-j) c[j]; adding
-        # a^s x[k-s] doubles that.
-        power = a
-        shift = 1
-        while shift < len(x):
-            x[shift:] += x[:-shift] @ power.T
-            shift *= 2
-            if shift < len(x):
-                power = power @ power
-    else:
-        # L in banded storage: row 1 is the subdiagonal -a; with diag=1 dtbsv
-        # takes the diagonal as ones and never reads row 0. Column j of x is
-        # the strided vector flat[j::m], solved in place.
-        n = len(x)
-        m = x.size // n if n else 0
-        band = np.full((2, n), -a, order="F")
-        flat = x.reshape(-1)
-        for j in range(m):
-            dtbsv(1, band, flat, incx=m, offx=j, lower=1, diag=1, overwrite_x=1)
+    n = len(x)
+    d = x.size // n
+    neg = -np.asarray(a, dtype=float).reshape(d, d)
+    # L in LAPACK lower-band storage, band[r - s, s] = L[r, s]: column k d + j
+    # holds -A[:, j] in rows d - j ... 2d - 1 - j and zeros above. With diag=1
+    # dtbsv takes the diagonal as ones and never reads row 0.
+    band = np.zeros((2 * d, n * d), order="F")
+    for j in range(d):
+        band[d - j:2 * d - j, j::d] = neg[:, j, None]
+    dtbsv(2 * d - 1, band, x.reshape(-1), lower=1, diag=1, overwrite_x=1)
     if not np.isfinite(x).all():
         raise FloatingPointError("affine recursion left the floating-point range")
     return x

@@ -11,7 +11,7 @@ call time; those modules import this one, so they are imported at its end.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -94,6 +94,15 @@ class _Model:
         """The summary of y that the model's likelihood kernel takes: none."""
         return None
 
+    @classmethod
+    def from_dict(cls, d):
+        """From the form of ``to_dict``; raises unless d has exactly the fields."""
+        names = [f.name for f in fields(cls)]
+        if set(d) != set(names):
+            raise ValueError(f"{cls.tag} parameters are {', '.join(names)}; "
+                             f"got {', '.join(map(str, d))}")
+        return cls(**d)
+
     def loglik_and_grad_z(self, x1, series, fmap, fd_step):
         """The loglik and its central-difference gradient in fmap's coordinates."""
         return (likelihood.loglik(self, x1, series).value,
@@ -152,10 +161,6 @@ class _CountModel(_Model):
 
     def to_dict(self):
         return {name: getattr(self, name) for name in self.param_names}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
     def encode(self):
         return _safe_log(self.as_array())
@@ -456,10 +461,6 @@ class NmParams(_Model):
         return {"gamma": self.gamma.tolist(), "omega_vec": self.omega_vec.tolist(),
                 "A": self.A.tolist(), "b_vec": self.b_vec.tolist()}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(gamma=d["gamma"], omega_vec=d["omega_vec"], A=d["A"], b_vec=d["b_vec"])
-
     def encode(self):
         """Softmax logits of gamma with the first pinned to 0, then logs."""
         logits = _safe_log(self.gamma)
@@ -602,6 +603,8 @@ class Series:
         A Series of another model raises; a plain array is wrapped and checked.
         """
         if not isinstance(obs, cls):
+            if tag is None:
+                raise ValueError("a plain array needs a model tag")
             return cls(y=obs, model_tag=tag)
         if tag is not None and obs.model_tag != tag:
             raise ValueError(f"a {obs.model_tag} series cannot be used with model {tag}")

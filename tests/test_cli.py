@@ -159,6 +159,13 @@ def test_mc_bad_config(tmp_path, capsys):
     with open(cpath, "w") as fh:
         json.dump({"model": "nbin"}, fh)  # missing theta_star
     assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1
+    with open(cpath, "w") as fh:  # a key of NBIN's, not of TING's
+        json.dump({"model": "ting", "theta_star": {"omega": 3, "a": .2, "b": .2, "r": 2}}, fh)
+    capsys.readouterr()
+    assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "ting parameters are omega, a, b, tau; got omega, a, b, r" in err
+    assert "__init__" not in err
 
 
 def test_verify_pass_and_report(tmp_path):

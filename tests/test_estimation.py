@@ -184,7 +184,7 @@ def test_mle_fit_degenerate_series():
 
 def test_mle_fit_array_needs_model_tag():
     y = simulate(NbinParams(3.0, 0.2, 0.2, 2.0), 64, seed=1).y
-    with pytest.raises(ValueError, match="model tag"):
+    with pytest.raises(ValueError, match="a plain array needs a model tag"):
         mle_fit(y)
 
 

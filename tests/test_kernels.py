@@ -7,15 +7,15 @@ import pytest
 from conftest import random_nm
 from scipy.special import digamma
 
-from odgarch import NbinParams, TingParams, kernels, simulate
+from odgarch import NbinParams, NmParams, TingParams, kernels, likelihood, simulate
 from odgarch.params import count_table
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 SIZES = (1, 2, 128, 4096)
 NBIN = NbinParams(3.0, 0.2, 0.2, 2.0)
 # The count kernels are compared at a = 0.2, 0.5 and 0.95. At a = 0.5 and
-# n = 4096 the powers a^s of a doubling scan are subnormal; at a = 0.95 the
-# recursion forgets its start slowly.
+# n = 4096 the weight a^k of the start underflows through the subnormals to
+# zero; at a = 0.95 the recursion forgets its start slowly.
 NBINS = (NBIN, NbinParams(3.0, 0.5, 0.2, 2.0), NbinParams(0.5, 0.95, 0.02, 2.0))
 # The first TING set caps nearly every state at tau; in the other three
 # 3-15 % of the states are capped.
@@ -76,13 +76,20 @@ def ref_scan(c, a):
     return x
 
 
+# Non-symmetric with spectral radius 0.95: a transposed band changes the path.
+SKEW = np.array([[0.8, 0.3], [0.05, 0.4]])
+SKEW *= 0.95 / np.max(np.abs(np.linalg.eigvals(SKEW)))
+
+
 @pytest.mark.parametrize("n", SIZES + (3, 5, 1000))
 def test_affine_scan_matches_loop(n):
     rng = np.random.default_rng(n)
     for c, a in [(rng.uniform(0, 2, n), 0.7),
-                 (rng.uniform(0, 2, (n, 3)), 0.95),
-                 (np.asfortranarray(rng.uniform(0, 2, (n, 3))), 0.5),
-                 (rng.uniform(0, 2, (n, 3)), rng.uniform(0, 0.3, (3, 3)))]:
+                 (rng.uniform(0, 2, (n, 1)), np.array([[0.7]])),
+                 (rng.uniform(0, 2, (n, 3)), 0.95 * np.eye(3)),
+                 (np.asfortranarray(rng.uniform(0, 2, (n, 3))), 0.5 * np.eye(3)),
+                 (rng.uniform(0, 2, (n, 3)), rng.uniform(0, 0.3, (3, 3))),
+                 (rng.uniform(0, 2, (n, 2)), SKEW)]:
         np.testing.assert_allclose(kernels.affine_scan(c, a), ref_scan(c, a), **TOL)
 
 
@@ -148,3 +155,12 @@ def test_overflow_raises():
     # TING caps the state at tau: an infinite state must raise, not become tau
     with pytest.raises(FloatingPointError):
         kernels.ting_loglik(y, 5.0, 3.0, 5.0, 0.1, 4.0, count_table(y))
+    # NM: the BLAS solve ignores numpy's error state, so affine_scan's own
+    # check is what catches the path at spectral radius 1.44
+    nm = NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0], A=[[1.4, 0.1], [0.05, 1.3]],
+                  b_vec=[0.2, 0.1])
+    y = simulate(nm.pull_inside(0.9), 4096, seed=1).y
+    with pytest.raises(FloatingPointError):
+        kernels.nm_loglik(y, nm.omega_vec, *nm.coefficients(), nm.gamma)
+    with pytest.raises(FloatingPointError):
+        likelihood.loglik(nm, nm.omega_vec, y)

@@ -59,6 +59,18 @@ def test_config_validation():
     with pytest.raises(ValueError, match="bad experiment config"):
         ExperimentConfig.from_dict({"model": "nbin", "theta_star": M1.to_dict(),
                                     "burnin": 100, "sample_size": [64]})
+    # a wrong, missing or extra key of theta_star names the model's keys
+    nm2 = {"gamma": [.4, .6], "omega_vec": [1, 2], "A": [[.3, .1], [.05, .25]], "b_vec": [.2, .1]}
+    nm_keys = "nm parameters are gamma, omega_vec, A, b_vec; got gamma, omega_vec, A"
+    for model, theta, message in [
+            ("ting", {"omega": 3, "a": .2, "b": .2, "r": 2},
+             "ting parameters are omega, a, b, tau; got omega, a, b, r$"),
+            ("nbin", {"omega": 3, "a": .2, "b": .2},
+             "nbin parameters are omega, a, b, r; got omega, a, b$"),
+            ("nm", {k: v for k, v in nm2.items() if k != "b_vec"}, nm_keys + "$"),
+            ("nm", {**nm2, "b": [.2, .1]}, nm_keys + ", b_vec, b$")]:
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict({"model": model, "theta_star": theta})
 
 
 def test_config_dict_roundtrip():
