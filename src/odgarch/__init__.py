@@ -6,7 +6,7 @@ from .likelihood import (FilterTrace, LoglikValue, digamma, filter_series,
 from .models import log_emission, psi_step, sample_emission, simulate
 from .montecarlo import ExperimentConfig, McSummary, loglik_gap, made, run_experiment
 from .params import (ModelParams, NbinParams, NmParams, Series, TingParams,
-                     spectral_radius, stability_check)
+                     spectral_radius)
 from .reparam import FeasibleMap, feasible_map_for
 from .verifier import VerifierReport, verify_model
 
@@ -19,7 +19,7 @@ __all__ = [
     "log_emission", "psi_step", "sample_emission", "simulate",
     "ExperimentConfig", "McSummary", "loglik_gap", "made", "run_experiment",
     "ModelParams", "NbinParams", "NmParams", "Series", "TingParams",
-    "spectral_radius", "stability_check",
+    "spectral_radius",
     "FeasibleMap", "feasible_map_for",
     "VerifierReport", "verify_model",
 ]

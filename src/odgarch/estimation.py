@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .likelihood import grad_loglik_numeric
 from .params import EPS_MARGIN, NbinParams, Series, model_class, params_to_dict
 from .reparam import feasible_map_for
 
@@ -141,27 +142,33 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
     series = _validate_series(Series.of(series, model_tag))
     theta0 = (theta_init if theta_init is not None
               else init_generic(series, series.model_tag, x1))
-    if theta0.margin() < opts.margin:
-        theta0 = _pull_inside(theta0, opts.margin)
+    theta0 = theta0.pull_inside(opts.margin)
     if x1 is None:
         x1 = theta0.fixed_point()
     fmap = feasible_map_for(theta0)
     z = fmap.encode(theta0)
     theta0 = fmap.decode(z)  # the start as the optimizer evaluates it
 
+    def loglik_and_grad_z(params):
+        """The loglik and its gradient in z: exact where the model has one."""
+        val, grad = params.loglik_and_grad(x1, series)
+        if grad is None:
+            return val, grad_loglik_numeric(params, x1, series, step=opts.fd_step)
+        return val, fmap.chain_rule(grad, params)
+
     def penalized(params, val, gz, lam, mu):
         c = params.constraint(opts.margin)
         t = min(lam / mu + c, 1e100)  # clip wild trial points
         if t > 0:
             pen = 0.5 * mu * t * t
-            cg = np.clip(params.constraint_grad_z(fmap, opts.fd_step), -1e100, 1e100)
+            cg = np.clip(params.constraint_grad_z(), -1e100, 1e100)
             pen_g = min(mu * t, 1e100) * cg
         else:
             pen = 0.0
             pen_g = 0.0
         return -val + pen, -gz + pen_g
 
-    ll0, gz0 = theta0.loglik_and_grad_z(x1, series, fmap, opts.fd_step)
+    ll0, gz0 = loglik_and_grad_z(theta0)
     theta, ll_z, gz_z = theta0, ll0, gz0  # the point z, its loglik and gradient
     lam = 0.0
     mu = 10.0
@@ -173,7 +180,7 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
     for n_outer in range(1, opts.max_outer + 1):
         def f_and_g(zv, _lam=lam, _mu=mu):
             params = fmap.decode(zv)
-            val, gz = params.loglik_and_grad_z(x1, series, fmap, opts.fd_step)
+            val, gz = loglik_and_grad_z(params)
             return (*penalized(params, val, gz, _lam, _mu), (val, gz))
 
         # each inner problem starts at the point the last one accepted
@@ -196,15 +203,15 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
     theta_hat, ll_hat, gz = theta, ll_z, gz_z
     # the outer loop accepts a violation up to 1e-8: never return a point inside the margin
     if theta_hat.margin() < opts.margin:
-        theta_hat = _pull_inside(theta_hat, opts.margin)
-        ll_hat, gz = theta_hat.loglik_and_grad_z(x1, series, fmap, opts.fd_step)
+        theta_hat = theta_hat.pull_inside(opts.margin)
+        ll_hat, gz = loglik_and_grad_z(theta_hat)
     if ll_hat < ll0 - 1e-12:
         theta_hat, ll_hat, gz = theta0, ll0, gz0
         inner_ok = False
 
     c_final = theta_hat.constraint(opts.margin)
     if c_final >= -1e-8:
-        cg = theta_hat.constraint_grad_z(fmap, opts.fd_step)
+        cg = theta_hat.constraint_grad_z()
         cg_norm = np.linalg.norm(cg)
         if cg_norm > 0:
             gz = gz - (gz @ cg) / (cg_norm * cg_norm) * cg
@@ -223,13 +230,3 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
         seed=int(seed if seed is not None else series.seed),
         projected_grad_norm=pg_norm,
     )
-
-
-def _pull_inside(params, margin):
-    """Scale parameters toward the stable region until margin is met.
-
-    The target is a hair inside, 1 - margin (1 + 1e-9): the rescaled point is
-    rounded (NM's spectral radius most of all), and a target of exactly
-    1 - margin can leave its margin an ulp or so short.
-    """
-    return params.pull_inside(1.0 - margin * (1.0 + 1e-9))

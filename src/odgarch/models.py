@@ -79,6 +79,8 @@ def simulate(params, n, x0=None, seed=0, burn_in=500):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     stable = bool(params.stable())
     if not stable:
         warnings.warn("parameters are outside the stability region; "

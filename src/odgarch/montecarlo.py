@@ -1,6 +1,7 @@
 """Monte Carlo study: replicate scheduling, fitting, MADE aggregation."""
 
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -40,12 +41,20 @@ class ExperimentConfig:
         if self.model_tag != self.theta_star.tag:
             raise ValueError(f"model {self.model_tag} is not theta_star's {self.theta_star.tag}")
         self.sample_sizes = tuple(self.sample_sizes)
+        for name, values in (("m", [self.m]), ("base_seed", [self.base_seed]),
+                             ("burn_in", [self.burn_in]), ("sample_sizes", self.sample_sizes)):
+            if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in values):
+                raise ValueError(f"{name} must be integral, got {getattr(self, name)!r}")
         if not self.theta_star.stable():
             raise ValueError("theta_star must be stable")
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
         if any(n < 16 for n in self.sample_sizes):
             raise ValueError("all sample sizes must be >= 16")
+        if len(set(self.sample_sizes)) < len(self.sample_sizes):
+            raise ValueError(f"sample_sizes must be distinct, got {list(self.sample_sizes)}")
 
     @classmethod
     def from_dict(cls, d):

@@ -11,7 +11,7 @@ call time; those modules import this one, so they are imported at its end.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -58,10 +58,15 @@ def _parse_matrix(text):
     return np.array([[float(v) for v in r.split(",")] for r in rows])
 
 
+def _perron_vector(m):
+    """A right eigenvector of a non-negative matrix for its Perron root, up to scale."""
+    vals, vecs = np.linalg.eig(m)
+    return vecs[:, np.argmax(vals.real)].real
+
+
 def _perron_weights(a_mat):
     """Left Perron vector of a non-negative matrix, made strictly positive."""
-    vals, vecs = np.linalg.eig((np.asarray(a_mat, dtype=float) + 1e-12).T)
-    w = np.abs(vecs[:, np.argmax(vals.real)].real)
+    w = np.abs(_perron_vector((np.asarray(a_mat, dtype=float) + 1e-12).T))
     return w / w.sum()
 
 
@@ -76,10 +81,34 @@ def count_table(y):
 
 
 class _Model:
-    """What the three model classes share."""
+    """What the three model classes share. Each states its stability quantity (stable iff
+    below 1), its theta-gradient, and ``scaled``: the coefficients it is 1-homogeneous in."""
 
     def stable(self):
         return self.margin() > 0.0
+
+    def margin(self):
+        """1 minus the stability quantity: positive iff the model is stable."""
+        return 1.0 - self.stability()
+
+    def constraint(self, margin):
+        """c(theta) <= 0 encodes stability with the interior margin."""
+        return self.stability() - (1.0 - margin)
+
+    def constraint_grad_z(self):
+        """The gradient of the constraint in the fit's coordinates z."""
+        with np.errstate(over="ignore"):  # inf at a wild trial point; the fitter clips it
+            return self.chain_rule(self.stability_grad())
+
+    def pull_inside(self, margin):
+        """self if its margin is met, else ``scaled`` shrunk to a stability quantity of
+        1 - margin (1 + 1e-9): the hair inside keeps the rounded point (NM's spectral
+        radius most of all) from ending an ulp or so short of the margin."""
+        s = self.stability()
+        if 1.0 - s >= margin:
+            return self
+        shrink = (1.0 - margin * (1.0 + 1e-9)) / s
+        return replace(self, **{name: getattr(self, name) * shrink for name in self.scaled})
 
     @staticmethod
     def check_obs(y):
@@ -103,10 +132,9 @@ class _Model:
                              f"got {', '.join(map(str, d))}")
         return cls(**d)
 
-    def loglik_and_grad_z(self, x1, series, fmap, fd_step):
-        """The loglik and its central-difference gradient in fmap's coordinates."""
-        return (likelihood.loglik(self, x1, series).value,
-                likelihood.grad_loglik_numeric(self, x1, series, step=fd_step))
+    def loglik_and_grad(self, x1, series):
+        """The loglik and its exact gradient in theta, or None where there is none."""
+        return likelihood.loglik(self, x1, series).value, None
 
 
 class _CountModel(_Model):
@@ -178,12 +206,12 @@ class _CountModel(_Model):
     def y_from_unit(self, u):
         return np.floor(u * self.N_Y_GRID)
 
-    def contraction(self, x, xp, dpsi):
+    def contraction(self, x, xp, psi_x, psi_xp):
         """(pairs checked, slack, violations, info) of |psi(x) - psi(x')| = a |x - x'|."""
         mask = x != xp
         dx = np.abs(x - xp)[mask]
         scale = np.maximum(1.0, np.maximum(x, xp)[mask])
-        slack = SLACK_TIGHT * scale - np.abs(dpsi[mask] - self.a * dx)
+        slack = SLACK_TIGHT * scale - np.abs(np.abs(psi_x - psi_xp)[mask] - self.a * dx)
         return mask, slack, int(np.sum(slack < 0)), {"rate": self.a}
 
 
@@ -198,9 +226,13 @@ class NbinParams(_CountModel):
 
     tag = "nbin"
     param_names = cli_flags = ("omega", "a", "b", "r")
+    scaled = ("a", "b")
 
-    def margin(self):
-        return 1.0 - (self.a + self.b * self.r)
+    def stability(self):
+        return self.a + self.b * self.r
+
+    def stability_grad(self):
+        return np.array([0.0, 1.0, self.r, self.b])
 
     def log_density(self, x, y):
         """Log pmf of NB(r, x/(1+x)) at y."""
@@ -213,25 +245,9 @@ class NbinParams(_CountModel):
     def kernel_loglik(self, y, x1, table):
         return kernels.nbin_loglik(y, x1, self.omega, self.a, self.b, self.r, table)
 
-    def loglik_and_grad_z(self, x1, series, fmap, fd_step):
-        """The loglik and its exact gradient in z, from one solve of the state path."""
-        val, grad = likelihood.grad_loglik_nbin(self, x1, series, with_value=True)
-        return val, fmap.chain_rule(grad, self)
-
-    def constraint(self, margin):
-        """c(theta) <= 0 encodes stability with the interior margin."""
-        return self.a + self.b * self.r - (1.0 - margin)
-
-    def constraint_grad_z(self, fmap, fd_step):
-        return np.array([0.0, self.a, self.b * self.r, self.b * self.r])
-
-    def pull_inside(self, target):
-        """Scale a and b so that a + b r is at most target."""
-        s = self.a + self.b * self.r
-        if s > target:
-            shrink = target / s
-            return NbinParams(self.omega, self.a * shrink, self.b * shrink, self.r)
-        return self
+    def loglik_and_grad(self, x1, series):
+        """The loglik and its exact gradient, from one solve of the state path."""
+        return likelihood.grad_loglik_nbin(self, x1, series, with_value=True)
 
     @classmethod
     def start(cls, series, x1=None):
@@ -273,7 +289,7 @@ class NbinParams(_CountModel):
 
     def drift(self, x):
         """(RV(x), V(x), lambda, beta) with V(x) = x."""
-        lam = self.a + self.b * self.r
+        lam = self.stability()
         return self.omega + lam * x, x, lam, self.omega
 
     def minorization_alpha(self, x, xp):
@@ -295,9 +311,13 @@ class TingParams(_CountModel):
 
     tag = "ting"
     param_names = cli_flags = ("omega", "a", "b", "tau")
+    scaled = ("a",)
 
-    def margin(self):
-        return 1.0 - self.a
+    def stability(self):
+        return self.a
+
+    def stability_grad(self):
+        return np.array([0.0, 1.0, 0.0, 0.0])
 
     def log_density(self, x, y):
         lam = np.minimum(x, self.tau)
@@ -308,17 +328,6 @@ class TingParams(_CountModel):
 
     def kernel_loglik(self, y, x1, table):
         return kernels.ting_loglik(y, x1, self.omega, self.a, self.b, self.tau, table)
-
-    def constraint(self, margin):
-        return self.a - (1.0 - margin)
-
-    def constraint_grad_z(self, fmap, fd_step):
-        return np.array([0.0, self.a, 0.0, 0.0])
-
-    def pull_inside(self, target):
-        if self.a > target:
-            return TingParams(self.omega, target, self.b, self.tau)
-        return self
 
     @classmethod
     def start(cls, series, x1=None):
@@ -354,6 +363,7 @@ class NmParams(_Model):
 
     tag = "nm"
     cli_flags = ("gamma", "omega", "A", "bvec")
+    scaled = ("A", "b_vec")
     # The verifier's observations: symmetric probabilists'-Hermite nodes,
     # scaled to the stationary spread.
     _Y_NODES = np.polynomial.hermite_e.hermegauss(64)[0]
@@ -405,8 +415,16 @@ class NmParams(_Model):
     def companion(self):
         return self.A + np.outer(self.b_vec, self.gamma)
 
-    def margin(self):
-        return 1.0 - spectral_radius(self.companion())
+    def stability(self):
+        return spectral_radius(self.companion())
+
+    def stability_grad(self):
+        """From d rho / dK = u v' / (u'v), u and v the left and right Perron vectors of
+        K = A + b gamma' (Horn & Johnson, Matrix Analysis, 6.3)."""
+        k = self.companion()
+        u, v = _perron_vector(k.T), _perron_vector(k)
+        dk = np.outer(u, v) / (u @ v)
+        return np.concatenate([self.b_vec @ dk, np.zeros(self.d), dk.ravel(), dk @ self.gamma])
 
     def fixed_point(self):
         if spectral_radius(self.A) < 1.0:
@@ -422,20 +440,6 @@ class NmParams(_Model):
 
     def kernel_loglik(self, y, x1, table):
         return kernels.nm_loglik(y, x1, self.omega_vec, self.A, self.b_vec, self.gamma)
-
-    def constraint(self, margin):
-        return -(self.margin() - margin)
-
-    def constraint_grad_z(self, fmap, fd_step):
-        return fmap.central_difference(lambda p: p.constraint(0.0), self, fd_step)
-
-    def pull_inside(self, target):
-        """Scale A and b so that the spectral radius is at most target."""
-        rho = 1.0 - self.margin()
-        if rho > target:
-            shrink = target / rho
-            return NmParams(self.gamma, self.omega_vec, self.A * shrink, self.b_vec * shrink)
-        return self
 
     def as_array(self):
         return np.concatenate([self.gamma, self.omega_vec, self.A.ravel(), self.b_vec])
@@ -479,7 +483,11 @@ class NmParams(_Model):
                    A=rest[d:d + d * d].reshape(d, d), b_vec=rest[d + d * d:])
 
     def chain_rule(self, grad_theta):
-        raise NotImplementedError("analytic gradients are not provided for NM")
+        """d/dz: the softmax Jacobian for the logits, theta * d/dtheta for the logs."""
+        g = np.asarray(grad_theta)
+        d = self.d
+        d_logits = self.gamma * (g[:d] - self.gamma @ g[:d])
+        return np.concatenate([d_logits[1:], g[d:] * self.as_array()[d:]])
 
     @classmethod
     def start(cls, series, x1=None):
@@ -509,15 +517,29 @@ class NmParams(_Model):
         idx = np.minimum((u * len(self._Y_NODES)).astype(int), len(self._Y_NODES) - 1)
         return self._Y_NODES[idx] * scale
 
-    def contraction(self, x, xp, dpsi):
-        """(pairs checked, slack, violations, info) in the Perron-weighted l1 norm."""
+    def contraction(self, x, xp, psi_x, psi_xp):
+        """(pairs checked, slack, violations, info) in the Perron-weighted l1 norm.
+
+        The ratio |psi(x) - psi(x')| w / |x - x'| w is at most rho_w in exact
+        arithmetic; its allowance is the bound on its rounding error. With unit
+        roundoff u = eps / 2 (Higham 2002, ch. 3): each component of psi(x) =
+        omega + A x + b y^2 sums d + 2 rounded non-negative terms, so it is off by at
+        most (d + 2) u psi(x), and the numerator by (d + 2) u (psi(x) + psi(x')) w
+        plus (d + 1) u of itself for its difference and dot product. The denominator,
+        the division and rho_w add (2d + 3) u of the ratio. Hence
+        4 (d + 2) eps ((psi(x) + psi(x')) w / den + ratio), with a factor of at
+        least 2 to spare. A fixed slack cannot serve: the first term grows without
+        bound as x' nears x.
+        """
         w = _perron_weights(self.A)
         rho_w = float(np.max((self.A.T @ w) / w))
-        num = dpsi @ w
+        num = np.abs(psi_x - psi_xp) @ w
         den = np.abs(x - xp) @ w
         mask = den > 0
         ratio = num[mask] / den[mask]
-        slack = (rho_w + SLACK_LOOSE) - ratio
+        allowance = 4 * (self.d + 2) * np.finfo(float).eps * (
+            (psi_x + psi_xp)[mask] @ w / den[mask] + ratio)
+        slack = (rho_w + allowance) - ratio
         violations = int(np.sum(slack < 0) + (rho_w >= 1.0))
         return mask, slack, violations, {"rho_weighted": rho_w}
 
@@ -551,12 +573,6 @@ def model_class(tag):
         return MODELS[tag]
     except (KeyError, TypeError):
         raise ValueError(f"unknown model tag {tag!r}") from None
-
-
-def stability_check(params):
-    """Return {'stable': bool, 'margin': float}, margin clipped at 0 when unstable."""
-    m = params.margin()
-    return {"stable": m > 0.0, "margin": max(m, 0.0)}
 
 
 def params_to_dict(params):

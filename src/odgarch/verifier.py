@@ -110,6 +110,8 @@ def _halton(dims, n, seed):
 
 def _sample_triples(params, n, seed):
     """n grid points (x, x', y), states log-scaled in [min w, STATE_HI]; w bounds every state."""
+    if n < 1:
+        raise ValueError(f"n_triples must be >= 1, got {n}")
     d = params.d
     u = _halton(2 * d + 1, n, seed)
     shape = (n,) + params.state_shape
@@ -122,8 +124,8 @@ def _sample_triples(params, n, seed):
 def check_contraction(params, n_triples=10_000, seed=0):
     """Ratio d(psi_y(x), psi_y(x')) / d(x, x') stays below 1."""
     x, xp, y = _sample_triples(params, n_triples, seed)
-    dpsi = np.abs(psi_step(params, x, y) - psi_step(params, xp, y))
-    mask, slack, violations, info = params.contraction(x, xp, dpsi)
+    mask, slack, violations, info = params.contraction(x, xp, psi_step(params, x, y),
+                                                       psi_step(params, xp, y))
     worst = float(slack.min()) if slack.size else math.inf
     return CheckRecord("contraction", int(mask.sum()), violations, worst,
                        violations == 0, info=info)

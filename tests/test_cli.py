@@ -166,6 +166,15 @@ def test_mc_bad_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ting parameters are omega, a, b, tau; got omega, a, b, r" in err
     assert "__init__" not in err
+    # malformed integers, duplicate sizes and a negative burn-in: an error line, no traceback
+    nbin = {"model": "nbin", "theta_star": {"omega": 3, "a": .2, "b": .2, "r": 2}}
+    for key, value in [("m", 2.5), ("m", True), ("sample_sizes", [64.5]),
+                       ("sample_sizes", [64, 64]), ("burn_in", -3), ("burn_in", 2.5)]:
+        with open(cpath, "w") as fh:
+            json.dump({**nbin, key: value}, fh)
+        assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1, key
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err, err
 
 
 def test_verify_pass_and_report(tmp_path):
@@ -175,6 +184,12 @@ def test_verify_pass_and_report(tmp_path):
     d = json.loads(open(out).read())
     assert d["passed"] is True
     assert len(d["checks"]) == 4
+
+
+@pytest.mark.parametrize("triples", ["0", "-5"])
+def test_verify_needs_a_triple(capsys, triples):
+    assert run(["verify", *M1_FLAGS, "--triples", triples]) == 1
+    assert capsys.readouterr().err == f"error: n_triples must be >= 1, got {triples}\n"
 
 
 def test_verify_unstable_skips_drift(tmp_path, capsys):

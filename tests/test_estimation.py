@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from conftest import random_nbin, random_nm, random_ting
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from odgarch import (FeasibleMap, FitOptions, NbinParams, NmParams, TingParams,
                      cls_init_nbin, grad_loglik_nbin, init_generic, loglik, mle_fit,
                      simulate)
-from odgarch.estimation import EPS_MARGIN, _pull_inside
+from odgarch.estimation import EPS_MARGIN
 from odgarch.params import Series
 from odgarch.reparam import feasible_map_for
 
@@ -52,6 +55,37 @@ def test_chain_rule_matches_numeric():
     ga = fmap.chain_rule(grad_loglik_nbin(p, x1, s), p)
     gn = grad_loglik_numeric(p, x1, s)
     assert np.max(np.abs(ga - gn)) <= 1e-4 * max(1.0, np.max(np.abs(ga)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_nm_chain_rule_and_constraint_grad(d):
+    # the softmax and log chain rule, and the Perron-root gradient of the constraint,
+    # against central differences in the fit's coordinates z
+    rng = np.random.default_rng(40 + d)
+    for _ in range(10):
+        p = random_nm(rng, d=d)
+        fmap = feasible_map_for(p)
+        c = rng.normal(size=p.as_array().size)
+        numeric = fmap.central_difference(lambda q: q.as_array() @ c, p, 1e-6)
+        np.testing.assert_allclose(p.chain_rule(c), numeric, rtol=1e-7, atol=1e-9)
+        numeric = fmap.central_difference(lambda q: q.constraint(0.0), p, 1e-6)
+        np.testing.assert_allclose(p.constraint_grad_z(), numeric, rtol=1e-7, atol=1e-9)
+
+
+def test_count_constraint_grad_closed_forms():
+    rng = np.random.default_rng(44)
+    for _ in range(50):
+        p, t = random_nbin(rng), random_ting(rng)
+        assert np.array_equal(p.constraint_grad_z(), [0.0, p.a, p.b * p.r, p.b * p.r])
+        assert np.array_equal(t.constraint_grad_z(), [0.0, t.a, 0.0, 0.0])
+    # a wild BFGS trial point: b r overflows to inf without a warning, and the
+    # fitter clips the penalty's gradient to 1e100
+    wild = NbinParams(2.0, 0.5, 1e304, 3.3e4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wild.constraint(EPS_MARGIN) == math.inf
+        assert np.array_equal(np.clip(wild.constraint_grad_z(), -1e100, 1e100),
+                              [0.0, 0.5, 1e100, 1e100])
 
 
 def test_cls_init_ball_rate_m1():
@@ -243,7 +277,7 @@ def test_pull_inside_meets_margin(draw):
     for _ in range(50):
         p = _at_margin(draw(rng), 2e-12)
         assert p.margin() < EPS_MARGIN
-        q = _pull_inside(p, EPS_MARGIN)
+        q = p.pull_inside(EPS_MARGIN)
         assert q.margin() >= EPS_MARGIN
         assert q.margin() < EPS_MARGIN + 1e-9
 

@@ -159,7 +159,7 @@ def test_overflow_raises():
     # check is what catches the path at spectral radius 1.44
     nm = NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0], A=[[1.4, 0.1], [0.05, 1.3]],
                   b_vec=[0.2, 0.1])
-    y = simulate(nm.pull_inside(0.9), 4096, seed=1).y
+    y = simulate(nm.pull_inside(0.1), 4096, seed=1).y
     with pytest.raises(FloatingPointError):
         kernels.nm_loglik(y, nm.omega_vec, *nm.coefficients(), nm.gamma)
     with pytest.raises(FloatingPointError):

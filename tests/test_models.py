@@ -214,6 +214,8 @@ def test_simulate_n1_and_errors():
     assert s.n == 1 and s.y[0] >= 0
     with pytest.raises(ValueError):
         simulate(p, 0, seed=0)
+    with pytest.raises(ValueError, match="burn_in must be >= 0"):
+        simulate(p, 16, seed=0, burn_in=-3)
 
 
 def test_simulate_unstable_warns():

@@ -8,7 +8,7 @@ import pytest
 import odgarch
 from odgarch import (NbinParams, NmParams, Series, TingParams, cls_init_nbin, filter_series,
                      grad_loglik_nbin, grad_loglik_numeric, init_generic, loglik, loglik_gap,
-                     mle_fit, simulate, spectral_radius, stability_check)
+                     mle_fit, simulate, spectral_radius)
 from odgarch.params import params_from_dict, params_to_dict
 
 
@@ -16,14 +16,12 @@ def test_nbin_margin_and_stability():
     p = NbinParams(3.0, 0.2, 0.2, 2.0)
     assert p.stable()
     assert abs(p.margin() - 0.4) < 1e-15
-    chk = stability_check(p)
-    assert chk["stable"] and abs(chk["margin"] - 0.4) < 1e-15
 
 
 def test_nbin_boundary_is_unstable():
     p = NbinParams(1.0, 0.5, 0.5, 1.0)
     assert not p.stable()
-    assert stability_check(p) == {"stable": False, "margin": 0.0}
+    assert p.margin() == 0.0
 
 
 def test_ting_margin():
@@ -256,3 +254,19 @@ def test_no_model_branches_outside_model_classes():
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 assert model_branches(fh.read()) == [], name
+
+
+def test_stability_is_stated_once():
+    # a model class states its stability quantity; margin, the constraint, its gradient
+    # and pull_inside are _Model's alone, and no method takes the fit's map or step
+    with open(odgarch.params.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    classes = [n for n in tree.body if isinstance(n, ast.ClassDef)]
+    assert MODEL_CLASSES | {"_CountModel"} <= {c.name for c in classes}
+    for cls in classes:
+        methods = [f for f in cls.body if isinstance(f, ast.FunctionDef)]
+        if cls.name in MODEL_CLASSES | {"_CountModel"}:
+            assert not {f.name for f in methods} & {"margin", "constraint",
+                                                    "constraint_grad_z", "pull_inside"}
+        for f in methods:
+            assert not {a.arg for a in f.args.args} & {"fmap", "fd_step"}, f.name

@@ -11,6 +11,7 @@ from conftest import random_nm
 import odgarch
 from odgarch import NbinParams, NmParams, TingParams, log_emission, verifier, verify_model
 from odgarch.params import _perron_weights
+from odgarch.models import psi_step
 from odgarch.verifier import _halton, check_contraction, check_drift
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
@@ -50,6 +51,44 @@ def test_contraction_nm_periodic_a():
     p = NmParams(gamma=[0.5, 0.5], omega_vec=[1.0, 1.0], A=a_mat, b_vec=[0.01, 0.01])
     rec = check_contraction(p, n_triples=2000, seed=0)
     assert rec.passed and abs(rec.info["rho_weighted"] - math.sqrt(0.8)) < 1e-9
+
+
+# (seed, gamma, omega, A, b) of random stable NM sets (d = 1) whose contraction check
+# failed on rounding alone under a fixed slack of 1e-10, worst slack -9.7e-10
+NM_ROUNDING_SETS = [
+    (686, 1.0, 1.6329005592054866, 0.0717265670919534, 0.427346705895758),
+    (914, 0.9999999999999999, 1.8735245014606279, 0.32812821212988713, 0.19392211938588494),
+    (1010, 1.0, 2.931989643892804, 0.20340442759991062, 0.6550638336496274),
+    (1866, 1.0, 1.5512177404247827, 0.2926277027525097, 0.5049092358566243),
+    (1870, 0.9999999999999999, 0.702470952852408, 0.20658138784321073, 0.2723212965528678),
+    (2080, 1.0, 0.7494099714993816, 0.24336567100843862, 0.17400463064207883),
+    (2934, 1.0, 2.8655143310793476, 0.28884895076612627, 0.4020165166305738),
+    (3476, 0.9999999999999999, 1.9259952647320415, 0.2709790747562448, 0.4306421209302305),
+    (3488, 1.0, 2.749884450313738, 0.26670907317983367, 0.2812352837724417),
+    (4500, 1.0, 0.5147902721666751, 0.2719221683421154, 0.5591144336337371),
+    (4542, 1.0, 1.7279572054227914, 0.07377264496318597, 0.49674719835628567),
+    (4686, 1.0, 1.1395150230912383, 0.1726436529346159, 0.22807453761408367),
+]
+
+
+def test_contraction_nm_close_pairs_pass():
+    for seed, gamma, omega, a, b in NM_ROUNDING_SETS:
+        p = NmParams(gamma=[gamma], omega_vec=[omega], A=[[a]], b_vec=[b])
+        rec = check_contraction(p, n_triples=10_000, seed=seed)
+        assert rec.n_violations == 0, (seed, rec.worst_slack)
+
+
+def test_contraction_nm_violation_above_allowance_fails():
+    # d = 1, so w = 1 and rho_w = a. A map of rate a + e next to a close pair fails
+    # once e exceeds the documented allowance, and passes while e is within it.
+    a = 0.3
+    p = NmParams(gamma=[1.0], omega_vec=[1.0], A=[[a]], b_vec=[0.2])
+    x, xp, y = np.array([[1.0]]), np.array([[1.0 + 2.0 ** -20]]), np.array([0.5])
+    total = float((psi_step(p, x, y) + psi_step(p, xp, y))[0, 0])
+    allowance = 4 * 3 * np.finfo(float).eps * (total / 2.0 ** -20 + a)
+    for excess, violations in ((1.5, 1), (0.5, 0)):
+        q = NmParams(gamma=[1.0], omega_vec=[1.0], A=[[a + excess * allowance]], b_vec=[0.2])
+        assert p.contraction(x, xp, psi_step(q, x, y), psi_step(q, xp, y))[2] == violations
 
 
 def test_drift_closed_form_values():
