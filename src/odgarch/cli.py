@@ -37,14 +37,8 @@ class UsageError(Exception):
 
 def _add_param_flags(p):
     p.add_argument("--model", required=True, choices=list(MODELS))
-    p.add_argument("--omega", help="scalar, or comma list for nm")
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--gamma", help="comma list on the simplex (nm)")
-    p.add_argument("--A", help="matrix literal, rows ; separated (nm)")
-    p.add_argument("--bvec", help="comma list (nm)")
+    for flag in dict.fromkeys(f for model in MODELS.values() for f in model.cli_flags):
+        p.add_argument(f"--{flag}")
 
 
 def _add_opt_flags(p):
@@ -74,11 +68,12 @@ def cmd_simulate(args):
 
 
 def cmd_fit(args):
+    options = _opts_from_args(args)
     series = odio.read_series(args.series, model_tag=args.model)
     x1 = None if args.x1 is None else model_class(series.model_tag).parse_state(args.x1)
-    fit = mle_fit(series, x1=x1, options=_opts_from_args(args))
+    fit = mle_fit(series, x1=x1, options=options)
     if args.out:
-        odio.write_fit_result(args.out, fit)
+        odio.write_json(args.out, fit.to_dict())
     names = fit.theta_hat.param_names
     vals = fit.theta_hat.as_array()
     print("theta_hat: " + "  ".join(f"{n}={v:.6g}" for n, v in zip(names, vals)))

@@ -8,7 +8,8 @@ Series of the model or a 1-d array, checked once by ``Series.of``.
 """
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +25,15 @@ class FitOptions:
     max_inner: int = 500
     margin: float = EPS_MARGIN
     fd_step: float = 1e-5
+
+    def __post_init__(self):
+        """Every field lies in (0, inf), margin in (0, 1); an int field is an integer."""
+        for f in fields(self):
+            value, hi = getattr(self, f.name), 1 if f.name == "margin" else math.inf
+            kind = numbers.Integral if f.type is int else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind) or not 0 < value < hi:
+                what = "an integer" if f.type is int else "a real"
+                raise ValueError(f"{f.name} must be {what} in (0, {hi}), got {value!r}")
 
 
 @dataclass
@@ -133,7 +143,7 @@ def _bfgs(f_and_g, z0, start, tol, max_iter):
     return z, fval, g, extra, n_iter, np.max(np.abs(g)) < tol
 
 
-def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed=None):
+def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None):
     """Maximize the conditional log-likelihood over the stable region.
 
     A Series carries its model; a plain array needs model_tag.
@@ -227,6 +237,6 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None, seed
         n_inner=n_inner_total,
         constraint_margin=theta_hat.margin(),
         x1_used=x1,
-        seed=int(seed if seed is not None else series.seed),
+        seed=int(series.seed),
         projected_grad_norm=pg_norm,
     )

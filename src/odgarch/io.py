@@ -1,7 +1,8 @@
-"""CSV/JSON persistence for series, fits, traces and Monte Carlo outputs.
+"""The package's file formats: series CSV and sidecar, JSON records, Monte Carlo CSVs.
 
-All files are UTF-8 with LF line endings and locale-independent number
-formatting; writes go through a temp file and an atomic rename.
+This module alone knows their columns and keys. All files are UTF-8 with LF
+line endings and locale-independent number formatting; writes go through a
+temp file and an atomic rename. Every CSV is read by one checked reader.
 """
 
 import csv
@@ -11,7 +12,17 @@ import tempfile
 
 import numpy as np
 
-from .params import Series, params_from_dict, params_to_dict
+from .params import Series, model_class, params_from_dict, params_to_dict
+
+SUMMARY_COLUMNS = ("model", "n", "param", "mc_mean", "made", "n_converged")
+REPLICATE_COLUMNS = ("model", "n", "j", "seed", "converged", "loglik_gap")  # then the parameters
+# What a series read without a sidecar, or with a key missing from it, takes.
+SIDECAR_DEFAULTS = {"model": None, "params": None, "seed": 0, "burn_in": 0, "stable": True}
+
+
+def _series_columns(d):
+    """k, y, then one column per component of the state."""
+    return ("k", "y", *(f"x_{l + 1}" for l in range(d)))
 
 
 def _fnum(x):
@@ -42,6 +53,26 @@ def write_csv(path, header, rows):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _read_csv(path, kind, columns_of):
+    """The header of a CSV and its cells, a (rows, columns) array of strings.
+
+    Raises unless the header is columns_of(header) and there is at least one
+    row, every row as long as the header.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = tuple(next(reader, ()))
+        if header != columns_of(header):
+            raise ValueError(f"{path}: not a {kind} CSV (bad header)")
+        rows = list(reader)
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: truncated or malformed row {i}")
+    if not rows:
+        raise ValueError(f"{path}: no {kind} rows")
+    return header, np.array(rows, dtype=str)
+
+
 def write_json(path, obj):
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -54,9 +85,8 @@ def meta_path(series_path):
 def write_series(path, series):
     # one column per state component, for a scalar or a vector state alike
     xs = np.empty((series.n, 0)) if series.x_trace is None else series.x_trace.reshape(series.n, -1)
-    header = ["k", "y"] + [f"x_{l + 1}" for l in range(xs.shape[1])]
     rows = [[k + 1, series.y[k], *xs[k]] for k in range(series.n)]
-    write_csv(path, header, rows)
+    write_csv(path, _series_columns(xs.shape[1]), rows)
     meta = {
         "model": series.model_tag,
         "params": params_to_dict(series.params) if series.params is not None else None,
@@ -69,77 +99,42 @@ def write_series(path, series):
 
 
 def read_series(path, model_tag=None):
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "k" or "y" not in header:
-            raise ValueError(f"{path}: not a series CSV (bad header)")
-        y_idx = header.index("y")
-        x_cols = [i for i, h in enumerate(header) if h.startswith("x_")]
-        ys = []
-        xs = []
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"{path}: truncated or malformed row {len(ys) + 1}")
-            ys.append(float(row[y_idx]))
-            if x_cols:
-                xs.append([float(row[i]) for i in x_cols])
-    if not ys:
-        raise ValueError(f"{path}: empty series")
-
-    meta = None
-    mp = meta_path(path)
-    if os.path.exists(mp):
-        with open(mp, encoding="utf-8") as fh:
-            meta = json.load(fh)
-    tag = model_tag or (meta["model"] if meta else None)
+    _, cells = _read_csv(path, "series", lambda h: _series_columns(len(h) - 2))
+    y, xs = cells[:, 1].astype(float), cells[:, 2:].astype(float)
+    meta = dict(SIDECAR_DEFAULTS)
+    if os.path.exists(meta_path(path)):
+        with open(meta_path(path), encoding="utf-8") as fh:
+            meta.update(json.load(fh))
+    tag = model_tag or meta["model"]
     if tag is None:
         raise ValueError("model tag not given and no metadata sidecar found")
-    params = None
-    if meta and meta.get("params"):
-        params = params_from_dict(meta["model"], meta["params"])
-    x_trace = None
-    if xs:
-        x_trace = np.asarray(xs)
-        if x_trace.shape[1] == 1:
-            x_trace = x_trace[:, 0]
-    return Series(y=np.asarray(ys), model_tag=tag, seed=meta["seed"] if meta else 0,
-                  x_trace=x_trace, stable=meta["stable"] if meta else True,
-                  burn_in=meta["burn_in"] if meta else 0, params=params)
-
-
-def write_fit_result(path, fit):
-    write_json(path, fit.to_dict())
+    params = params_from_dict(meta["model"], meta["params"]) if meta["params"] else None
+    x_trace = model_class(tag).state_trace(xs) if xs.shape[1] else None
+    return Series(y=y, model_tag=tag, seed=meta["seed"], x_trace=x_trace,
+                  stable=meta["stable"], burn_in=meta["burn_in"], params=params)
 
 
 def write_mc_outputs(summary_path, replicates_path, summary):
-    write_csv(summary_path,
-              ["model", "n", "param", "mc_mean", "made", "n_converged"],
-              summary.summary_rows())
-    write_csv(replicates_path,
-              ["model", "n", "j", "seed", "converged", "loglik_gap",
-               *summary.param_names],
-              summary.replicate_rows())
+    s = summary
+    write_csv(summary_path, SUMMARY_COLUMNS,
+              [(s.model_tag, n, name, s.mc_mean[n][i], s.made_[n][i], s.n_converged[n])
+               for n in s.sample_sizes for i, name in enumerate(s.param_names)])
+    write_csv(replicates_path, (*REPLICATE_COLUMNS, *s.param_names),
+              [(s.model_tag, n, j, s.seeds[n][j], s.converged[n][j], s.gaps[n][j],
+                *s.estimates[n][j])
+               for n in s.sample_sizes for j in range(len(s.gaps[n]))])
 
 
 def read_replicates(path):
-    """Read replicates.csv into {'model', 'n', 'gap', 'converged', params: {...}}."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        required = ["model", "n", "j", "seed", "converged", "loglik_gap"]
-        if not header or header[:6] != required:
-            raise ValueError(f"{path}: not a replicates CSV (bad header)")
-        param_names = header[6:]
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path}: no replicate rows")
-    out = {
-        "model": rows[0][0],
-        "param_names": param_names,
-        "n": np.array([int(r[1]) for r in rows]),
-        "converged": np.array([r[4] == "true" for r in rows]),
-        "gap": np.array([float(r[5]) for r in rows]),
-        "estimates": np.array([[float(v) for v in r[6:]] for r in rows]),
+    """replicates.csv as {'model', 'param_names', 'n', 'converged', 'gap', 'estimates'}."""
+    lead = len(REPLICATE_COLUMNS)
+    header, cells = _read_csv(path, "replicates",
+                              lambda h: (*REPLICATE_COLUMNS, *h[lead:]))
+    return {
+        "model": str(cells[0, 0]),
+        "param_names": list(header[lead:]),
+        "n": cells[:, 1].astype(int),
+        "converged": cells[:, 4] == "true",
+        "gap": cells[:, 5].astype(float),
+        "estimates": cells[:, lead:].astype(float),
     }
-    return out

@@ -51,6 +51,8 @@ class ExperimentConfig:
             raise ValueError("m must be >= 1")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
+        if not self.sample_sizes:
+            raise ValueError("sample_sizes must not be empty")
         if any(n < 16 for n in self.sample_sizes):
             raise ValueError("all sample sizes must be >= 16")
         if len(set(self.sample_sizes)) < len(self.sample_sizes):
@@ -93,23 +95,6 @@ class McSummary:
         self.mc_mean = {n: est.mean(axis=0) for n, est in self.estimates.items()}
         self.made_ = {n: np.abs(est - star).mean(axis=0) for n, est in self.estimates.items()}
         self.n_converged = {n: int(c.sum()) for n, c in self.converged.items()}
-
-    def summary_rows(self):
-        rows = []
-        for n in self.sample_sizes:
-            for i, name in enumerate(self.param_names):
-                rows.append((self.model_tag, n, name,
-                             self.mc_mean[n][i], self.made_[n][i], self.n_converged[n]))
-        return rows
-
-    def replicate_rows(self):
-        rows = []
-        for n in self.sample_sizes:
-            for j in range(self.estimates[n].shape[0]):
-                rows.append((self.model_tag, n, j, int(self.seeds[n][j]),
-                             bool(self.converged[n][j]), float(self.gaps[n][j]),
-                             *self.estimates[n][j]))
-        return rows
 
 
 def made(estimates, theta_star):

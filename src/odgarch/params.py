@@ -187,6 +187,11 @@ class _CountModel(_Model):
     def parse_state(text):
         return float(text)
 
+    @staticmethod
+    def state_trace(columns):
+        """The (n,) trace that ``simulate`` records, from the series CSV's one state column."""
+        return columns.reshape(len(columns))
+
     def to_dict(self):
         return {name: getattr(self, name) for name in self.param_names}
 
@@ -461,6 +466,11 @@ class NmParams(_Model):
     def parse_state(text):
         return _parse_vector(text)
 
+    @staticmethod
+    def state_trace(columns):
+        """The (n, d) trace that ``simulate`` records: the series CSV's state columns."""
+        return columns
+
     def to_dict(self):
         return {"gamma": self.gamma.tolist(), "omega_vec": self.omega_vec.tolist(),
                 "A": self.A.tolist(), "b_vec": self.b_vec.tolist()}
@@ -502,7 +512,7 @@ class NmParams(_Model):
         if isinstance(series.params, cls):
             d = series.params.d
         elif series.x_trace is not None:
-            d = series.x_trace.shape[1] if series.x_trace.ndim == 2 else 1
+            d = series.x_trace.shape[1]
         else:
             d = np.size(x1) if x1 is not None else 1
         m2 = max(float((series.y * series.y).mean()), EPS_MARGIN)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+WIDTH, HEIGHT = 640, 420  # of a panel, in pixels
+
 
 def box_stats(values):
     """Median, quartiles and 1.5*IQR whiskers; fliers beyond the whiskers."""
@@ -78,8 +80,7 @@ class SvgCanvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def boxplot_panel(groups, title="", ref_line=None, true_value=None,
-                  mean_markers=False, width=640, height=420):
+def boxplot_panel(groups, title="", ref_line=None, true_value=None, mean_markers=False):
     """Tukey boxplots for [(label, values), ...] groups.
 
     ref_line draws a solid horizontal reference (e.g. a zero line for
@@ -89,8 +90,8 @@ def boxplot_panel(groups, title="", ref_line=None, true_value=None,
     if not groups or any(len(v) == 0 for _, v in groups):
         raise ValueError("boxplot requires nonempty groups")
     ml, mr, mt, mb = 60, 15, 30, 40
-    plot_w = width - ml - mr
-    plot_h = height - mt - mb
+    plot_w = WIDTH - ml - mr
+    plot_h = HEIGHT - mt - mb
 
     all_vals = np.concatenate([np.asarray(v, dtype=float) for _, v in groups])
     lo = min(float(all_vals.min()), *( [ref_line] if ref_line is not None else [] ),
@@ -104,7 +105,7 @@ def boxplot_panel(groups, title="", ref_line=None, true_value=None,
     def ty(v):
         return mt + plot_h * (hi - v) / (hi - lo)
 
-    c = SvgCanvas(width, height)
+    c = SvgCanvas(WIDTH, HEIGHT)
     c.rect(ml, mt, plot_w, plot_h)
     for tick in _ticks(lo, hi):
         c.line(ml - 4, ty(tick), ml, ty(tick))

@@ -24,6 +24,7 @@ from .models import log_emission, psi_step, sample_emission
 from .params import SLACK_LOOSE, SLACK_TIGHT, params_to_dict
 
 STATE_HI = 1e3
+DRIFT_MC_POINTS, DRIFT_MC_DRAWS = 20, 2000  # the drift check's Monte Carlo cross-check
 
 
 @dataclass
@@ -131,7 +132,7 @@ def check_contraction(params, n_triples=10_000, seed=0):
                        violations == 0, info=info)
 
 
-def check_drift(params, n_triples=10_000, seed=0, mc_points=20, mc_draws=2000):
+def check_drift(params, n_triples=10_000, seed=0):
     """RV <= lambda*V + beta on the grid, with a Monte Carlo cross-check."""
     if not params.stable():
         return CheckRecord("drift", 0, 0, math.nan, True, skipped=True,
@@ -142,18 +143,18 @@ def check_drift(params, n_triples=10_000, seed=0, mc_points=20, mc_draws=2000):
     violations = int(np.sum(slack < 0))
 
     rng = np.random.default_rng(seed + 1)
-    idx = np.linspace(0, len(x) - 1, mc_points).astype(int)
+    idx = np.linspace(0, len(x) - 1, DRIFT_MC_POINTS).astype(int)
     mc_fail = 0
     for i in idx:
-        xi = np.broadcast_to(x[i], (mc_draws,) + np.shape(x[i]))
+        xi = np.broadcast_to(x[i], (DRIFT_MC_DRAWS,) + np.shape(x[i]))
         xn = psi_step(params, xi, sample_emission(params, xi, rng))
         vals = params.drift(xn)[1]
         est = vals.mean()
-        se = vals.std(ddof=1) / math.sqrt(mc_draws)
+        se = vals.std(ddof=1) / math.sqrt(DRIFT_MC_DRAWS)
         if abs(est - rv[i]) > 4.0 * se + 1e-9:
             mc_fail += 1
     violations += mc_fail
-    return CheckRecord("drift", n_triples + mc_points, violations,
+    return CheckRecord("drift", n_triples + DRIFT_MC_POINTS, violations,
                        float(slack.min()), violations == 0,
                        info={"lambda": lam, "beta": beta, "mc_failures": mc_fail})
 

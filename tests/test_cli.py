@@ -1,11 +1,12 @@
 import json
 import os
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
-from odgarch import FitOptions, cli
+from odgarch import ExperimentConfig, FitOptions, cli
 from odgarch.cli import main
 from odgarch.io import read_replicates, read_series
 
@@ -169,7 +170,8 @@ def test_mc_bad_config(tmp_path, capsys):
     # malformed integers, duplicate sizes and a negative burn-in: an error line, no traceback
     nbin = {"model": "nbin", "theta_star": {"omega": 3, "a": .2, "b": .2, "r": 2}}
     for key, value in [("m", 2.5), ("m", True), ("sample_sizes", [64.5]),
-                       ("sample_sizes", [64, 64]), ("burn_in", -3), ("burn_in", 2.5)]:
+                       ("sample_sizes", [64, 64]), ("sample_sizes", []), ("burn_in", -3),
+                       ("burn_in", 2.5)]:
         with open(cpath, "w") as fh:
             json.dump({**nbin, key: value}, fh)
         assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1, key
@@ -219,9 +221,63 @@ def test_plot_outputs(tmp_path):
     assert "stroke-dasharray" in svg  # true-value line from the config
 
 
-def test_plot_empty_replicates(tmp_path):
+def test_plot_empty_replicates(tmp_path, capsys):
     path = str(tmp_path / "r.csv")
     with open(path, "w") as fh:
         fh.write("model,n,j,seed,converged,loglik_gap,omega,a,b,r\n")
     assert run(["plot", "--replicates", path,
                 "--out-dir", str(tmp_path / "p")]) == 1
+    with open(path, "a") as fh:  # a full row, then a short one
+        fh.write("nbin,64,0,1,true,0.5,3,.2,.2,2\nnbin,64,1,2,true\n")
+    capsys.readouterr()
+    assert run(["plot", "--replicates", path, "--out-dir", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: truncated or malformed row 2\n"
+
+
+# Each bad value of a FitOptions field, as config JSON, and as a flag where the value is
+# of the flag's type (a value that is not, argparse rejects as a usage error).
+BAD_OPTIONS = [("tol", "x", False), ("tol", 0, True), ("tol", -1e-6, True),
+               ("tol", float("inf"), True), ("fd_step", 0, False), ("fd_step", "1e-5", False),
+               ("max_outer", 0, True), ("max_outer", 2.5, False), ("max_inner", 0, True),
+               ("max_inner", True, False), ("margin", -1, True), ("margin", 0, True),
+               ("margin", 1, True), ("margin", 2, True), ("margin", float("nan"), True)]
+
+
+@pytest.mark.parametrize("name,value,as_flag", BAD_OPTIONS)
+def test_bad_fit_options(tmp_path, capsys, name, value, as_flag):
+    with pytest.raises(ValueError, match=name):
+        FitOptions(**{name: value})
+    cpath = str(tmp_path / "cfg.json")
+    with open(cpath, "w") as fh:
+        json.dump({**MODELS["nbin"][4], "optimizer": {name: value}}, fh)
+    assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be") and "Traceback" not in err, err
+    if not as_flag:
+        return
+    series = str(tmp_path / "s.csv")
+    assert run(["simulate", *M1_FLAGS, "--n", "64", "--out", series]) == 0
+    flag = "--" + name.replace("_", "-")
+    assert run(["fit", "--series", series, f"{flag}={value}"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {name} must be")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model", "nbin", "--omega", "3", "--a", "x", "--b", ".2", "--r", "2"],
+    ["--model", "ting", "--omega", "2", "--a", ".2", "--b", ".1", "--tau", "x"],
+    ["--model", "nm", "--gamma", "1", "--omega", "x", "--A", ".4", "--bvec", ".25"],
+], ids=["a", "tau", "omega"])
+def test_malformed_parameter_literal(tmp_path, capsys, flags):
+    assert run(["simulate", *flags, "--n", "16", "--out", str(tmp_path / "s.csv")]) == 1
+    assert run(["verify", *flags, "--triples", "10"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err), err
+
+
+def test_readme_config_schema_is_fit_options():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        (block,) = re.findall(r"```json\n(.*?)```", fh.read(), flags=re.S)
+    config = json.loads(block)
+    ExperimentConfig.from_dict(config)
+    assert list(config["optimizer"]) == [f.name for f in fields(FitOptions)]

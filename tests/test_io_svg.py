@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from odgarch import ExperimentConfig, NbinParams, NmParams, run_experiment, simulate
+from odgarch import ExperimentConfig, NbinParams, NmParams, psi_step, run_experiment, simulate
 from odgarch.io import (atomic_write_text, meta_path, read_replicates, read_series,
-                        write_csv, write_mc_outputs, write_series)
+                        write_csv, write_json, write_mc_outputs, write_series)
 from odgarch.svgplot import box_stats, boxplot_panel
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
@@ -23,6 +23,35 @@ def test_series_roundtrip(tmp_path):
     meta = json.loads(open(meta_path(path)).read())
     assert meta["n"] == 50 and meta["burn_in"] == 500
     assert meta["params"]["omega"] == 3.0
+
+
+def test_sidecar_key_missing_takes_its_default(tmp_path):
+    # a key left out of the sidecar reads as it does with no sidecar at all
+    s = simulate(M1, 30, seed=9, burn_in=7)
+    path = str(tmp_path / "s.csv")
+    write_series(path, s)
+    meta = json.loads(open(meta_path(path)).read())
+    os.unlink(meta_path(path))
+    bare = read_series(path, model_tag="nbin")
+    assert (bare.seed, bare.burn_in, bare.stable, bare.params) == (0, 0, True, None)
+    for key in ("seed", "burn_in", "stable"):
+        write_json(meta_path(path), {k: v for k, v in meta.items() if k != key})
+        back = read_series(path)
+        assert back.model_tag == "nbin" and back.params == M1
+        assert getattr(back, key) == getattr(bare, key), key
+
+
+def test_series_roundtrip_nm_d1_trace(tmp_path):
+    # an NM trace keeps its (n, d) shape at d = 1, and psi_step reads it back
+    p = NmParams(gamma=[1.0], omega_vec=[1.0], A=[[0.4]], b_vec=[0.25])
+    s = simulate(p, 40, seed=3)
+    path = str(tmp_path / "nm1.csv")
+    write_series(path, s)
+    for back in (read_series(path), read_series(path, model_tag="nm")):
+        assert back.x_trace.shape == s.x_trace.shape == (40, 1)
+        for k in range(39):
+            np.testing.assert_allclose(psi_step(p, back.x_trace[k], back.y[k]),
+                                       back.x_trace[k + 1], rtol=1e-10)
 
 
 def test_series_roundtrip_nm(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from odgarch import (ExperimentConfig, FitOptions, NbinParams, loglik_gap, made, mle_fit,
                      run_experiment, simulate)
+from odgarch.io import write_mc_outputs
 from odgarch.montecarlo import config_to_dict, replicate_seed
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
@@ -119,15 +120,18 @@ def test_parallel_matches_serial():
         assert np.array_equal(s1.seeds[n], s2.seeds[n])
 
 
-def test_summary_rows_shape():
+def test_summary_rows_shape(tmp_path):
     cfg = ExperimentConfig(model_tag="nbin", theta_star=M1,
                            sample_sizes=(64, 128), m=4, base_seed=5)
     summary = run_experiment(cfg)
-    rows = summary.summary_rows()
+    spath, rpath = tmp_path / "summary.csv", tmp_path / "replicates.csv"
+    write_mc_outputs(str(spath), str(rpath), summary)
+    rows = [line.split(",") for line in spath.read_text().splitlines()[1:]]
     assert len(rows) == 2 * 4  # sizes x parameters
-    rrows = summary.replicate_rows()
+    assert [r[2] for r in rows[:4]] == ["omega", "a", "b", "r"]
+    rrows = [line.split(",") for line in rpath.read_text().splitlines()[1:]]
     assert len(rrows) == 2 * 4  # sizes x replicates
-    assert len(rrows[0]) == 6 + 4  # fixed columns + parameters
+    assert {len(r) for r in rrows} == {6 + 4}  # fixed columns + parameters
 
 
 def test_drop_nonconverged_filters():
