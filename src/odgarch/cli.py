@@ -35,10 +35,29 @@ class UsageError(Exception):
     pass
 
 
+def _param_flags():
+    """(flag, metavar, help) of each parameter flag; a flag's models with equal help
+    share its text."""
+    flags = []
+    for flag in dict.fromkeys(f for model in MODELS.values() for f in model.cli_flags):
+        metavars, texts = {}, {}
+        for model in MODELS.values():
+            if flag in model.cli_help:
+                metavar, text = model.cli_help[flag]
+                metavars[metavar] = None
+                texts.setdefault(text, []).append(model.tag)
+        flags.append((flag, "|".join(metavars),
+                      "; ".join(f"{', '.join(tags)}: {text}" for text, tags in texts.items())))
+    return flags
+
+
+_PARAM_FLAGS = _param_flags()  # once: the parser is built for every command
+
+
 def _add_param_flags(p):
     p.add_argument("--model", required=True, choices=list(MODELS))
-    for flag in dict.fromkeys(f for model in MODELS.values() for f in model.cli_flags):
-        p.add_argument(f"--{flag}")
+    for flag, metavar, text in _PARAM_FLAGS:
+        p.add_argument(f"--{flag}", metavar=metavar, help=text)
 
 
 def _add_opt_flags(p):

@@ -73,6 +73,28 @@ def _read_csv(path, kind, columns_of):
     return header, np.array(rows, dtype=str)
 
 
+def _bad_cell(path, i, name, what, cell):
+    return ValueError(f"{path}: row {i + 1}, column {name}: {what}: {str(cell)!r}")
+
+
+def _numbers(path, header, cells, cols, dtype=float):
+    """The cells of the columns in slice cols as numbers of dtype.
+
+    Raises naming the row and the column of the first cell that is not one.
+    """
+    block = cells[:, cols]
+    try:
+        return block.astype(dtype)
+    except ValueError:
+        for (i, j), cell in np.ndenumerate(block):
+            try:
+                np.asarray(cell).astype(dtype)
+            except ValueError:
+                what = "not an integer" if dtype is int else "not a number"
+                raise _bad_cell(path, i, header[cols][j], what, cell) from None
+        raise
+
+
 def write_json(path, obj):
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -99,8 +121,9 @@ def write_series(path, series):
 
 
 def read_series(path, model_tag=None):
-    _, cells = _read_csv(path, "series", lambda h: _series_columns(len(h) - 2))
-    y, xs = cells[:, 1].astype(float), cells[:, 2:].astype(float)
+    header, cells = _read_csv(path, "series", lambda h: _series_columns(len(h) - 2))
+    y = _numbers(path, header, cells, slice(1, 2))[:, 0]
+    xs = _numbers(path, header, cells, slice(2, None))
     meta = dict(SIDECAR_DEFAULTS)
     if os.path.exists(meta_path(path)):
         with open(meta_path(path), encoding="utf-8") as fh:
@@ -130,11 +153,15 @@ def read_replicates(path):
     lead = len(REPLICATE_COLUMNS)
     header, cells = _read_csv(path, "replicates",
                               lambda h: (*REPLICATE_COLUMNS, *h[lead:]))
+    converged = cells[:, 4]
+    bad = np.flatnonzero((converged != "true") & (converged != "false"))
+    if bad.size:
+        raise _bad_cell(path, bad[0], "converged", "not true or false", converged[bad[0]])
     return {
         "model": str(cells[0, 0]),
         "param_names": list(header[lead:]),
-        "n": cells[:, 1].astype(int),
-        "converged": cells[:, 4] == "true",
-        "gap": cells[:, 5].astype(float),
-        "estimates": cells[:, lead:].astype(float),
+        "n": _numbers(path, header, cells, slice(1, 2), int)[:, 0],
+        "converged": converged == "true",
+        "gap": _numbers(path, header, cells, slice(5, 6))[:, 0],
+        "estimates": _numbers(path, header, cells, slice(lead, None)),
     }

@@ -5,15 +5,17 @@ leading axes: a scalar-state model takes x of any shape S, NM takes x of
 shape S + (d,), and observations broadcast against S.
 """
 
+import functools
 import math
 import warnings
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .params import Series
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_FLOAT_MAX = np.finfo(float).max
 
 
 def nbin_count_term(y, r):
@@ -37,11 +39,26 @@ def poisson_state_term(lam, y):
 
 
 def nm_log_density(x, y, gamma):
-    """Log density at y of the zero-mean normal mixture with variances x (last axis)."""
+    """Log density at y of the zero-mean normal mixture with variances x (last axis).
+
+    The log-sum-exp over the components is ``scipy.special.logsumexp``'s, bit for
+    bit, without its per-call overhead: the maximum, the m components tied at it
+    left out of the sum s of the shifted exponentials, then
+    log1p(s / m) + log(m) + maximum.
+    """
     with np.errstate(divide="ignore"):  # a zero weight drops its component
         log_gamma = np.log(gamma)
     comps = log_gamma - 0.5 * (np.square(y)[..., None] / x + _LOG_2PI + np.log(x))
-    return logsumexp(comps, axis=-1)
+    # numpy reduces a short last axis slowly; the maximum and the count are exact in
+    # any order, so they are taken one component at a time. The sum is scipy's call.
+    top = functools.reduce(np.maximum, np.moveaxis(comps, -1, 0))
+    tied = comps == top[..., None]
+    m = sum(np.moveaxis(tied, -1, 0))
+    # where y^2 / x overflows in every component, top is -inf and the shift is finite,
+    # so the result is -inf, as scipy's, and not -inf - (-inf) = nan
+    shift = np.maximum(top, -_FLOAT_MAX)[..., None]
+    s = np.exp(np.where(tied, -np.inf, comps) - shift).sum(axis=-1)
+    return np.log1p(s / m) + np.log(m) + top
 
 
 def _check_state(params, x):

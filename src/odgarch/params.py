@@ -143,6 +143,10 @@ class _CountModel(_Model):
     d = 1
     state_shape = ()
     N_Y_GRID = 201  # the verifier's observations: y in {0..200}
+    # (metavar, help) of each command-line flag
+    cli_help = {"omega": ("NUM", "intercept w > 0"),
+                "a": ("NUM", "coefficient a > 0 of the state"),
+                "b": ("NUM", "coefficient b > 0 of the count")}
 
     def __post_init__(self):
         for name in self.param_names:
@@ -231,6 +235,7 @@ class NbinParams(_CountModel):
 
     tag = "nbin"
     param_names = cli_flags = ("omega", "a", "b", "r")
+    cli_help = {**_CountModel.cli_help, "r": ("NUM", "shape r > 0 of the negative binomial")}
     scaled = ("a", "b")
 
     def stability(self):
@@ -316,6 +321,7 @@ class TingParams(_CountModel):
 
     tag = "ting"
     param_names = cli_flags = ("omega", "a", "b", "tau")
+    cli_help = {**_CountModel.cli_help, "tau": ("NUM", "threshold tau > 0 of the intensity")}
     scaled = ("a",)
 
     def stability(self):
@@ -368,6 +374,11 @@ class NmParams(_Model):
 
     tag = "nm"
     cli_flags = ("gamma", "omega", "A", "bvec")
+    cli_help = {"gamma": ("LIST", "weights, a comma list of d values >= 0 summing to 1"),
+                "omega": ("LIST", "intercepts, a comma list of d values > 0"),
+                "A": ("ROWS", "d x d matrix >= 0, its rows comma lists joined by ';', "
+                              "as in .3,.1;.05,.25"),
+                "bvec": ("LIST", "coefficients b of y^2, a comma list of d values >= 0")}
     scaled = ("A", "b_vec")
     # The verifier's observations: symmetric probabilists'-Hermite nodes,
     # scaled to the stationary spread.

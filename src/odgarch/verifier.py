@@ -13,6 +13,12 @@ Halton algorithm in R", arXiv:1706.02808), generated in this module. It
 gives the same points, bit for bit, as scipy's
 ``qmc.Halton(d, scramble=True, seed=seed).random(n)``, without importing
 ``scipy.stats``.
+
+Each check works on its whole grid in a few numpy calls. The drift check's
+Monte Carlo cross-check draws from a few grid states and batches everything
+but the draws: each state's draws stay one draw call, in the order of the
+states, because one call over all of them would consume the generator's
+stream in another order and change which draws each state gets.
 """
 
 import math
@@ -89,11 +95,10 @@ def _halton(dims, n, seed):
     rng = np.random.default_rng(seed)
     out = np.empty((n, dims))
     for col, base in enumerate(_primes(dims)):
-        # every digit whose weight b^-(j+1) exceeds 2^-54 gets a permutation
+        # every digit whose weight b^-(j+1) exceeds 2^-54 gets a permutation; permuting
+        # the rows in one call draws what scipy's shuffle of each row in turn draws
         count = math.ceil(54 / math.log2(base)) - 1
-        perms = np.repeat(np.arange(base)[None], count, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
+        perms = rng.permuted(np.repeat(np.arange(base)[None], count, axis=0), axis=1)
         s = np.zeros(1)
         b2r = 1.0 / base
         j = 0
@@ -109,17 +114,24 @@ def _halton(dims, n, seed):
     return out
 
 
-def _sample_triples(params, n, seed):
-    """n grid points (x, x', y), states log-scaled in [min w, STATE_HI]; w bounds every state."""
+def _grid(dims, n, seed):
+    """The first n points of the verifier's grid in [0, 1)^dims."""
     if n < 1:
         raise ValueError(f"n_triples must be >= 1, got {n}")
-    d = params.d
-    u = _halton(2 * d + 1, n, seed)
-    shape = (n,) + params.state_shape
+    return _halton(dims, n, seed)
+
+
+def _states(params, u):
+    """States log-scaled in [min w, STATE_HI] from d grid columns; w bounds every state."""
     lo = float(np.min(params.coefficients()[0]))
-    x = lo * (STATE_HI / lo) ** u[:, :d].reshape(shape)
-    xp = lo * (STATE_HI / lo) ** u[:, d:2 * d].reshape(shape)
-    return x, xp, params.y_from_unit(u[:, -1])
+    return lo * (STATE_HI / lo) ** u.reshape((len(u),) + params.state_shape)
+
+
+def _sample_triples(params, n, seed):
+    """n grid points (x, x', y)."""
+    d = params.d
+    u = _grid(2 * d + 1, n, seed)
+    return _states(params, u[:, :d]), _states(params, u[:, d:2 * d]), params.y_from_unit(u[:, -1])
 
 
 def check_contraction(params, n_triples=10_000, seed=0):
@@ -137,22 +149,21 @@ def check_drift(params, n_triples=10_000, seed=0):
     if not params.stable():
         return CheckRecord("drift", 0, 0, math.nan, True, skipped=True,
                            reason="unstable parameters: drift need not close")
-    x, _, _ = _sample_triples(params, n_triples, seed)
+    # the first d columns of the triples' grid: the same states x
+    x = _states(params, _grid(params.d, n_triples, seed))
     rv, v, lam, beta = params.drift(x)
     slack = (lam * v + beta + SLACK_LOOSE) - rv
     violations = int(np.sum(slack < 0))
 
+    # DRIFT_MC_DRAWS one-step draws from each of DRIFT_MC_POINTS grid states: one draw
+    # call per point, in order, to keep the stream; the rest runs once over the batch.
     rng = np.random.default_rng(seed + 1)
     idx = np.linspace(0, len(x) - 1, DRIFT_MC_POINTS).astype(int)
-    mc_fail = 0
-    for i in idx:
-        xi = np.broadcast_to(x[i], (DRIFT_MC_DRAWS,) + np.shape(x[i]))
-        xn = psi_step(params, xi, sample_emission(params, xi, rng))
-        vals = params.drift(xn)[1]
-        est = vals.mean()
-        se = vals.std(ddof=1) / math.sqrt(DRIFT_MC_DRAWS)
-        if abs(est - rv[i]) > 4.0 * se + 1e-9:
-            mc_fail += 1
+    xs = np.broadcast_to(x[idx, None], (DRIFT_MC_POINTS, DRIFT_MC_DRAWS) + params.state_shape)
+    ys = np.array([sample_emission(params, xi, rng) for xi in xs])
+    vals = params.drift(psi_step(params, xs, ys))[1]
+    se = vals.std(axis=1, ddof=1) / math.sqrt(DRIFT_MC_DRAWS)
+    mc_fail = int(np.sum(np.abs(vals.mean(axis=1) - rv[idx]) > 4.0 * se + 1e-9))
     violations += mc_fail
     return CheckRecord("drift", n_triples + DRIFT_MC_POINTS, violations,
                        float(slack.min()), violations == 0,

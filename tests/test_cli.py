@@ -9,6 +9,7 @@ import pytest
 from odgarch import ExperimentConfig, FitOptions, cli
 from odgarch.cli import main
 from odgarch.io import read_replicates, read_series
+from odgarch.params import MODELS as PARAM_MODELS
 
 M1_FLAGS = ["--model", "nbin", "--omega", "3", "--a", ".2", "--b", ".2", "--r", "2"]
 TING_FLAGS = ["--model", "ting", "--omega", "2", "--a", ".2", "--b", ".1", "--tau", "3.2"]
@@ -107,6 +108,23 @@ def test_fit_rejects_non_finite_csv(tmp_path, capsys):
         fh.write("k,y\n" + "".join(f"{k + 1},{v}\n" for k, v in enumerate(ys)))
     assert run(["fit", "--series", series, "--model", "nm"]) == 1
     assert "observation must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "plot"])
+def test_bad_cell_names_its_place(tmp_path, capsys, command):
+    path = str(tmp_path / "bad.csv")
+    if command == "fit":
+        text, args = "k,y\n1,3\n2,x\n", ["--series", path, "--model", "nbin"]
+        where = "row 2, column y: not a number: 'x'"
+    else:
+        text = "model,n,j,seed,converged,loglik_gap,omega\nnbin,64,0,1,true,0.5,3\n"
+        text += "nbin,6e1,1,2,true,0.5,3\n"
+        args = ["--replicates", path, "--out-dir", str(tmp_path / "p")]
+        where = "row 2, column n: not an integer: '6e1'"
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert run([command, *args]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {where}\n"
 
 
 def test_fit_truncated_csv(tmp_path):
@@ -272,6 +290,26 @@ def test_malformed_parameter_literal(tmp_path, capsys, flags):
     assert run(["verify", *flags, "--triples", "10"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: ") for line in err), err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_help_names_the_models_of_each_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    options = " ".join(capsys.readouterr().out.split("options:")[1].split())
+    flags = {}  # flag: (metavar, help), from "--flag METAVAR help" items
+    for item in options.split(" --")[1:]:
+        flag, metavar, *text = item.split(" ", 2)
+        flags[flag] = (metavar, " ".join(text))
+    assert flags["a"][0] != flags["A"][0]
+    for model in PARAM_MODELS.values():
+        assert list(model.cli_help) == list(model.cli_flags)
+        for flag in model.cli_flags:
+            assert model.tag in re.findall(r"(\w+)[,:]", flags[flag][1]), (flag, model.tag)
+    for flag in ("gamma", "bvec"):
+        assert "comma list" in flags[flag][1]
+    assert "rows comma lists joined by ';'" in flags["A"][1]
 
 
 def test_readme_config_schema_is_fit_options():

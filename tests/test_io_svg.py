@@ -132,6 +132,35 @@ def test_read_replicates_errors(tmp_path):
         read_replicates(path)  # bad header
 
 
+@pytest.mark.parametrize("text,message", [
+    ("k,y,x_1\n1,3,7.5\n2,4,zz\n", "row 2, column x_1: not a number: 'zz'"),
+    ("k,y\n1,3\n2,\n", "row 2, column y: not a number: ''"),
+])
+def test_read_series_bad_cell(tmp_path, text, message):
+    path = str(tmp_path / "bad.csv")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ValueError) as exc:
+        read_series(path, model_tag="nbin")
+    assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("row,message", [
+    ("nbin,6.5,1,2,true,0.5,3", "row 2, column n: not an integer: '6.5'"),
+    ("nbin,64,1,2,true,x,3", "row 2, column loglik_gap: not a number: 'x'"),
+    ("nbin,64,1,2,true,0.5,", "row 2, column omega: not a number: ''"),
+    ("nbin,64,1,2,True,0.5,3", "row 2, column converged: not true or false: 'True'"),
+    ("nbin,64,1,2,1,0.5,3", "row 2, column converged: not true or false: '1'"),
+])
+def test_read_replicates_bad_cell(tmp_path, row, message):
+    path = str(tmp_path / "r.csv")
+    with open(path, "w") as fh:
+        fh.write(f"model,n,j,seed,converged,loglik_gap,omega\nnbin,64,0,1,false,0.5,3\n{row}\n")
+    with pytest.raises(ValueError) as exc:
+        read_replicates(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_box_stats_hand_oracle():
     # 10-point dataset; quartiles by linear interpolation, 1.5*IQR whiskers
     data = [1, 2, 3, 4, 5, 6, 7, 8, 9, 100]

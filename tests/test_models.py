@@ -8,6 +8,7 @@ from conftest import random_nbin, random_nm, random_ting
 
 from odgarch import (NbinParams, NmParams, TingParams, log_emission, loglik, psi_step,
                      sample_emission, simulate)
+from odgarch.models import nm_log_density
 
 
 def test_psi_step_examples():
@@ -59,6 +60,25 @@ def test_log_emission_zero_mixture_weight():
     assert abs(log_emission(p, np.array([1.5, 4.0]), 0.5) - ref) < 1e-14
     s = simulate(p, 64, seed=1)
     assert np.isfinite(loglik(p, p.fixed_point(), s).value)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_nm_log_density_is_scipy_logsumexp(d):
+    from scipy.special import logsumexp
+    rng = np.random.default_rng(d)
+    for gamma in (rng.dirichlet(np.ones(d)), np.eye(d)[0], np.full(d, 1.0 / d)):
+        x = rng.uniform(0.1, 50.0, (4000, d))
+        x[::3] = x[::3, :1]  # equal variances: with equal weights, tied components
+        y = rng.normal(0.0, 5.0, 4000)
+        y[::7] = 1e200  # y^2 / x overflows in every component: -inf
+        with np.errstate(over="ignore"):
+            comps = np.log(gamma, where=gamma > 0, out=np.full(d, -np.inf)) - 0.5 * (
+                np.square(y)[:, None] / x + math.log(2 * math.pi) + np.log(x))
+            got = nm_log_density(x, y, gamma)
+        assert np.array_equal(got, logsumexp(comps, axis=-1))
+        assert got.dtype == float and np.all(got[::7] == -np.inf)
+        one = nm_log_density(x[1], y[1], gamma)  # one state: a scalar, as scipy gives
+        assert type(one) is np.float64 and one == logsumexp(comps[1])
 
 
 def test_log_emission_exact_rational_oracle():

@@ -6,13 +6,14 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import random_nm
+from conftest import random_nbin, random_nm, random_ting
 
 import odgarch
-from odgarch import NbinParams, NmParams, TingParams, log_emission, verifier, verify_model
-from odgarch.params import _perron_weights
+from odgarch import (NbinParams, NmParams, TingParams, log_emission, sample_emission, verifier,
+                     verify_model)
+from odgarch.params import SLACK_LOOSE, _perron_weights
 from odgarch.models import psi_step
-from odgarch.verifier import _halton, check_contraction, check_drift
+from odgarch.verifier import CheckRecord, _halton, check_contraction, check_drift
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
 M2 = NbinParams(3.0, 0.35, 0.1, 1.5)
@@ -166,6 +167,77 @@ def test_verify_deterministic():
     r1 = verify_model(M1, n_triples=1000, seed=4)
     r2 = verify_model(M1, n_triples=1000, seed=4)
     assert [c.worst_slack for c in r1.checks] == [c.worst_slack for c in r2.checks]
+
+
+def _drift_reference(params, n_triples, seed):
+    """check_drift as it was written first: states from the triples' grid, and the Monte
+    Carlo cross-check as a loop that draws, steps and reduces one point at a time."""
+    x, _, _ = verifier._sample_triples(params, n_triples, seed)
+    rv, v, lam, beta = params.drift(x)
+    slack = (lam * v + beta + SLACK_LOOSE) - rv
+    violations = int(np.sum(slack < 0))
+    rng = np.random.default_rng(seed + 1)
+    draws = verifier.DRIFT_MC_DRAWS
+    mc_fail = 0
+    for i in np.linspace(0, len(x) - 1, verifier.DRIFT_MC_POINTS).astype(int):
+        xi = np.broadcast_to(x[i], (draws,) + np.shape(x[i]))
+        vals = params.drift(psi_step(params, xi, sample_emission(params, xi, rng)))[1]
+        if abs(vals.mean() - rv[i]) > 4.0 * vals.std(ddof=1) / math.sqrt(draws) + 1e-9:
+            mc_fail += 1
+    violations += mc_fail
+    return CheckRecord("drift", n_triples + verifier.DRIFT_MC_POINTS, violations,
+                       float(slack.min()), violations == 0,
+                       info={"lambda": lam, "beta": beta, "mc_failures": mc_fail})
+
+
+# (model, parameter draw) with the seeds of the draw and of the check; TING seed 9 and
+# NM (d = 2) seed 56 are sets on which the Monte Carlo cross-check fails at one point
+DRIFT_CASES = [("nbin", random_nbin, (0, 1, 2)), ("ting", random_ting, (9, 1, 2)),
+               ("nm1", lambda rng: random_nm(rng, d=1), (0, 1, 2)),
+               ("nm2", lambda rng: random_nm(rng, d=2), (56, 0, 1))]
+
+
+def test_drift_batch_matches_point_loop():
+    mc_failures = 0
+    for name, draw, seeds in DRIFT_CASES:
+        for seed in seeds:
+            params = draw(np.random.default_rng(seed))
+            ref = _drift_reference(params, 500, seed).to_dict()
+            assert check_drift(params, n_triples=500, seed=seed).to_dict() == ref, (name, seed)
+            mc_failures += ref["info"]["mc_failures"]
+    assert mc_failures >= 2  # the failing branch is compared too
+
+
+# verify_model(params, n_triples=2000, seed) of the named sets: each check's worst slack
+# as a float hex and its violations, and the drift check's Monte Carlo failures. A change
+# to the verifier's arithmetic shows up here.
+PINNED_REPORTS = {
+    "m1-0": (M1, 0, ("0x1.b5f60fe5c71ddp-39", "0x1.b7c0000000000p-34",
+                     "0x1.1979800000000p-40", "0x1.6ece3334fafc2p+1"), [0, 0, 0, 0], 0),
+    "m1-5": (M1, 5, ("0x1.e8836b4674204p-39", "0x1.b7c0000000000p-34",
+                     "0x1.1979978000000p-40", "0x1.ce566d995e629p-4"), [0, 0, 0, 0], 0),
+    "m2-0": (M2, 0, ("0x1.b5e543e5c71ddp-39", "0x1.b7c0000000000p-34",
+                     "0x1.1978800000000p-40", "0x1.641d1e473d7d1p+1"), [0, 0, 0, 0], 0),
+    "m2-5": (M2, 5, ("0x1.e838eb4674204p-39", "0x1.b7c0000000000p-34",
+                     "0x1.1979940000000p-40", "0x1.cc228eb7a3029p-4"), [0, 0, 0, 0], 0),
+    "ting-0": (TING, 0, ("0x1.b5e543e5c71ddp-39", "0x1.b7a0000000000p-34",
+                         "0x1.1979800000000p-40", "0x1.02aed0a61cc80p-1"), [0, 0, 0, 0], 0),
+    "ting-5": (TING, 5, ("0x1.e838eb4674204p-39", "0x1.b7a0000000000p-34",
+                         "0x1.1979400000000p-40", "0x1.21386e41230acp-6"), [0, 0, 0, 0], 0),
+    "nm2-0": (NM2, 0, ("0x1.6800000000000p-49", "0x1.255edc0ea2600p-4",
+                       "0x1.19799812dea11p-40", "0x1.018b18d8a393ep+2"), [0, 0, 0, 0], 0),
+    "nm2-5": (NM2, 5, ("0x1.6800000000000p-49", "0x1.24a06c7731280p-4",
+                       "0x1.19799812dea11p-40", "0x1.b5fb28aa02260p+1"), [0, 0, 0, 0], 0),
+}
+
+
+@pytest.mark.parametrize("params,seed,slacks,violations,mc_failures",
+                         PINNED_REPORTS.values(), ids=PINNED_REPORTS.keys())
+def test_report_pinned(params, seed, slacks, violations, mc_failures):
+    checks = verify_model(params, n_triples=2000, seed=seed).checks
+    assert tuple(float(c.worst_slack).hex() for c in checks) == slacks
+    assert [c.n_violations for c in checks] == violations
+    assert checks[1].info["mc_failures"] == mc_failures
 
 
 def _scipy_halton(dims, n, seed):
