@@ -100,11 +100,15 @@ def cmd_fit(args):
     return 0
 
 
-def cmd_mc(args):
+def _read_config(path):
     try:
-        config = ExperimentConfig.from_json(args.config)
+        return ExperimentConfig.from_json(path)
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"bad experiment config: {exc}") from exc
+
+
+def cmd_mc(args):
+    config = _read_config(args.config)
     summary = run_experiment(config, jobs=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     odio.write_mc_outputs(os.path.join(args.out_dir, "summary.csv"),
@@ -136,19 +140,25 @@ def cmd_verify(args):
 
 def cmd_plot(args):
     rep = odio.read_replicates(args.replicates)
+    true_values = [None] * len(rep["param_names"])
+    if args.config:
+        star = _read_config(args.config).theta_star
+        if star.tag != rep["model"]:
+            raise ValueError(f"{args.config} is a {star.tag} config, but "
+                             f"{args.replicates} holds {rep['model']} replicates")
+        if list(star.param_names) != rep["param_names"]:
+            raise ValueError(f"{args.config} has parameters {', '.join(star.param_names)}, "
+                             f"but {args.replicates} has {', '.join(rep['param_names'])}")
+        true_values = star.as_array().tolist()
     os.makedirs(args.out_dir, exist_ok=True)
     ns = sorted(set(rep["n"].tolist()))
     groups = [(f"n={n}", rep["gap"][rep["n"] == n]) for n in ns]
     odio.atomic_write_text(os.path.join(args.out_dir, "loglik_gap.svg"),
                            boxplot_panel(groups, title="loglik(MLE) - loglik(truth)",
                                          ref_line=0.0))
-    theta_star = None
-    if args.config:
-        theta_star = ExperimentConfig.from_json(args.config).theta_star.as_array()
     for i, name in enumerate(rep["param_names"]):
         groups = [(f"n={n}", rep["estimates"][rep["n"] == n, i]) for n in ns]
-        tv = float(theta_star[i]) if theta_star is not None else None
-        svg = boxplot_panel(groups, title=name, true_value=tv, mean_markers=True)
+        svg = boxplot_panel(groups, title=name, true_value=true_values[i], mean_markers=True)
         odio.atomic_write_text(os.path.join(args.out_dir, f"estimates_{name}.svg"), svg)
     return 0
 

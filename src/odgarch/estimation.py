@@ -100,19 +100,19 @@ def _bfgs(f_and_g, z0, start, tol, max_iter):
     """
     z = z0.copy()
     fval, g, extra = start
-    h = np.eye(z.size)
+    eye = np.eye(z.size)
+    h = eye
     n_iter = 0
     n_flat = 0
     for n_iter in range(1, max_iter + 1):
-        gnorm = np.max(np.abs(g))
-        if gnorm < tol:
+        if abs(g).max() < tol:
             return z, fval, g, extra, n_iter - 1, True
         p = -h @ g
-        slope = g @ p
+        slope = float(g @ p)
         if slope >= 0:  # lost curvature; restart from steepest descent
-            h = np.eye(z.size)
+            h = eye
             p = -g
-            slope = g @ p
+            slope = float(g @ p)
         step = 1.0
         accepted = False
         for _ in range(60):
@@ -122,7 +122,7 @@ def _bfgs(f_and_g, z0, start, tol, max_iter):
             except (FloatingPointError, OverflowError, ValueError):
                 f_new = np.inf
                 g_new = extra_new = None
-            if np.isfinite(f_new) and f_new <= fval + 1e-4 * step * slope:
+            if math.isfinite(f_new) and f_new <= fval + 1e-4 * step * slope:
                 accepted = True
                 break
             step *= 0.5
@@ -131,16 +131,16 @@ def _bfgs(f_and_g, z0, start, tol, max_iter):
         # stop once improvements sink below double precision for a while
         n_flat = n_flat + 1 if fval - f_new <= 1e-13 * max(1.0, abs(fval)) else 0
         if n_flat >= 3:
-            return z_new, f_new, g_new, extra_new, n_iter, np.max(np.abs(g_new)) < tol
+            return z_new, f_new, g_new, extra_new, n_iter, abs(g_new).max() < tol
         s = z_new - z
         yk = g_new - g
-        sy = s @ yk
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(yk):
+        sy = float(s @ yk)
+        if sy > 1e-12 * math.sqrt(s @ s) * math.sqrt(yk @ yk):
             rho = 1.0 / sy
-            v = np.eye(z.size) - rho * np.outer(s, yk)
-            h = v @ h @ v.T + rho * np.outer(s, s)
+            v = eye - rho * np.multiply.outer(s, yk)
+            h = v @ h @ v.T + rho * np.multiply.outer(s, s)
         z, fval, g, extra = z_new, f_new, g_new, extra_new
-    return z, fval, g, extra, n_iter, np.max(np.abs(g)) < tol
+    return z, fval, g, extra, n_iter, abs(g).max() < tol
 
 
 def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None):
@@ -171,7 +171,7 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None):
         t = min(lam / mu + c, 1e100)  # clip wild trial points
         if t > 0:
             pen = 0.5 * mu * t * t
-            cg = np.clip(params.constraint_grad_z(), -1e100, 1e100)
+            cg = np.minimum(np.maximum(params.constraint_grad_z(), -1e100), 1e100)
             pen_g = min(mu * t, 1e100) * cg
         else:
             pen = 0.0

@@ -153,12 +153,17 @@ def read_replicates(path):
     lead = len(REPLICATE_COLUMNS)
     header, cells = _read_csv(path, "replicates",
                               lambda h: (*REPLICATE_COLUMNS, *h[lead:]))
+    model = cells[:, 0]
+    bad = np.flatnonzero(model != model[0])
+    if bad.size:
+        raise _bad_cell(path, bad[0], "model", f"not row 1's model {str(model[0])!r}",
+                        model[bad[0]])
     converged = cells[:, 4]
     bad = np.flatnonzero((converged != "true") & (converged != "false"))
     if bad.size:
         raise _bad_cell(path, bad[0], "converged", "not true or false", converged[bad[0]])
     return {
-        "model": str(cells[0, 0]),
+        "model": str(model[0]),
         "param_names": list(header[lead:]),
         "n": _numbers(path, header, cells, slice(1, 2), int)[:, 0],
         "converged": converged == "true",

@@ -24,21 +24,25 @@ alone and a part that depends on the state. The count-only part, and the
 digamma term of the NBIN gradient, are summed over the distinct counts,
 weighted by their frequencies: a series of n counts has far fewer
 distinct values than n. The NBIN and TING kernels take that table,
-``params.count_table(y)``, as their last argument.
+``params.count_table(y)``, as their last argument. It has three columns:
+the distinct counts, their relative frequencies, and their log factorials
+gammaln(count + 1). The last column does not depend on the parameters, so
+a series computes it once and a fit does not compute it at each point.
+TING's count-only part is minus that column; NBIN's subtracts it.
 
 The kernels run with numpy raising on overflow, invalid operations and
 division by zero: a parameter point whose path or density leaves the
 floating-point range raises ``FloatingPointError`` instead of returning
-inf or nan. BLAS ignores numpy's error state, so ``affine_scan`` checks
-its result itself.
+inf or nan. Each kernel sets that error state once per call; the private
+``_filter`` and ``_solve`` it calls do not set it again. BLAS ignores
+numpy's error state, so ``_solve`` checks its result itself.
 """
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-from scipy.special import psi
+from scipy.special import gammaln, psi
 
-from .models import (nbin_count_term, nbin_state_term, nm_log_density, poisson_count_term,
-                     poisson_state_term)
+from .models import nbin_state_term, nm_log_density, poisson_state_term
 
 # There is a single numpy backend and no JIT. The flag stays because the
 # environment block of perfbench/run.py reads it.
@@ -47,13 +51,8 @@ USE_NUMBA = False
 _raise_fp = np.errstate(over="raise", invalid="raise", divide="raise")
 
 
-def affine_scan(c, a):
-    """x[0] = c[0], x[k] = a x[k-1] + c[k], for a scalar or a d x d matrix a.
-
-    c has shape (n,) for a scalar a and (n, d) for a d x d matrix.
-    Raises FloatingPointError when the path leaves the floating-point range.
-    """
-    x = np.array(c, dtype=float, order="C")
+def _solve(x, a):
+    """Solve L x = c in place for the drive c held in x, a C-contiguous float array."""
     n = len(x)
     d = x.size // n
     neg = -np.asarray(a, dtype=float).reshape(d, d)
@@ -69,20 +68,39 @@ def affine_scan(c, a):
     return x
 
 
-@_raise_fp
-def affine_filter(y, x1, w, a, b):
-    """State path u[0] = x1, u[k] = w + a u[k-1] + b y[k-1]; a scalar or d x d."""
+def _filter(y, x1, w, a, b):
+    """The state path, solved in place in the drive it builds."""
     c = np.empty((len(y),) + np.shape(x1))
     c[0] = x1
     c[1:] = w + np.multiply.outer(y[:-1], b)
-    return affine_scan(c, a)
+    return _solve(c, a)
+
+
+def affine_scan(c, a):
+    """x[0] = c[0], x[k] = a x[k-1] + c[k], for a scalar or a d x d matrix a.
+
+    c has shape (n,) for a scalar a and (n, d) for a d x d matrix.
+    Raises FloatingPointError when the path leaves the floating-point range.
+    """
+    return _solve(np.array(c, dtype=float, order="C"), a)
+
+
+@_raise_fp
+def affine_filter(y, x1, w, a, b):
+    """State path u[0] = x1, u[k] = w + a u[k-1] + b y[k-1]; a scalar or d x d."""
+    return _filter(y, x1, w, a, b)
+
+
+def _nbin_count_mean(table, r):
+    """weights @ nbin_count_term(values, r), with gammaln(values + 1) from the table."""
+    values, weights, log_factorial = table
+    return weights @ (gammaln(values + r) - gammaln(r) - log_factorial)
 
 
 @_raise_fp
 def nbin_loglik(y, x1, w, a, b, r, table):
-    values, weights = table
-    u = affine_filter(y, x1, w, a, b)
-    return weights @ nbin_count_term(values, r) + np.mean(nbin_state_term(u, y, r))
+    u = _filter(y, x1, w, a, b)
+    return _nbin_count_mean(table, r) + nbin_state_term(u, y, r).sum() / len(y)
 
 
 @_raise_fp
@@ -94,27 +112,30 @@ def nbin_loglik_grad(y, x1, w, a, b, r, table):
     from one reverse solve of the state recursion driven by the score; the
     forward sensitivities are never formed.
     """
-    values, weights = table
-    u = affine_filter(y, x1, w, a, b)
+    values, weights, _ = table
+    n = len(y)
+    u = _filter(y, x1, w, a, b)
     l1p = np.log1p(u)
+    ypr = y + r
     # nbin_state_term(u, y, r), with log1p(u) shared with grad[3]
-    value = weights @ nbin_count_term(values, r) + np.mean(y * np.log(u) - (y + r) * l1p)
-    score = y / u - (y + r) / (1.0 + u)
-    v = affine_scan(score[::-1], a)[-2::-1]  # v[j] = score[j] + a v[j+1], j >= 1
+    value = _nbin_count_mean(table, r) + (y * np.log(u) - ypr * l1p).sum() / n
+    score = y / u - ypr / (1.0 + u)
+    v = _solve(score[::-1].copy(), a)[-2::-1]  # v[j] = score[j] + a v[j+1], j >= 1
     grad = np.empty(4)
     grad[:3] = (v.sum(), v @ u[:-1], v @ y[:-1])
-    grad[:3] /= len(y)
-    grad[3] = weights @ psi(r + values) - psi(r) - np.mean(l1p)
+    grad[:3] /= n
+    grad[3] = weights @ psi(r + values) - psi(r) - l1p.sum() / n
     return value, grad
 
 
 @_raise_fp
 def ting_loglik(y, x1, w, a, b, tau, table):
-    values, weights = table
-    lam = np.minimum(affine_filter(y, x1, w, a, b), tau)
-    return weights @ poisson_count_term(values) + np.mean(poisson_state_term(lam, y))
+    _, weights, log_factorial = table
+    lam = np.minimum(_filter(y, x1, w, a, b), tau)
+    # poisson_count_term(values) is -log_factorial
+    return weights @ -log_factorial + poisson_state_term(lam, y).sum() / len(y)
 
 
 @_raise_fp
 def nm_loglik(y, x1, wv, A, bv, gamma):
-    return np.mean(nm_log_density(affine_filter(y * y, x1, wv, A, bv), y, gamma))
+    return nm_log_density(_filter(y * y, x1, wv, A, bv), y, gamma).sum() / len(y)

@@ -4,6 +4,7 @@ Observations are a Series of the params' model or a 1-d array, checked once
 by ``Series.of``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,7 @@ def loglik(params, x1, series):
     s = Series.of(series, params.tag)
     x1 = _check_state(params, x1)
     value = params.kernel_loglik(s.y, x1, s.count_table)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise FloatingPointError("log-likelihood is not finite")
     return LoglikValue(value=float(value), n=s.n, x1=x1)
 
@@ -76,7 +77,7 @@ def grad_loglik_nbin(params, x1, series, *, with_value=False):
                                            params.r, s.count_table)
     if not with_value:
         return grad
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise FloatingPointError("log-likelihood is not finite")
     return float(value), grad
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+from scipy.special import gammaln
 
 # Default interior margin of the stability constraint; the fit's starts keep
 # at least this far from their bounds.
@@ -36,7 +37,7 @@ def spectral_radius(m):
 
 
 def _check_positive(name, value):
-    if not np.isfinite(value) or value <= 0:
+    if not math.isfinite(value) or value <= 0:
         raise ValueError(f"{name} must be a positive finite real, got {value!r}")
 
 
@@ -71,13 +72,15 @@ def _perron_weights(a_mat):
 
 
 def count_table(y):
-    """Distinct values of y and their relative frequencies.
+    """Distinct values of y, their relative frequencies and their log factorials.
 
     A mean over y of a function of the count alone is weights @ f(values),
-    one evaluation per distinct count instead of one per observation.
+    one evaluation per distinct count instead of one per observation. The log
+    factorials gammaln(values + 1) do not depend on the parameters, so a fit
+    computes them once per series, not once per point.
     """
     values, counts = np.unique(y, return_counts=True)
-    return values, counts / y.size
+    return values, counts / y.size, gammaln(values + 1.0)
 
 
 class _Model:
@@ -204,7 +207,7 @@ class _CountModel(_Model):
 
     @classmethod
     def decode(cls, z, d):
-        return cls.from_array(np.exp(z))
+        return cls(*np.exp(z).tolist())
 
     def chain_rule(self, grad_theta):
         """d/dz = theta * d/dtheta: the coordinates are plain logs."""

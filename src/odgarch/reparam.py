@@ -22,8 +22,9 @@ class FeasibleMap:
         return params.encode()
 
     def decode(self, z):
-        # clip keeps exp finite; z never reaches +-700 on feasible paths
-        return self.model.decode(np.clip(np.asarray(z, dtype=float), -700.0, 700.0), self.d)
+        # the clip to +-700 keeps exp finite; z never reaches it on feasible paths
+        z = np.minimum(np.maximum(np.asarray(z, dtype=float), -700.0), 700.0)
+        return self.model.decode(z, self.d)
 
     def chain_rule(self, grad_theta, params):
         """Map a gradient in natural parameters to unconstrained coordinates."""

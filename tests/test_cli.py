@@ -252,6 +252,53 @@ def test_plot_empty_replicates(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: truncated or malformed row 2\n"
 
 
+NBIN_REPLICATES = ("model,n,j,seed,converged,loglik_gap,omega,a,b,r\n"
+                   "nbin,64,0,1,true,0.5,3,.2,.2,2\nnbin,64,1,2,true,0.25,2.5,.3,.1,2.5\n")
+
+
+@pytest.mark.parametrize("theta_star,named", [
+    ({"model": "ting", "theta_star": {"omega": 9, "a": .2, "b": .2, "tau": 4}},
+     ["a ting config", "nbin replicates"]),
+    ({"model": "nm", "theta_star": {"gamma": [1], "omega_vec": [1], "A": [[.4]],
+                                    "b_vec": [.25]}},
+     ["a nm config", "nbin replicates"])], ids=["ting", "nm"])
+def test_plot_config_of_another_model(tmp_path, capsys, theta_star, named):
+    # the config's true values would be drawn on the panels of another model's parameters
+    rpath, cpath = str(tmp_path / "r.csv"), str(tmp_path / "cfg.json")
+    with open(rpath, "w") as fh:
+        fh.write(NBIN_REPLICATES)
+    with open(cpath, "w") as fh:
+        json.dump(theta_star, fh)
+    pdir = str(tmp_path / "p")
+    assert run(["plot", "--replicates", rpath, "--config", cpath, "--out-dir", pdir]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(s in err for s in named), err
+    assert not os.path.exists(pdir)
+
+
+def test_plot_config_of_another_nm_dimension(tmp_path, capsys):
+    rpath, cpath = str(tmp_path / "r.csv"), str(tmp_path / "cfg.json")
+    with open(rpath, "w") as fh:
+        fh.write("model,n,j,seed,converged,loglik_gap,gamma1,omega1,A11,b1\n"
+                 "nm,64,0,1,true,0.5,1,1,.4,.25\n")
+    with open(cpath, "w") as fh:
+        json.dump({"model": "nm", "theta_star": {
+            "gamma": [.4, .6], "omega_vec": [1, 2], "A": [[.3, .1], [.05, .25]],
+            "b_vec": [.2, .1]}}, fh)
+    assert run(["plot", "--replicates", rpath, "--config", cpath,
+                "--out-dir", str(tmp_path / "p")]) == 1
+    assert "has parameters gamma1, gamma2" in capsys.readouterr().err
+
+
+def test_plot_replicates_of_two_models(tmp_path, capsys):
+    path = str(tmp_path / "r.csv")
+    with open(path, "w") as fh:
+        fh.write(NBIN_REPLICATES + "ting,64,2,3,true,0.5,3,.2,.2,2\n")
+    assert run(["plot", "--replicates", path, "--out-dir", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: row 3, column model: "
+                                       "not row 1's model 'nbin': 'ting'\n")
+
+
 # Each bad value of a FitOptions field, as config JSON, and as a flag where the value is
 # of the flag's type (a value that is not, argparse rejects as a usage error).
 BAD_OPTIONS = [("tol", "x", False), ("tol", 0, True), ("tol", -1e-6, True),

@@ -15,6 +15,12 @@ from odgarch.params import Series
 from odgarch.reparam import feasible_map_for
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
+M2 = NbinParams(3.0, 0.35, 0.1, 1.5)
+TING = TingParams(3.0, 0.35, 0.1, 4.0)
+NM_STAR = NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0],
+                   A=[[0.3, 0.1], [0.05, 0.25]], b_vec=[0.2, 0.1])
+NM_START = NmParams(gamma=[0.5, 0.5], omega_vec=[0.8, 1.5],
+                    A=[[0.25, 0.05], [0.05, 0.2]], b_vec=[0.15, 0.15])
 
 
 def test_feasible_map_roundtrip_all_models():
@@ -284,20 +290,14 @@ def test_pull_inside_meets_margin(draw):
 
 def test_mle_fit_nm_ends_outside_margin():
     # this NM fit used to end at margin 9.999999794e-05, under FitOptions.margin
-    truth = NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0],
-                     A=[[0.3, 0.1], [0.05, 0.25]], b_vec=[0.2, 0.1])
-    start = NmParams(gamma=[0.5, 0.5], omega_vec=[0.8, 1.5],
-                     A=[[0.25, 0.05], [0.05, 0.2]], b_vec=[0.15, 0.15])
-    series = simulate(truth, 256, seed=3929593871)
-    fit = mle_fit(series, theta_init=start)
+    series = simulate(NM_STAR, 256, seed=3929593871)
+    fit = mle_fit(series, theta_init=NM_START)
     assert fit.theta_hat.margin() >= FitOptions().margin
     assert fit.loglik_hat == loglik(fit.theta_hat, fit.x1_used, series).value
 
 
 def test_mle_fit_nm_takes_d_from_series():
-    p = NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0],
-                 A=[[0.3, 0.1], [0.05, 0.25]], b_vec=[0.2, 0.1])
-    s = simulate(p, 256, seed=3)
+    s = simulate(NM_STAR, 256, seed=3)
     assert init_generic(Series(y=s.y, model_tag="nm", x_trace=s.x_trace), "nm").d == 2
     assert init_generic(s.y, "nm", x1=np.ones(3)).d == 3
     start = init_generic(s, "nm")
@@ -305,3 +305,66 @@ def test_mle_fit_nm_takes_d_from_series():
     fit = mle_fit(s, options=FitOptions(tol=1e-4, max_outer=3, max_inner=60))
     assert fit.theta_hat.d == 2 and fit.theta_hat.stable()
     assert fit.loglik_hat >= fit.loglik_init
+
+
+# mle_fit(simulate(truth, n, seed=seed), theta_init=start): theta_hat and loglik_hat as
+# float hex, n_inner, n_outer, converged and projected_grad_norm as float hex. A change
+# to the arithmetic of the kernels, the decode path or the optimizer shows up here.
+PINNED_FITS = {
+    "m1-128-1": (M1, 128, 1, None, ("0x1.057dbaa705b50p+2", "0x1.5adfb093e7909p-27",
+                                    "0x1.42d765dee806fp-3", "0x1.121564ad54ae7p+1"),
+                 "-0x1.bf7d67ba94638p+1", 50, 1, True, "0x1.4a18e030c0ad0p-21"),
+    "m1-128-2": (M1, 128, 2, None, ("0x1.46f7b65f9704cp+1", "0x1.5d977e3ecc27dp-3",
+                                    "0x1.8c13d9f20c64ep-3", "0x1.39c8bb9ae8e3dp+1"),
+                 "-0x1.d91f4de5b95cfp+1", 22, 1, True, "0x1.536dfdc224cb1p-23"),
+    "m1-1024-1": (M1, 1024, 1, None, ("0x1.a80ad6fa9ffa9p+1", "0x1.8a84b90aeea2dp-4",
+                                      "0x1.87d600980410ap-3", "0x1.13096afd0e180p+1"),
+                  "-0x1.c6d498b8c02ccp+1", 25, 1, True, "0x1.e5575b6dfa22ap-22"),
+    "m1-1024-2": (M1, 1024, 2, None, ("0x1.693fd44223c6bp+1", "0x1.0f7d0f52b7314p-2",
+                                      "0x1.7a65fd2cd36d6p-3", "0x1.0d75ca4a1c301p+1"),
+                  "-0x1.db4b85437b9d5p+1", 21, 1, True, "0x1.ccdb725b69c65p-25"),
+    "m1-4096-1": (M1, 4096, 1, None, ("0x1.67efedf452c46p+1", "0x1.9a151467de74fp-3",
+                                      "0x1.7d94f42622ba1p-3", "0x1.08833e68df566p+1"),
+                  "-0x1.c3d781928508cp+1", 21, 1, True, "0x1.c46ffb76affe4p-24"),
+    "m1-4096-2": (M1, 4096, 2, None, ("0x1.7fd5745706f22p+1", "0x1.a940f24b9a588p-3",
+                                      "0x1.a3704cbdea9f7p-3", "0x1.02052fccd0394p+1"),
+                  "-0x1.d2a3193177eb7p+1", 21, 1, True, "0x1.9a823c902d33cp-22"),
+    "m2-128-1": (M2, 128, 1, None, ("0x1.5fa727f53b879p+2", "0x1.a5d0ce25cae8cp-15",
+                                    "0x1.3f3bcf1ec8d5ep-5", "0x1.7b96619f04949p+0"),
+                 "-0x1.966ac036199b4p+1", 30, 1, True, "0x1.ca3d862ac1d48p-21"),
+    "m2-128-2": (M2, 128, 2, None, ("0x1.081408bb36325p+2", "0x1.bf30a31bf8e6ep-22",
+                                    "0x1.343338bf020bap-3", "0x1.9d66980adaf96p+0"),
+                 "-0x1.96aca99f77728p+1", 43, 1, True, "0x1.e5c26d82a25a1p-22"),
+    "m2-1024-1": (M2, 1024, 1, None, ("0x1.76991a05daec4p+1", "0x1.35a8b4c38da60p-2",
+                                      "0x1.816f2f2989940p-4", "0x1.a5b7a5a6c18b6p+0"),
+                  "-0x1.97babeed0c942p+1", 25, 1, True, "0x1.f23b0c0beb67dp-23"),
+    "m2-1024-2": (M2, 1024, 2, None, ("0x1.41427d5c1f6f6p+1", "0x1.cba81c1643d6cp-2",
+                                      "0x1.65dd7a7d27f18p-4", "0x1.8501373281984p+0"),
+                  "-0x1.9e0763deb986ap+1", 41, 1, True, "0x1.06e5cf5e1669ep-21"),
+    "m2-4096-1": (M2, 4096, 1, None, ("0x1.6a71ac35a9fe3p+1", "0x1.6a10e59b72e69p-2",
+                                      "0x1.7f00d6fecedc9p-4", "0x1.8a6a07c3d2669p+0"),
+                  "-0x1.968a5fc6edfeep+1", 25, 1, True, "0x1.f723b37bc13b9p-23"),
+    "m2-4096-2": (M2, 4096, 2, None, ("0x1.9e9c81eabb649p+1", "0x1.4910786911073p-2",
+                                      "0x1.5c0a3838bf014p-4", "0x1.8bafcb0b9481ap+0"),
+                  "-0x1.9cfdecc950e04p+1", 28, 1, True, "0x1.3e28f6542fe7fp-21"),
+    # a fit that ends unconverged: its projected gradient stays above tol
+    "ting-256-1": (TING, 256, 1, None, ("0x1.f3e68c44cbebbp+1", "0x1.a36e2a26e10c0p-15",
+                                        "0x1.a36ef79134074p-15", "0x1.f3fa7e37099a8p+1"),
+                   "-0x1.03bc927dd799cp+1", 10, 2, False, "0x1.f78b1f28e7fffp-9"),
+    "nm2-256-1": (NM_STAR, 256, 1, NM_START,
+                  ("0x1.cac5785931599p-3", "0x1.8d4ea1e9b3a9bp-1", "0x1.728ded58ef181p-2",
+                   "0x1.b175b07745da6p+1", "0x1.1fec2a4a05503p-37", "0x1.59d10b4ffd54dp-9",
+                   "0x1.404eb23e657bfp-62", "0x1.7a8a19e7d0a6fp-33", "0x1.722074fbd44a0p-1",
+                   "0x1.01f656deafd5dp-4"),
+                  "-0x1.00bd7463522b0p+1", 63, 1, True, "0x1.0c263d8000000p-22"),
+}
+
+
+@pytest.mark.parametrize("truth,n,seed,start,theta,ll,n_inner,n_outer,converged,pg",
+                         PINNED_FITS.values(), ids=PINNED_FITS.keys())
+def test_fit_pinned(truth, n, seed, start, theta, ll, n_inner, n_outer, converged, pg):
+    fit = mle_fit(simulate(truth, n, seed=seed), theta_init=start)
+    assert tuple(float(v).hex() for v in fit.theta_hat.as_array()) == theta
+    assert float(fit.loglik_hat).hex() == ll
+    assert (fit.n_inner, fit.n_outer, fit.converged) == (n_inner, n_outer, converged)
+    assert float(fit.projected_grad_norm).hex() == pg

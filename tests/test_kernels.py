@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import random_nm
-from scipy.special import digamma
+from scipy.special import digamma, gammaln
 
 from odgarch import NbinParams, NmParams, TingParams, kernels, likelihood, simulate
 from odgarch.params import count_table
@@ -96,7 +96,8 @@ def test_affine_scan_matches_loop(n):
 def count_series(params, kind):
     """A simulated series of length kind, or a series whose counts stress the
     distinct-count table: heavy repeats (mostly zeros, a long run of one
-    count) or all counts distinct."""
+    count), all counts distinct, a single distinct count, or counts above
+    10^5, whose log factorials exceed 10^6."""
     if kind == "repeats":
         y = np.zeros(4096)
         y[1000:2500] = 7.0
@@ -104,10 +105,31 @@ def count_series(params, kind):
         return y
     if kind == "distinct":
         return np.random.default_rng(5).permutation(512).astype(float)
+    if kind == "constant":
+        return np.full(300, 4.0)
+    if kind == "large":
+        return np.random.default_rng(6).integers(100_001, 400_000, 512).astype(float)
     return simulate(params, kind, seed=kind).y
 
 
-COUNT_KINDS = SIZES + ("repeats", "distinct")
+COUNT_KINDS = SIZES + ("repeats", "distinct", "constant", "large")
+
+
+@pytest.mark.parametrize("n", COUNT_KINDS)
+def test_count_table(n):
+    y = count_series(NBIN, n)
+    values, weights, log_factorial = count_table(y)
+    assert np.array_equal(values, np.unique(y))
+    assert np.array_equal(weights * y.size, [np.sum(y == v) for v in values])
+    # the log factorials are gammaln's, bit for bit, so the kernels' sums do not move
+    assert log_factorial.tobytes() == gammaln(values + 1.0).tobytes()
+
+
+# At counts above 10^5 the score y/u - (y + r)/(1 + u) is the difference of two terms
+# about 10^5 times its size, so an ulp of u moves it by about 1e-11 of itself: the kernel
+# and the loop each lie up to about 2e-12 from a 40-digit mpmath gradient, and apart by
+# up to 1.3e-12. The looser bound is that loss of digits, which the kernel keeps.
+GRAD_TOL = {"large": dict(rtol=1e-11, atol=1e-12)}
 
 
 @pytest.mark.parametrize("n", COUNT_KINDS)
@@ -121,7 +143,7 @@ def test_nbin_kernels_match_loop(n):
         np.testing.assert_allclose(kernels.nbin_loglik(*args, table), value, **TOL)
         got_value, got_grad = kernels.nbin_loglik_grad(*args, table)
         np.testing.assert_allclose(got_value, value, **TOL)
-        np.testing.assert_allclose(got_grad, grad, **TOL)
+        np.testing.assert_allclose(got_grad, grad, **GRAD_TOL.get(n, TOL))
         assert got_value == kernels.nbin_loglik(*args, table)
 
 
