@@ -1,6 +1,6 @@
 """Observation-driven GARCH-type time series: simulation, MLE, verification."""
 
-from .estimation import FitOptions, FitResult, cls_init_nbin, init_generic, mle_fit
+from .estimation import FitOptions, FitResult, init_generic, mle_fit
 from .likelihood import (FilterTrace, LoglikValue, digamma, filter_series,
                          grad_loglik_nbin, grad_loglik_numeric, iterate_f, loglik)
 from .models import log_emission, psi_step, sample_emission, simulate
@@ -13,7 +13,7 @@ from .verifier import VerifierReport, verify_model
 __version__ = "0.1.0"
 
 __all__ = [
-    "FitOptions", "FitResult", "cls_init_nbin", "init_generic", "mle_fit",
+    "FitOptions", "FitResult", "init_generic", "mle_fit",
     "FilterTrace", "LoglikValue", "digamma", "filter_series",
     "grad_loglik_nbin", "grad_loglik_numeric", "iterate_f", "loglik",
     "log_emission", "psi_step", "sample_emission", "simulate",

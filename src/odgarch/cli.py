@@ -11,11 +11,11 @@ import sys
 
 from . import io as odio
 from .estimation import FitOptions, mle_fit
-from .models import simulate
+from .models import BURN_IN, simulate
 from .montecarlo import ExperimentConfig, run_experiment
 from .params import MODELS, model_class
 from .svgplot import boxplot_panel
-from .verifier import verify_model
+from .verifier import N_TRIPLES, verify_model
 
 
 def _params_from_args(args):
@@ -174,7 +174,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--x1", default=None, help="start state: scalar, or comma list for nm")
-    p.add_argument("--burn-in", type=int, default=500)
+    p.add_argument("--burn-in", type=int, default=BURN_IN)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -194,7 +194,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="numerical checks of the stability hypotheses")
     _add_param_flags(p)
-    p.add_argument("--triples", type=int, default=10_000)
+    p.add_argument("--triples", type=int, default=N_TRIPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

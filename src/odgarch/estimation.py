@@ -14,7 +14,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .likelihood import grad_loglik_numeric
-from .params import EPS_MARGIN, NbinParams, Series, model_class, params_to_dict
+from .models import _check_anchor
+from .params import EPS_MARGIN, FD_STEP, Series, model_class, params_to_dict
 from .reparam import feasible_map_for
 
 
@@ -24,7 +25,7 @@ class FitOptions:
     max_outer: int = 20
     max_inner: int = 500
     margin: float = EPS_MARGIN
-    fd_step: float = 1e-5
+    fd_step: float = FD_STEP
 
     def __post_init__(self):
         """Every field lies in (0, inf), margin in (0, 1); an int field is an integer."""
@@ -51,7 +52,6 @@ class FitResult:
     projected_grad_norm: float = math.nan
 
     def to_dict(self):
-        x1 = self.x1_used
         return {
             "model": self.theta_hat.tag,
             "theta_init": params_to_dict(self.theta_init),
@@ -62,7 +62,7 @@ class FitResult:
             "n_outer": self.n_outer,
             "n_inner": self.n_inner,
             "constraint_margin": self.constraint_margin,
-            "x1": x1.tolist() if isinstance(x1, np.ndarray) else x1,
+            "x1": self.x1_used.tolist(),
             "seed": self.seed,
             "projected_grad_norm": self.projected_grad_norm,
         }
@@ -75,11 +75,6 @@ def _validate_series(series):
     if np.ptp(series.y) == 0:
         raise ValueError("degenerate series: all observations equal")
     return series
-
-
-def cls_init_nbin(series):
-    """Conditional-least-squares starting point for NBIN (``NbinParams.start``)."""
-    return NbinParams.start(_validate_series(Series.of(series, NbinParams.tag)))
 
 
 def init_generic(series, model_tag, x1=None):
@@ -153,8 +148,7 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None):
     theta0 = (theta_init if theta_init is not None
               else init_generic(series, series.model_tag, x1))
     theta0 = theta0.pull_inside(opts.margin)
-    if x1 is None:
-        x1 = theta0.fixed_point()
+    x1 = _check_anchor(theta0, theta0.fixed_point() if x1 is None else x1)
     fmap = feasible_map_for(theta0)
     z = fmap.encode(theta0)
     theta0 = fmap.decode(z)  # the start as the optimizer evaluates it

@@ -11,8 +11,8 @@ import numpy as np
 from scipy.special import psi
 
 from . import kernels
-from .models import _check_state
-from .params import NbinParams, Series
+from .models import _check_anchor, _check_state
+from .params import FD_STEP, NbinParams, Series
 from .reparam import feasible_map_for
 
 
@@ -49,14 +49,14 @@ def iterate_f(params, x, y_slice):
 def filter_series(params, x1, series):
     """Filter trace u[k]: the state path of the affine map along the series."""
     s = Series.of(series, params.tag)
-    x1 = _check_state(params, x1)
+    x1 = _check_anchor(params, x1)
     return FilterTrace(u=kernels.affine_filter(params.h(s.y), x1, *params.coefficients()), x1=x1)
 
 
 def loglik(params, x1, series):
     """Normalized conditional log-likelihood given X_1 = x1."""
     s = Series.of(series, params.tag)
-    x1 = _check_state(params, x1)
+    x1 = _check_anchor(params, x1)
     value = params.kernel_loglik(s.y, x1, s.count_table)
     if not math.isfinite(value):
         raise FloatingPointError("log-likelihood is not finite")
@@ -72,7 +72,7 @@ def grad_loglik_nbin(params, x1, series, *, with_value=False):
     if not isinstance(params, NbinParams):
         raise TypeError("grad_loglik_nbin requires NbinParams")
     s = Series.of(series, params.tag)
-    x1 = _check_state(params, x1)
+    x1 = _check_anchor(params, x1)
     value, grad = kernels.nbin_loglik_grad(s.y, x1, params.omega, params.a, params.b,
                                            params.r, s.count_table)
     if not with_value:
@@ -82,7 +82,7 @@ def grad_loglik_nbin(params, x1, series, *, with_value=False):
     return float(value), grad
 
 
-def grad_loglik_numeric(params, x1, series, step=1e-5):
+def grad_loglik_numeric(params, x1, series, step=FD_STEP):
     """Central-difference gradient in the unconstrained reparameterization."""
     s = Series.of(series, params.tag)
     return feasible_map_for(params).central_difference(

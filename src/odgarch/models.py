@@ -7,6 +7,7 @@ shape S + (d,), and observations broadcast against S.
 
 import functools
 import math
+import numbers
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.special import gammaln
 
 from .params import Series
 
+BURN_IN = 500  # the default number of simulated steps discarded before the recorded ones
 _LOG_2PI = math.log(2.0 * math.pi)
 _FLOAT_MAX = np.finfo(float).max
 
@@ -71,6 +73,21 @@ def _check_state(params, x):
     return x[()]
 
 
+def _check_anchor(params, x1):
+    """x1 as one positive finite state of params' model: the anchor X_1 = x1."""
+    x = np.asarray(x1)
+    if x.dtype.kind in "iuf" and x.shape == params.state_shape and ((x > 0) & (x < np.inf)).all():
+        return np.asarray(x, dtype=float)[()]
+    raise ValueError(f"x1 must be one positive finite {params.tag} state, got {x1!r}")
+
+
+def _check_seed(seed):
+    """seed as given, if it is a non-negative integer (not a bool)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def psi_step(params, x, y):
     """One application of the state-update map."""
     return params.step(_check_state(params, x), params.check_obs(y))
@@ -86,7 +103,7 @@ def sample_emission(params, x, rng):
     return np.asarray(params.draw(_check_state(params, x), rng), dtype=float)[()]
 
 
-def simulate(params, n, x0=None, seed=0, burn_in=500):
+def simulate(params, n, x0=None, seed=0, burn_in=BURN_IN):
     """Simulate n observations, recording the hidden-state trace.
 
     Starts the chain at x0 (default: the noise-free fixed point), runs
@@ -102,10 +119,8 @@ def simulate(params, n, x0=None, seed=0, burn_in=500):
     if not stable:
         warnings.warn("parameters are outside the stability region; "
                       "the simulated path need not be stationary", stacklevel=2)
-    x = _check_state(params, params.fixed_point() if x0 is None else x0)
-    if np.shape(x) != params.state_shape:
-        raise ValueError("x0 must be a single state")
-    rng = np.random.default_rng(np.uint64(seed))
+    x = _check_anchor(params, params.fixed_point() if x0 is None else x0)
+    rng = np.random.default_rng(_check_seed(seed))
     # Draws are valid observations by construction, so the loop skips the
     # per-step checks; an unstable path can still overflow, so the recorded
     # trace is checked once at the end.

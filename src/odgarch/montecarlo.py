@@ -9,7 +9,7 @@ import numpy as np
 
 from .estimation import FitOptions, mle_fit
 from .likelihood import loglik
-from .models import simulate
+from .models import BURN_IN, _check_anchor, simulate
 from .params import Series, params_from_dict, params_to_dict
 
 
@@ -33,7 +33,7 @@ class ExperimentConfig:
     m: int = 200
     base_seed: int = 0
     x1: object = None  # None: fixed point of the initializer's parameters
-    burn_in: int = 500
+    burn_in: int = BURN_IN
     options: FitOptions = field(default_factory=FitOptions)
     drop_nonconverged: bool = False
 
@@ -47,6 +47,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be integral, got {getattr(self, name)!r}")
         if not self.theta_star.stable():
             raise ValueError("theta_star must be stable")
+        if self.x1 is not None:
+            _check_anchor(self.theta_star, self.x1)
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.burn_in < 0:
@@ -130,6 +132,8 @@ def run_experiment(config, jobs=1):
     Replicates are independent and results are stored by index, so the
     summary does not depend on execution order or parallelism.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [(config, n, j) for n in config.sample_sizes for j in range(config.m)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -149,6 +153,9 @@ def run_experiment(config, jobs=1):
         seeds[n][j] = seed
 
     if config.drop_nonconverged:
+        empty = [n for n in config.sample_sizes if not converged[n].any()]
+        if empty:
+            raise ValueError(f"drop_nonconverged: no replicate converged at sample sizes {empty}")
         estimates = {n: estimates[n][converged[n]] for n in config.sample_sizes}
         gaps = {n: gaps[n][converged[n]] for n in config.sample_sizes}
         seeds = {n: seeds[n][converged[n]] for n in config.sample_sizes}

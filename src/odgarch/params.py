@@ -19,6 +19,7 @@ from scipy.special import gammaln
 # Default interior margin of the stability constraint; the fit's starts keep
 # at least this far from their bounds.
 EPS_MARGIN = 1e-4
+FD_STEP = 1e-5  # the default step of the fit's central differences, in its coordinates z
 _LOG_FLOOR = 1e-12
 # Rounding allowances of the verifier's checks: SLACK_TIGHT, scaled by the
 # state, for an identity that holds exactly; SLACK_LOOSE for an inequality.

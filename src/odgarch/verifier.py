@@ -26,10 +26,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .models import log_emission, psi_step, sample_emission
+from .models import _check_seed, log_emission, psi_step, sample_emission
 from .params import SLACK_LOOSE, SLACK_TIGHT, params_to_dict
 
 STATE_HI = 1e3
+N_TRIPLES = 10_000  # the default size of each check's grid
 DRIFT_MC_POINTS, DRIFT_MC_DRAWS = 20, 2000  # the drift check's Monte Carlo cross-check
 
 
@@ -134,7 +135,7 @@ def _sample_triples(params, n, seed):
     return _states(params, u[:, :d]), _states(params, u[:, d:2 * d]), params.y_from_unit(u[:, -1])
 
 
-def check_contraction(params, n_triples=10_000, seed=0):
+def check_contraction(params, n_triples=N_TRIPLES, seed=0):
     """Ratio d(psi_y(x), psi_y(x')) / d(x, x') stays below 1."""
     x, xp, y = _sample_triples(params, n_triples, seed)
     mask, slack, violations, info = params.contraction(x, xp, psi_step(params, x, y),
@@ -144,7 +145,7 @@ def check_contraction(params, n_triples=10_000, seed=0):
                        violations == 0, info=info)
 
 
-def check_drift(params, n_triples=10_000, seed=0):
+def check_drift(params, n_triples=N_TRIPLES, seed=0):
     """RV <= lambda*V + beta on the grid, with a Monte Carlo cross-check."""
     if not params.stable():
         return CheckRecord("drift", 0, 0, math.nan, True, skipped=True,
@@ -170,7 +171,7 @@ def check_drift(params, n_triples=10_000, seed=0):
                        info={"lambda": lam, "beta": beta, "mc_failures": mc_fail})
 
 
-def check_minorization(params, n_triples=10_000, seed=0):
+def check_minorization(params, n_triples=N_TRIPLES, seed=0):
     """min{g(x;y), g(x';y)} >= alpha(x,x') * g(min(x,x'); y)."""
     x, xp, y = _sample_triples(params, n_triples, seed)
     alpha = params.minorization_alpha(x, xp)
@@ -184,7 +185,7 @@ def check_minorization(params, n_triples=10_000, seed=0):
                        violations == 0)
 
 
-def check_lipschitz_logg(params, n_triples=10_000, seed=0):
+def check_lipschitz_logg(params, n_triples=N_TRIPLES, seed=0):
     """|ln g(x;y) - ln g(x';y)| <= K(y) |x - x'| on X1 = [min w, inf)."""
     x, xp, y = _sample_triples(params, n_triples, seed)
     lhs = np.abs(log_emission(params, x, y) - log_emission(params, xp, y))
@@ -195,7 +196,8 @@ def check_lipschitz_logg(params, n_triples=10_000, seed=0):
                        violations == 0)
 
 
-def verify_model(params, n_triples=10_000, seed=0):
+def verify_model(params, n_triples=N_TRIPLES, seed=0):
+    seed = _check_seed(seed)
     checks = [
         check_contraction(params, n_triples, seed),
         check_drift(params, n_triples, seed + 101),

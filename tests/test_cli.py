@@ -185,16 +185,51 @@ def test_mc_bad_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ting parameters are omega, a, b, tau; got omega, a, b, r" in err
     assert "__init__" not in err
-    # malformed integers, duplicate sizes and a negative burn-in: an error line, no traceback
+    # malformed integers, duplicate sizes, a negative burn-in and an anchor that is not one
+    # state: an error line, no traceback
     nbin = {"model": "nbin", "theta_star": {"omega": 3, "a": .2, "b": .2, "r": 2}}
     for key, value in [("m", 2.5), ("m", True), ("sample_sizes", [64.5]),
                        ("sample_sizes", [64, 64]), ("sample_sizes", []), ("burn_in", -3),
-                       ("burn_in", 2.5)]:
+                       ("burn_in", 2.5), ("x1", [1, 2])]:
         with open(cpath, "w") as fh:
             json.dump({**nbin, key: value}, fh)
         assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1, key
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_mc_needs_a_job(tmp_path, capsys, jobs):
+    cpath = str(tmp_path / "cfg.json")
+    with open(cpath, "w") as fh:
+        json.dump(MODELS["nbin"][4], fh)
+    out = tmp_path / "o"
+    assert run(["mc", "--config", cpath, "--out-dir", str(out), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+    assert not out.exists()
+
+
+def test_mc_size_without_a_converged_replicate(tmp_path, capsys):
+    # one BFGS step per fit: no replicate converges, so dropping them leaves nothing
+    cpath = str(tmp_path / "cfg.json")
+    with open(cpath, "w") as fh:
+        json.dump({**MODELS["nbin"][4], "sample_sizes": [32, 64], "m": 3,
+                   "drop_nonconverged": True, "optimizer": {"max_inner": 1, "max_outer": 1}}, fh)
+    out = tmp_path / "o"
+    assert run(["mc", "--config", cpath, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: drop_nonconverged: no replicate converged at "
+                                       "sample sizes [32, 64]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_negative_seed(tmp_path, capsys, command):
+    out = tmp_path / "s.csv"
+    argv = {"simulate": ["simulate", *M1_FLAGS, "--n", "64", "--out", str(out)],
+            "verify": ["verify", *M1_FLAGS, "--triples", "100"]}[command]
+    assert run(argv + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
 
 
 def test_verify_pass_and_report(tmp_path):
@@ -366,3 +401,13 @@ def test_readme_config_schema_is_fit_options():
     config = json.loads(block)
     ExperimentConfig.from_dict(config)
     assert list(config["optimizer"]) == [f.name for f in fields(FitOptions)]
+
+
+def test_readme_library_block_runs():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        library = fh.read().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", library, flags=re.S)
+    scope = {}
+    exec(block, scope)
+    assert scope["fit"].converged and scope["report"].passed

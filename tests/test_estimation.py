@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odgarch import (FeasibleMap, FitOptions, NbinParams, NmParams, TingParams,
-                     cls_init_nbin, grad_loglik_nbin, init_generic, loglik, mle_fit,
+                     grad_loglik_nbin, init_generic, loglik, mle_fit,
                      simulate)
 from odgarch.estimation import EPS_MARGIN
 from odgarch.params import Series
@@ -100,7 +100,7 @@ def test_cls_init_ball_rate_m1():
     hits = 0
     for seed in range(200):
         s = simulate(M1, 1024, seed=seed)
-        th = cls_init_nbin(s).as_array()
+        th = init_generic(s, "nbin").as_array()
         hits += np.max(np.abs(th - star)) <= 1.5
     assert hits / 200 >= 0.9
 
@@ -108,23 +108,23 @@ def test_cls_init_ball_rate_m1():
 def test_cls_init_clamp_contract():
     # a series whose ACF ratio exceeds one: phi clamps, margin exactly EPS_MARGIN
     y = np.array([0.0, 0.0, 9.0] * 40)
-    p = cls_init_nbin(y)
+    p = init_generic(y, "nbin")
     assert abs(p.margin() - EPS_MARGIN) < 1e-12
 
 
 def test_cls_init_white_noise():
     rng = np.random.default_rng(23)
     y = rng.poisson(5.0, 2000).astype(float)
-    p = cls_init_nbin(y)
+    p = init_generic(y, "nbin")
     assert p.a < 1e-3
     assert p.stable() and p.margin() >= EPS_MARGIN - 1e-15
 
 
 def test_cls_init_degenerate():
     with pytest.raises(ValueError):
-        cls_init_nbin(np.full(100, 4.0))
+        init_generic(np.full(100, 4.0), "nbin")
     with pytest.raises(ValueError):
-        cls_init_nbin(np.array([1.0, 2.0, 3.0]))  # too short
+        init_generic(np.array([1.0, 2.0, 3.0]), "nbin")  # too short
 
 
 def test_init_generic_contract():

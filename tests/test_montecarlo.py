@@ -57,10 +57,11 @@ def test_config_validation():
         ExperimentConfig(model_tag="nbin", theta_star=M1, sample_sizes=(8,))
     with pytest.raises(ValueError, match="theta_star"):
         ExperimentConfig(model_tag="ting", theta_star=M1)  # TING fits of NBIN series
-    # a config JSON can hold floats, booleans and repeats where integers belong
+    # a config JSON can hold floats, booleans and repeats where integers belong, and
+    # anything where one state belongs
     for key, value in [("m", 2.5), ("m", True), ("base_seed", 1.5), ("burn_in", 2.5),
                        ("burn_in", -3), ("sample_sizes", (64.5,)),
-                       ("sample_sizes", (64, np.int64(64)))]:
+                       ("sample_sizes", (64, np.int64(64))), ("x1", [1, 2]), ("x1", "abc")]:
         with pytest.raises(ValueError, match=f"^{key} must be"):
             ExperimentConfig(model_tag="nbin", theta_star=M1, **{key: value})
     assert ExperimentConfig(model_tag="nbin", theta_star=M1, m=np.int64(3), burn_in=0).m == 3

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import odgarch
-from odgarch import (NbinParams, NmParams, Series, TingParams, cls_init_nbin, filter_series,
+from odgarch import (NbinParams, NmParams, Series, TingParams, filter_series,
                      grad_loglik_nbin, grad_loglik_numeric, init_generic, loglik, loglik_gap,
                      mle_fit, simulate, spectral_radius)
 from odgarch.params import params_from_dict, params_to_dict
@@ -170,7 +170,6 @@ ENTRY_POINTS = {
     "filter_series": lambda s: filter_series(NB, 5.0, s),
     "mle_fit": lambda s: mle_fit(s, model_tag="nbin"),
     "init_generic": lambda s: init_generic(s, "nbin"),
-    "cls_init_nbin": cls_init_nbin,
     "loglik_gap": lambda s: loglik_gap(s, NB, NB, 5.0),
 }
 
@@ -181,6 +180,33 @@ def test_series_of_another_model_is_rejected(entry):
     nm = simulate(NmParams(gamma=[1.0], omega_vec=[1.0], A=[[0.4]], b_vec=[0.25]), 64, seed=1)
     with pytest.raises(ValueError, match="a nm series cannot be used with model nbin"):
         ENTRY_POINTS[entry](nm)
+
+
+NM2 = NmParams(gamma=[.4, .6], omega_vec=[1.0, 2.0], A=[[.3, .1], [.05, .25]], b_vec=[.2, .1])
+# Each model with anchors that are not one positive finite state of it.
+BAD_ANCHORS = {"nbin": (NB, [[1.0, 2.0], -1.0]),
+               "ting": (TingParams(3.0, 0.35, 0.1, 4.0), [[1.0, 2.0], "abc"]),
+               "nm": (NM2, [np.ones((2, 2)), [1.0, math.nan]])}
+# Every entry point that takes an anchor x1.
+ANCHOR_ENTRY_POINTS = {
+    "filter_series": filter_series,
+    "loglik": loglik,
+    "grad_loglik_nbin": grad_loglik_nbin,
+    "grad_loglik_numeric": grad_loglik_numeric,
+    "mle_fit": lambda p, x1, s: mle_fit(s, x1=x1),
+    "simulate": lambda p, x1, s: simulate(p, 16, x0=x1),
+}
+
+
+@pytest.mark.parametrize("entry,tag", [(e, t) for e in sorted(ANCHOR_ENTRY_POINTS)
+                                       for t in BAD_ANCHORS
+                                       if e != "grad_loglik_nbin" or t == "nbin"])
+def test_bad_anchor_is_rejected(entry, tag):
+    params, anchors = BAD_ANCHORS[tag]
+    series = simulate(params, 64, seed=1)
+    for x1 in anchors:
+        with pytest.raises(ValueError, match=f"^x1 must be one positive finite {tag} state"):
+            ANCHOR_ENTRY_POINTS[entry](params, x1, series)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
