@@ -16,8 +16,22 @@ from .params import Series, model_class, params_from_dict, params_to_dict
 
 SUMMARY_COLUMNS = ("model", "n", "param", "mc_mean", "made", "n_converged")
 REPLICATE_COLUMNS = ("model", "n", "j", "seed", "converged", "loglik_gap")  # then the parameters
-# What a series read without a sidecar, or with a key missing from it, takes.
-SIDECAR_DEFAULTS = {"model": None, "params": None, "seed": 0, "burn_in": 0, "stable": True}
+
+
+def _count(v):
+    return type(v) is int and v >= 0  # a JSON true or false is a bool, not an int
+
+
+# Each sidecar key: what a series read without a sidecar, or with the key missing from
+# it, takes; what a given value must be; and the test of it. n is only checked.
+SIDECAR = {
+    "model": (None, "a string or null", lambda v: v is None or isinstance(v, str)),
+    "params": (None, "an object or null", lambda v: v is None or isinstance(v, dict)),
+    "seed": (0, "a non-negative integer", _count),
+    "n": (None, "a non-negative integer", _count),
+    "burn_in": (0, "a non-negative integer", _count),
+    "stable": (True, "true or false", lambda v: isinstance(v, bool)),
+}
 
 
 def _series_columns(d):
@@ -109,32 +123,51 @@ def write_series(path, series):
     xs = np.empty((series.n, 0)) if series.x_trace is None else series.x_trace.reshape(series.n, -1)
     rows = [[k + 1, series.y[k], *xs[k]] for k in range(series.n)]
     write_csv(path, _series_columns(xs.shape[1]), rows)
-    meta = {
-        "model": series.model_tag,
-        "params": params_to_dict(series.params) if series.params is not None else None,
-        "seed": series.seed,
-        "n": series.n,
-        "burn_in": series.burn_in,
-        "stable": series.stable,
-    }
-    write_json(meta_path(path), meta)
+    params = params_to_dict(series.params) if series.params is not None else None
+    write_json(meta_path(path), dict(zip(SIDECAR, (series.model_tag, params, series.seed,
+                                                   series.n, series.burn_in, series.stable))))
+
+
+def _read_sidecar(path, n):
+    """The sidecar of the series at path, of n rows, checked, with its params read."""
+    meta = {key: default for key, (default, _, _) in SIDECAR.items()}
+    side = meta_path(path)
+    if not os.path.exists(side):
+        return meta
+    with open(side, encoding="utf-8") as fh:
+        try:
+            given = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{side}: not JSON: {exc}") from None
+    if not isinstance(given, dict):
+        raise ValueError(f"{side}: not a JSON object")
+    for key, value in given.items():
+        if key not in SIDECAR:
+            raise ValueError(f"{side}: unknown key {key!r}")
+        _, what, ok = SIDECAR[key]
+        if not ok(value):
+            raise ValueError(f"{side}: {key} must be {what}, got {value!r}")
+    if given.get("n", n) != n:
+        raise ValueError(f"{side}: n is {given['n']}, but {path} has {n} rows")
+    meta.update(given)
+    try:
+        meta["params"] = params_from_dict(meta["model"], meta["params"]) if meta["params"] else None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{side}: params: {exc}") from None
+    return meta
 
 
 def read_series(path, model_tag=None):
     header, cells = _read_csv(path, "series", lambda h: _series_columns(len(h) - 2))
     y = _numbers(path, header, cells, slice(1, 2))[:, 0]
     xs = _numbers(path, header, cells, slice(2, None))
-    meta = dict(SIDECAR_DEFAULTS)
-    if os.path.exists(meta_path(path)):
-        with open(meta_path(path), encoding="utf-8") as fh:
-            meta.update(json.load(fh))
+    meta = _read_sidecar(path, len(y))
     tag = model_tag or meta["model"]
     if tag is None:
         raise ValueError("model tag not given and no metadata sidecar found")
-    params = params_from_dict(meta["model"], meta["params"]) if meta["params"] else None
     x_trace = model_class(tag).state_trace(xs) if xs.shape[1] else None
     return Series(y=y, model_tag=tag, seed=meta["seed"], x_trace=x_trace,
-                  stable=meta["stable"], burn_in=meta["burn_in"], params=params)
+                  stable=meta["stable"], burn_in=meta["burn_in"], params=meta["params"])
 
 
 def write_mc_outputs(summary_path, replicates_path, summary):

@@ -17,7 +17,7 @@ the score g[k] = d log p / d u[k], one reverse solve v[j] = g[j] + a v[j+1]
 gives d/dtheta sum_k log p = sum_{j>=1} v[j] dc[j]/dtheta, where the
 drive's derivatives are (1, u[j-1], y[j-1]). ``nbin_loglik_grad`` returns
 the value and the gradient from one solve of the state path, for a fitter
-that needs both at every point.
+that needs both at every point; ``nbin_loglik`` is its value.
 
 The count models' log pmfs split into a part that depends on the count
 alone and a part that depends on the state. The count-only part, and the
@@ -26,9 +26,8 @@ weighted by their frequencies: a series of n counts has far fewer
 distinct values than n. The NBIN and TING kernels take that table,
 ``params.count_table(y)``, as their last argument. It has three columns:
 the distinct counts, their relative frequencies, and their log factorials
-gammaln(count + 1). The last column does not depend on the parameters, so
-a series computes it once and a fit does not compute it at each point.
-TING's count-only part is minus that column; NBIN's subtracts it.
+gammaln(count + 1), which a series computes once and passes to the count
+terms of ``models``, as ``log_density`` does with its own.
 
 The kernels run with numpy raising on overflow, invalid operations and
 division by zero: a parameter point whose path or density leaves the
@@ -40,9 +39,9 @@ numpy's error state, so ``_solve`` checks its result itself.
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-from scipy.special import gammaln, psi
+from scipy.special import psi
 
-from .models import nbin_state_term, nm_log_density, poisson_state_term
+from .models import nbin_count_term, nm_log_density, poisson_count_term, poisson_state_term
 
 # There is a single numpy backend and no JIT. The flag stays because the
 # environment block of perfbench/run.py reads it.
@@ -91,34 +90,27 @@ def affine_filter(y, x1, w, a, b):
     return _filter(y, x1, w, a, b)
 
 
-def _nbin_count_mean(table, r):
-    """weights @ nbin_count_term(values, r), with gammaln(values + 1) from the table."""
-    values, weights, log_factorial = table
-    return weights @ (gammaln(values + r) - gammaln(r) - log_factorial)
-
-
-@_raise_fp
 def nbin_loglik(y, x1, w, a, b, r, table):
-    u = _filter(y, x1, w, a, b)
-    return _nbin_count_mean(table, r) + nbin_state_term(u, y, r).sum() / len(y)
+    """The normalized log-likelihood: ``nbin_loglik_grad``'s value."""
+    return nbin_loglik_grad(y, x1, w, a, b, r, table)[0]
 
 
 @_raise_fp
 def nbin_loglik_grad(y, x1, w, a, b, r, table):
     """The normalized log-likelihood and its exact gradient in (w, a, b, r).
 
-    Returns (value, grad) from one solve of the state path; the value is
-    ``nbin_loglik``'s, bit for bit. The (w, a, b) part of the gradient comes
-    from one reverse solve of the state recursion driven by the score; the
-    forward sensitivities are never formed.
+    Returns (value, grad) from one solve of the state path. The (w, a, b) part
+    of the gradient comes from one reverse solve of the state recursion driven
+    by the score; the forward sensitivities are never formed.
     """
-    values, weights, _ = table
+    values, weights, log_factorial = table
     n = len(y)
     u = _filter(y, x1, w, a, b)
     l1p = np.log1p(u)
     ypr = y + r
     # nbin_state_term(u, y, r), with log1p(u) shared with grad[3]
-    value = _nbin_count_mean(table, r) + (y * np.log(u) - ypr * l1p).sum() / n
+    value = (weights @ nbin_count_term(values, r, log_factorial)
+             + (y * np.log(u) - ypr * l1p).sum() / n)
     score = y / u - ypr / (1.0 + u)
     v = _solve(score[::-1].copy(), a)[-2::-1]  # v[j] = score[j] + a v[j+1], j >= 1
     grad = np.empty(4)
@@ -132,8 +124,7 @@ def nbin_loglik_grad(y, x1, w, a, b, r, table):
 def ting_loglik(y, x1, w, a, b, tau, table):
     _, weights, log_factorial = table
     lam = np.minimum(_filter(y, x1, w, a, b), tau)
-    # poisson_count_term(values) is -log_factorial
-    return weights @ -log_factorial + poisson_state_term(lam, y).sum() / len(y)
+    return weights @ poisson_count_term(log_factorial) + poisson_state_term(lam, y).sum() / len(y)
 
 
 @_raise_fp

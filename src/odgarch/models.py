@@ -20,9 +20,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _FLOAT_MAX = np.finfo(float).max
 
 
-def nbin_count_term(y, r):
-    """The part of the NBIN log pmf that depends on the count only: log C(y + r - 1, y)."""
-    return gammaln(y + r) - gammaln(r) - gammaln(y + 1.0)
+def nbin_count_term(y, r, log_factorial):
+    """The count-only part of the NBIN log pmf, log C(y + r - 1, y); log_factorial is log y!."""
+    return gammaln(y + r) - gammaln(r) - log_factorial
 
 
 def nbin_state_term(x, y, r):
@@ -30,9 +30,9 @@ def nbin_state_term(x, y, r):
     return y * np.log(x) - (y + r) * np.log1p(x)
 
 
-def poisson_count_term(y):
-    """The part of the Poisson log pmf that depends on the count only: -log y!."""
-    return -gammaln(y + 1.0)
+def poisson_count_term(log_factorial):
+    """The count-only part of the Poisson log pmf, -log y!, from log_factorial = log y!."""
+    return -log_factorial
 
 
 def poisson_state_term(lam, y):

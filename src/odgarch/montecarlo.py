@@ -45,6 +45,8 @@ class ExperimentConfig:
                              ("burn_in", [self.burn_in]), ("sample_sizes", self.sample_sizes)):
             if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in values):
                 raise ValueError(f"{name} must be integral, got {getattr(self, name)!r}")
+        if not isinstance(self.drop_nonconverged, (bool, np.bool_)):
+            raise ValueError(f"drop_nonconverged must be a boolean, got {self.drop_nonconverged!r}")
         if not self.theta_star.stable():
             raise ValueError("theta_star must be stable")
         if self.x1 is not None:
@@ -156,10 +158,8 @@ def run_experiment(config, jobs=1):
         empty = [n for n in config.sample_sizes if not converged[n].any()]
         if empty:
             raise ValueError(f"drop_nonconverged: no replicate converged at sample sizes {empty}")
-        estimates = {n: estimates[n][converged[n]] for n in config.sample_sizes}
-        gaps = {n: gaps[n][converged[n]] for n in config.sample_sizes}
-        seeds = {n: seeds[n][converged[n]] for n in config.sample_sizes}
-        converged = {n: converged[n][converged[n]] for n in config.sample_sizes}
+        estimates, gaps, seeds, converged = [{n: col[n][converged[n]] for n in config.sample_sizes}
+                                             for col in (estimates, gaps, seeds, converged)]
 
     return McSummary(model_tag=config.model_tag, theta_star=config.theta_star,
                      param_names=tuple(config.theta_star.param_names),

@@ -250,7 +250,8 @@ class NbinParams(_CountModel):
 
     def log_density(self, x, y):
         """Log pmf of NB(r, x/(1+x)) at y."""
-        return models.nbin_count_term(y, self.r) + models.nbin_state_term(x, y, self.r)
+        return (models.nbin_count_term(y, self.r, gammaln(y + 1.0))
+                + models.nbin_state_term(x, y, self.r))
 
     def draw(self, x, rng):
         # Gamma-Poisson compounding gives NB(r, x/(1+x)) exactly.
@@ -336,7 +337,7 @@ class TingParams(_CountModel):
 
     def log_density(self, x, y):
         lam = np.minimum(x, self.tau)
-        return models.poisson_count_term(y) + models.poisson_state_term(lam, y)
+        return models.poisson_count_term(gammaln(y + 1.0)) + models.poisson_state_term(lam, y)
 
     def draw(self, x, rng):
         return rng.poisson(np.minimum(x, self.tau))

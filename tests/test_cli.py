@@ -136,6 +136,44 @@ def test_fit_truncated_csv(tmp_path):
     assert not os.path.exists(out)  # no partial output
 
 
+@pytest.mark.parametrize("sidecar,message", [
+    pytest.param("[1, 2]", "not a JSON object", id="list"),
+    pytest.param("not json", "not JSON: Expecting value: line 1 column 1 (char 0)", id="not-json"),
+    pytest.param('{"model": "nbin", "x": 1}', "unknown key 'x'", id="unknown-key"),
+    pytest.param('{"model": 5}', "model must be a string or null, got 5", id="model"),
+    pytest.param('{"model": "nbin", "params": [1]}',
+                 "params must be an object or null, got [1]", id="params"),
+    pytest.param('{"model": "nbin", "params": {"omega": "x", "a": 0.2, "b": 0.2, "r": 2}}',
+                 "params: must be real number, not str", id="params-value"),
+    pytest.param('{"model": "nbin", "seed": "abc"}',
+                 "seed must be a non-negative integer, got 'abc'", id="seed-string"),
+    pytest.param('{"model": "nbin", "seed": true}',
+                 "seed must be a non-negative integer, got True", id="seed-bool"),
+    pytest.param('{"model": "nbin", "burn_in": "x", "stable": "no"}',
+                 "burn_in must be a non-negative integer, got 'x'", id="burn_in"),
+    pytest.param('{"model": "nbin", "stable": "no"}',
+                 "stable must be true or false, got 'no'", id="stable"),
+    pytest.param('{"model": "nbin", "n": 50.0}',
+                 "n must be a non-negative integer, got 50.0", id="n-float"),
+    pytest.param(None, "n is 50, but {series} has 40 rows", id="rows-cut"),
+])
+def test_fit_checks_the_sidecar(tmp_path, capsys, sidecar, message):
+    series, side = str(tmp_path / "s.csv"), str(tmp_path / "s.meta.json")
+    assert run(["simulate", *M1_FLAGS, "--n", "50", "--seed", "3", "--out", series]) == 0
+    if sidecar is None:
+        with open(series) as fh:
+            rows = fh.readlines()
+        with open(series, "w") as fh:
+            fh.writelines(rows[:41])
+    else:
+        with open(side, "w") as fh:
+            fh.write(sidecar)
+    out = str(tmp_path / "fit.json")
+    assert run(["fit", "--series", series, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {side}: {message.format(series=series)}\n"
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_mc_outputs_and_determinism(tmp_path, capsys, model):
     cfg = MODELS[model][4]
@@ -185,12 +223,12 @@ def test_mc_bad_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ting parameters are omega, a, b, tau; got omega, a, b, r" in err
     assert "__init__" not in err
-    # malformed integers, duplicate sizes, a negative burn-in and an anchor that is not one
-    # state: an error line, no traceback
+    # malformed integers, duplicate sizes, a negative burn-in, an anchor that is not one
+    # state and a string for a boolean: an error line, no traceback
     nbin = {"model": "nbin", "theta_star": {"omega": 3, "a": .2, "b": .2, "r": 2}}
     for key, value in [("m", 2.5), ("m", True), ("sample_sizes", [64.5]),
                        ("sample_sizes", [64, 64]), ("sample_sizes", []), ("burn_in", -3),
-                       ("burn_in", 2.5), ("x1", [1, 2])]:
+                       ("burn_in", 2.5), ("x1", [1, 2]), ("drop_nonconverged", "false")]:
         with open(cpath, "w") as fh:
             json.dump({**nbin, key: value}, fh)
         assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1, key

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from conftest import random_nbin, random_ting
+from conftest import random_nbin, random_nm, random_ting
 
 from odgarch import (NbinParams, NmParams, TingParams, digamma, filter_series,
                      grad_loglik_nbin, grad_loglik_numeric, iterate_f, log_emission,
@@ -75,9 +75,13 @@ def test_loglik_single_term():
     assert v.n == 1 and v.x1 == 1.0
 
 
-def test_loglik_equals_mean_of_emissions():
+@pytest.mark.parametrize("draw", [random_nbin, random_ting, lambda rng: random_nm(rng, 1),
+                                  lambda rng: random_nm(rng, 2)],
+                         ids=["nbin", "ting", "nm-d1", "nm-d2"])
+def test_loglik_equals_mean_of_emissions(draw):
+    # each kernel's value is the mean of the model's log density along the filtered path
     rng = np.random.default_rng(14)
-    p = random_nbin(rng)
+    p = draw(rng)
     s = simulate(p, 64, seed=3)
     x1 = p.fixed_point()
     tr = filter_series(p, x1, s)

@@ -58,13 +58,16 @@ def test_config_validation():
     with pytest.raises(ValueError, match="theta_star"):
         ExperimentConfig(model_tag="ting", theta_star=M1)  # TING fits of NBIN series
     # a config JSON can hold floats, booleans and repeats where integers belong, and
-    # anything where one state belongs
+    # anything where one state or a boolean belongs
     for key, value in [("m", 2.5), ("m", True), ("base_seed", 1.5), ("burn_in", 2.5),
                        ("burn_in", -3), ("sample_sizes", (64.5,)),
-                       ("sample_sizes", (64, np.int64(64))), ("x1", [1, 2]), ("x1", "abc")]:
+                       ("sample_sizes", (64, np.int64(64))), ("x1", [1, 2]), ("x1", "abc"),
+                       ("drop_nonconverged", "false"), ("drop_nonconverged", 1)]:
         with pytest.raises(ValueError, match=f"^{key} must be"):
             ExperimentConfig(model_tag="nbin", theta_star=M1, **{key: value})
     assert ExperimentConfig(model_tag="nbin", theta_star=M1, m=np.int64(3), burn_in=0).m == 3
+    assert ExperimentConfig(model_tag="nbin", theta_star=M1,
+                            drop_nonconverged=np.True_).drop_nonconverged
     with pytest.raises(ValueError, match="bad experiment config"):
         ExperimentConfig.from_dict({"model": "nbin", "theta_star": M1.to_dict(),
                                     "burnin": 100, "sample_size": [64]})
