@@ -50,29 +50,42 @@ USE_NUMBA = False
 _raise_fp = np.errstate(over="raise", invalid="raise", divide="raise")
 
 
-def _solve(x, a):
-    """Solve L x = c in place for the drive c held in x, a C-contiguous float array."""
-    n = len(x)
-    d = x.size // n
-    neg = -np.asarray(a, dtype=float).reshape(d, d)
-    # L in LAPACK lower-band storage, band[r - s, s] = L[r, s]: column k d + j
-    # holds -A[:, j] in rows d - j ... 2d - 1 - j and zeros above. With diag=1
-    # dtbsv takes the diagonal as ones and never reads row 0.
+def _band(a, n):
+    """L for n states of the scalar or d x d a, in LAPACK lower-band storage.
+
+    band[r - s, s] = L[r, s]: column k d + j holds -A[:, j] in rows d - j ... 2d - 1 - j
+    and zeros above. With diag=1 dtbsv takes the diagonal as ones and never reads row 0.
+    A scalar a, the d = 1 of NBIN and TING, fills row 1 directly.
+    """
+    if np.ndim(a) == 0:
+        band = np.zeros((2, n), order="F")
+        band[1] = -a
+        return band
+    neg = -np.asarray(a, dtype=float)
+    d = len(neg)
     band = np.zeros((2 * d, n * d), order="F")
     for j in range(d):
         band[d - j:2 * d - j, j::d] = neg[:, j, None]
-    dtbsv(2 * d - 1, band, x.reshape(-1), lower=1, diag=1, overwrite_x=1)
+    return band
+
+
+def _solve(x, band):
+    """Solve L x = c in place for the drive c held in x, a C-contiguous float array."""
+    # positional: incx=1, offx=0, lower=1, trans=0, diag=1, overwrite_x=1
+    dtbsv(len(band) - 1, band, x.reshape(-1), 1, 0, 1, 0, 1, 1)
     if not np.isfinite(x).all():
         raise FloatingPointError("affine recursion left the floating-point range")
     return x
 
 
-def _filter(y, x1, w, a, b):
-    """The state path, solved in place in the drive it builds."""
+def _filter(y, x1, w, band, b):
+    """The state path, solved in place in the drive it builds; y broadcasts against b."""
     c = np.empty((len(y),) + np.shape(x1))
     c[0] = x1
-    c[1:] = w + np.multiply.outer(y[:-1], b)
-    return _solve(c, a)
+    drive = c[1:]
+    np.multiply(y[:-1], b, out=drive)
+    drive += w
+    return _solve(c, band)
 
 
 def affine_scan(c, a):
@@ -81,13 +94,13 @@ def affine_scan(c, a):
     c has shape (n,) for a scalar a and (n, d) for a d x d matrix.
     Raises FloatingPointError when the path leaves the floating-point range.
     """
-    return _solve(np.array(c, dtype=float, order="C"), a)
+    return _solve(np.array(c, dtype=float, order="C"), _band(a, len(c)))
 
 
 @_raise_fp
 def affine_filter(y, x1, w, a, b):
     """State path u[0] = x1, u[k] = w + a u[k-1] + b y[k-1]; a scalar or d x d."""
-    return _filter(y, x1, w, a, b)
+    return _filter(y if np.ndim(b) == 0 else y[:, None], x1, w, _band(a, len(y)), b)
 
 
 def nbin_loglik(y, x1, w, a, b, r, table):
@@ -101,18 +114,29 @@ def nbin_loglik_grad(y, x1, w, a, b, r, table):
 
     Returns (value, grad) from one solve of the state path. The (w, a, b) part
     of the gradient comes from one reverse solve of the state recursion driven
-    by the score; the forward sensitivities are never formed.
+    by the score; the forward sensitivities are never formed. Both solves share
+    one band. The value's terms and the score are computed in place in two n-long
+    buffers, in the order of y log(u) - (y + r) log1p(u) and y / u - (y + r) / (1 + u),
+    so they round as those expressions do. The score is then copied reversed into
+    the reverse solve's array: numpy writes a negative-stride output slower than it
+    copies one.
     """
     values, weights, log_factorial = table
     n = len(y)
-    u = _filter(y, x1, w, a, b)
+    band = _band(a, n)
+    u = _filter(y, x1, w, band, b)
     l1p = np.log1p(u)
     ypr = y + r
     # nbin_state_term(u, y, r), with log1p(u) shared with grad[3]
-    value = (weights @ nbin_count_term(values, r, log_factorial)
-             + (y * np.log(u) - ypr * l1p).sum() / n)
-    score = y / u - ypr / (1.0 + u)
-    v = _solve(score[::-1].copy(), a)[-2::-1]  # v[j] = score[j] + a v[j+1], j >= 1
+    term = np.log(u)
+    term *= y
+    s = np.multiply(ypr, l1p)
+    term -= s
+    value = weights @ nbin_count_term(values, r, log_factorial) + term.sum() / n
+    score = np.divide(y, u, out=term)
+    score -= np.divide(ypr, np.add(u, 1.0, out=s), out=s)
+    s[:] = score[::-1]
+    v = _solve(s, band)[-2::-1]  # v[j] = score[j] + a v[j+1], j >= 1
     grad = np.empty(4)
     grad[:3] = (v.sum(), v @ u[:-1], v @ y[:-1])
     grad[:3] /= n
@@ -123,10 +147,11 @@ def nbin_loglik_grad(y, x1, w, a, b, r, table):
 @_raise_fp
 def ting_loglik(y, x1, w, a, b, tau, table):
     _, weights, log_factorial = table
-    lam = np.minimum(_filter(y, x1, w, a, b), tau)
+    lam = np.minimum(_filter(y, x1, w, _band(a, len(y)), b), tau)
     return weights @ poisson_count_term(log_factorial) + poisson_state_term(lam, y).sum() / len(y)
 
 
 @_raise_fp
 def nm_loglik(y, x1, wv, A, bv, gamma):
-    return nm_log_density(_filter(y * y, x1, wv, A, bv), y, gamma).sum() / len(y)
+    u = _filter((y * y)[:, None], x1, wv, _band(A, len(y)), bv)
+    return nm_log_density(u, y, gamma).sum() / len(y)

@@ -75,6 +75,10 @@ def _check_state(params, x):
 
 def _check_anchor(params, x1):
     """x1 as one positive finite state of params' model: the anchor X_1 = x1."""
+    # the fitter's case, a float for a scalar state, skips the array checks
+    if (type(x1) is float or type(x1) is np.float64) and params.state_shape == () \
+            and 0.0 < x1 < math.inf:
+        return np.float64(x1)
     x = np.asarray(x1)
     if x.dtype.kind in "iuf" and x.shape == params.state_shape and ((x > 0) & (x < np.inf)).all():
         return np.asarray(x, dtype=float)[()]
@@ -120,18 +124,20 @@ def simulate(params, n, x0=None, seed=0, burn_in=BURN_IN):
         warnings.warn("parameters are outside the stability region; "
                       "the simulated path need not be stationary", stacklevel=2)
     x = _check_anchor(params, params.fixed_point() if x0 is None else x0)
-    rng = np.random.default_rng(_check_seed(seed))
+    draw, step = params.sampler(np.random.default_rng(_check_seed(seed))), params.step
+    if params.state_shape == ():
+        x = x.item()  # a Python float steps faster than a numpy scalar, to the same bits
     # Draws are valid observations by construction, so the loop skips the
     # per-step checks; an unstable path can still overflow, so the recorded
     # trace is checked once at the end.
     for _ in range(burn_in):
-        x = params.step(x, params.draw(x, rng))
+        x = step(x, draw(x))
     ys = np.empty(n)
     xs = np.empty((n,) + np.shape(x))
     for k in range(n):
         xs[k] = x
-        ys[k] = params.draw(x, rng)
-        x = params.step(x, ys[k])
+        ys[k] = y = draw(x)
+        x = step(x, y)
     _check_state(params, xs)
     return Series(y=ys, model_tag=params.tag, seed=int(seed), x_trace=xs,
                   stable=stable, burn_in=burn_in, params=params)

@@ -11,6 +11,7 @@ call time; those modules import this one, so they are imported at its end.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -127,13 +128,21 @@ class _Model:
         """The summary of y that the model's likelihood kernel takes: none."""
         return None
 
+    def draw(self, x, rng):
+        """One draw from the emission law at each state in x."""
+        return self.sampler(rng)(x)
+
     @classmethod
     def from_dict(cls, d):
-        """From the form of ``to_dict``; raises unless d has exactly the fields."""
+        """From the form of ``to_dict``; raises unless d has exactly the fields, each real."""
         names = [f.name for f in fields(cls)]
         if set(d) != set(names):
             raise ValueError(f"{cls.tag} parameters are {', '.join(names)}; "
                              f"got {', '.join(map(str, d))}")
+        for name in names:
+            if not cls.is_real(d[name]):
+                raise TypeError(f"{cls.tag} parameter {name} must be {cls.real_what}, "
+                                f"got {d[name]!r}")
         return cls(**d)
 
     def loglik_and_grad(self, x1, series):
@@ -151,10 +160,15 @@ class _CountModel(_Model):
     cli_help = {"omega": ("NUM", "intercept w > 0"),
                 "a": ("NUM", "coefficient a > 0 of the state"),
                 "b": ("NUM", "coefficient b > 0 of the count")}
+    real_what = "a real number"  # what ``from_dict`` takes for a field: see ``is_real``
 
     def __post_init__(self):
         for name in self.param_names:
             _check_positive(name, getattr(self, name))
+
+    @staticmethod
+    def is_real(v):
+        return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
     @staticmethod
     def check_obs(y):
@@ -253,9 +267,11 @@ class NbinParams(_CountModel):
         return (models.nbin_count_term(y, self.r, gammaln(y + 1.0))
                 + models.nbin_state_term(x, y, self.r))
 
-    def draw(self, x, rng):
+    def sampler(self, rng):
+        """The emission draw as a function of the state, rng's methods and r bound once."""
+        poisson, gamma, r = rng.poisson, rng.gamma, self.r
         # Gamma-Poisson compounding gives NB(r, x/(1+x)) exactly.
-        return rng.poisson(rng.gamma(shape=self.r, scale=x))
+        return lambda x: poisson(gamma(r, x))
 
     def kernel_loglik(self, y, x1, table):
         return kernels.nbin_loglik(y, x1, self.omega, self.a, self.b, self.r, table)
@@ -339,8 +355,9 @@ class TingParams(_CountModel):
         lam = np.minimum(x, self.tau)
         return models.poisson_count_term(gammaln(y + 1.0)) + models.poisson_state_term(lam, y)
 
-    def draw(self, x, rng):
-        return rng.poisson(np.minimum(x, self.tau))
+    def sampler(self, rng):
+        poisson, tau = rng.poisson, self.tau
+        return lambda x: poisson(np.minimum(x, tau))
 
     def kernel_loglik(self, y, x1, table):
         return kernels.ting_loglik(y, x1, self.omega, self.a, self.b, self.tau, table)
@@ -388,6 +405,14 @@ class NmParams(_Model):
     # The verifier's observations: symmetric probabilists'-Hermite nodes,
     # scaled to the stationary spread.
     _Y_NODES = np.polynomial.hermite_e.hermegauss(64)[0]
+    real_what = "a real number or a list of them"
+
+    @staticmethod
+    def is_real(v):
+        try:
+            return np.asarray(v).dtype.kind in "iuf"
+        except ValueError:  # a ragged list
+            return False
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", np.atleast_1d(np.asarray(self.gamma, dtype=float)))
@@ -455,9 +480,13 @@ class NmParams(_Model):
     def log_density(self, x, y):
         return models.nm_log_density(x, y, self.gamma)
 
-    def draw(self, x, rng):
-        comp = rng.choice(self.d, size=np.shape(x)[:-1], p=self.gamma)
-        return rng.normal(0.0, np.sqrt(np.take_along_axis(x, comp[..., None], -1)[..., 0]))
+    def sampler(self, rng):
+        choice, normal, d, gamma = rng.choice, rng.normal, self.d, self.gamma
+
+        def draw(x):
+            comp = choice(d, size=np.shape(x)[:-1], p=gamma)
+            return normal(0.0, np.sqrt(np.take_along_axis(x, comp[..., None], -1)[..., 0]))
+        return draw
 
     def kernel_loglik(self, y, x1, table):
         return kernels.nm_loglik(y, x1, self.omega_vec, self.A, self.b_vec, self.gamma)
@@ -631,6 +660,8 @@ class Series:
         if self.y.ndim != 1 or self.y.size == 0:
             raise ValueError("observations must be a nonempty 1-d array")
         model = model_class(self.model_tag)
+        if self.params is not None and not isinstance(self.params, model):
+            raise ValueError(f"a {self.model_tag} series cannot carry {self.params.tag} parameters")
         model.check_obs(self.y)
         self.count_table = model.obs_table(self.y)
         if self.x_trace is not None:

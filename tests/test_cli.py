@@ -144,7 +144,8 @@ def test_fit_truncated_csv(tmp_path):
     pytest.param('{"model": "nbin", "params": [1]}',
                  "params must be an object or null, got [1]", id="params"),
     pytest.param('{"model": "nbin", "params": {"omega": "x", "a": 0.2, "b": 0.2, "r": 2}}',
-                 "params: must be real number, not str", id="params-value"),
+                 "params: nbin parameter omega must be a real number, got 'x'",
+                 id="params-value"),
     pytest.param('{"model": "nbin", "seed": "abc"}',
                  "seed must be a non-negative integer, got 'abc'", id="seed-string"),
     pytest.param('{"model": "nbin", "seed": true}',
@@ -234,6 +235,26 @@ def test_mc_bad_config(tmp_path, capsys):
         assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1, key
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and "Traceback" not in err, err
+
+
+def test_mc_config_names_a_value_that_is_not_real(tmp_path, capsys):
+    cpath = str(tmp_path / "bad.json")
+    with open(cpath, "w") as fh:
+        json.dump({"model": "nbin", "theta_star": {"omega": "x", "a": .2, "b": .2, "r": 2}}, fh)
+    assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad experiment config: nbin parameter omega must be a real number, got 'x'\n")
+
+
+def test_fit_rejects_a_sidecar_of_another_model(tmp_path, capsys):
+    series = str(tmp_path / "s.csv")
+    assert run(["simulate", *M1_FLAGS, "--n", "64", "--out", series]) == 0
+    out = str(tmp_path / "fit.json")
+    capsys.readouterr()
+    assert run(["fit", "--series", series, "--model", "ting", "--out", out]) == 1
+    assert capsys.readouterr().err == "error: a ting series cannot carry nbin parameters\n"
+    assert not os.path.exists(out)
+    assert read_series(series, model_tag="nbin").params == read_series(series).params
 
 
 @pytest.mark.parametrize("jobs", ["0", "-4"])

@@ -186,3 +186,39 @@ def test_overflow_raises():
         kernels.nm_loglik(y, nm.omega_vec, *nm.coefficients(), nm.gamma)
     with pytest.raises(FloatingPointError):
         likelihood.loglik(nm, nm.omega_vec, y)
+
+
+# nbin_loglik_grad's value and gradient on simulate(NBIN, n, seed=n) from x1 = 7.5, as
+# float hex, recorded before its buffers were reused; the last point has a > 1 and a path
+# that stays finite. A rewrite of the kernel that keeps its expressions keeps these bits.
+NBIN_PINS = [
+    (2, NBIN, "-0x1.eb106f3fa4520p+1", ["0x1.eff0385b4c380p-4", "0x1.d0f134d597748p-1",
+                                        "0x1.73f42a44792a0p+0", "0x1.ccfe10f13ab00p-2"]),
+    (128, NBIN, "-0x1.e2c310f948b27p+1", ["0x1.9773cf0ee99eep-6", "0x1.de3b997211f71p-3",
+                                          "0x1.8f23e90ac889ep-2", "0x1.5de9a6d2b7200p-4"]),
+    (4096, NBIN, "-0x1.c9e1f56555e4ap+1", ["-0x1.206d5c6123f22p-8", "-0x1.bd36ef73767b2p-6",
+                                           "-0x1.9fc111c37000ep-6", "-0x1.e92e2a07d7000p-8"]),
+    (128, NbinParams(0.5, 1.1, 0.02, 2.0), "-0x1.e6a3c5564b7f4p+3",
+     ["-0x1.12332cbf7da1bp+0", "-0x1.a81aa6a67bca5p+6", "-0x1.7a16d628873bbp+4",
+      "-0x1.a4f4b13fb514bp+2"]),
+]
+
+
+@pytest.mark.parametrize("n,p,value,grad", NBIN_PINS, ids=["2", "128", "4096", "a>1"])
+def test_nbin_loglik_grad_pinned(n, p, value, grad):
+    y = simulate(NBIN, n, seed=n).y
+    got_value, got_grad = kernels.nbin_loglik_grad(y, 7.5, p.omega, p.a, p.b, p.r,
+                                                   count_table(y))
+    assert float(got_value).hex() == value
+    assert [float(g).hex() for g in got_grad] == grad
+
+
+@pytest.mark.parametrize("a", (0.7, SKEW), ids=["scalar", "2x2"])
+def test_solve_never_reads_the_diagonal_row(a):
+    # with diag=1 dtbsv takes L's unit diagonal as given; OpenBLAS picks its kernel per
+    # CPU, so a NaN in that band row checks that the one in use does not read it
+    c = np.random.default_rng(3).uniform(0, 2, (257,) + np.shape(a)[:1])
+    band = kernels._band(a, len(c))
+    want = kernels._solve(c.copy(), band)
+    band[0] = np.nan
+    assert kernels._solve(c.copy(), band).tobytes() == want.tobytes()

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from conftest import random_nbin, random_nm, random_ting
 
 from odgarch import (NbinParams, NmParams, TingParams, log_emission, loglik, psi_step,
                      sample_emission, simulate)
-from odgarch.models import nm_log_density
+from odgarch.models import _check_anchor, nm_log_density
 
 
 def test_psi_step_examples():
@@ -258,3 +259,30 @@ def test_stationary_mean_m1():
     p = NbinParams(3, .2, .2, 2)
     means = [simulate(p, 1024, seed=s).y.mean() for s in range(50)]
     assert abs(float(np.mean(means)) - 15.0) < 1.0
+
+
+ANCHOR_CASES = [  # x1, what _check_anchor returns for an NBIN state, or None for its message
+    (2.5, 2.5), (np.float64(2.5), 2.5), (np.float32(2.5), 2.5), (np.array(3), 3.0),
+    (np.array(2.5), 2.5), (7, 7.0), (True, None), (np.bool_(True), None), (math.nan, None),
+    (np.float64(math.nan), None), (math.inf, None), (0.0, None), (-1.0, None),
+    (np.float32(math.inf), None), (np.array([2.5]), None), ("2.5", None)]
+
+
+@pytest.mark.parametrize("x1,want", ANCHOR_CASES, ids=[repr(c[0]) for c in ANCHOR_CASES])
+def test_check_anchor_scalar_state(x1, want):
+    # a float takes a shortcut past the array checks; every case ends as before it
+    p = NbinParams(3, .2, .2, 2)
+    if want is None:
+        message = re.escape(f"x1 must be one positive finite nbin state, got {x1!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _check_anchor(p, x1)
+        return
+    got = _check_anchor(p, x1)
+    assert type(got) is np.float64 and got == want
+
+
+def test_check_anchor_float_for_a_vector_state():
+    nm = NmParams(gamma=[1.0], omega_vec=[1.0], A=[[0.4]], b_vec=[0.25])
+    with pytest.raises(ValueError, match="^x1 must be one positive finite nm state, got 2.5$"):
+        _check_anchor(nm, 2.5)
+    assert _check_anchor(nm, [2.5]).tolist() == [2.5]

@@ -1,6 +1,7 @@
 import ast
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,22 @@ def test_params_dict_roundtrip():
         q = params_from_dict(p.tag, params_to_dict(p))
         assert np.allclose(p.as_array(), q.as_array())
         assert p.tag == q.tag
+
+
+@pytest.mark.parametrize("tag,d,name,value", [
+    ("nbin", {"omega": "x", "a": 0.2, "b": 0.2, "r": 2.0}, "omega", "'x'"),
+    ("nbin", {"omega": 3.0, "a": 0.2, "b": 0.2, "r": True}, "r", "True"),
+    ("ting", {"omega": 3.0, "a": 0.35, "b": None, "tau": 4.0}, "b", "None"),
+    ("nm", {"gamma": [1.0], "omega_vec": ["x"], "A": [[0.4]], "b_vec": [0.25]},
+     "omega_vec", "['x']"),
+    ("nm", {"gamma": [0.5, 0.5], "omega_vec": [1.0, 2.0], "A": [[0.3, 0.1], [0.05]],
+            "b_vec": [0.2, 0.1]}, "A", "[[0.3, 0.1], [0.05]]"),
+], ids=["nbin-str", "nbin-bool", "ting-none", "nm-str", "nm-ragged"])
+def test_from_dict_names_a_value_that_is_not_real(tag, d, name, value):
+    what = "a real number or a list of them" if tag == "nm" else "a real number"
+    with pytest.raises(TypeError, match=re.escape(f"{tag} parameter {name} must be {what}, "
+                                                  f"got {value}")):
+        params_from_dict(tag, d)
 
 
 def test_param_names_match_array_length():
