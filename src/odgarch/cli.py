@@ -5,14 +5,13 @@ failure. All randomness flows from explicit seeds.
 """
 
 import argparse
-import json
 import os
 import sys
 
 from . import io as odio
 from .estimation import FitOptions, mle_fit
 from .models import BURN_IN, simulate
-from .montecarlo import ExperimentConfig, run_experiment
+from .montecarlo import run_experiment
 from .params import MODELS, model_class
 from .svgplot import boxplot_panel
 from .verifier import N_TRIPLES, verify_model
@@ -100,15 +99,8 @@ def cmd_fit(args):
     return 0
 
 
-def _read_config(path):
-    try:
-        return ExperimentConfig.from_json(path)
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"bad experiment config: {exc}") from exc
-
-
 def cmd_mc(args):
-    config = _read_config(args.config)
+    config = odio.read_config(args.config)
     summary = run_experiment(config, jobs=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     odio.write_mc_outputs(os.path.join(args.out_dir, "summary.csv"),
@@ -142,7 +134,7 @@ def cmd_plot(args):
     rep = odio.read_replicates(args.replicates)
     true_values = [None] * len(rep["param_names"])
     if args.config:
-        star = _read_config(args.config).theta_star
+        star = odio.read_config(args.config).theta_star
         if star.tag != rep["model"]:
             raise ValueError(f"{args.config} is a {star.tag} config, but "
                              f"{args.replicates} holds {rep['model']} replicates")

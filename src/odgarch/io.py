@@ -1,4 +1,5 @@
-"""The package's file formats: series CSV and sidecar, JSON records, Monte Carlo CSVs.
+"""The package's file formats: series CSV and sidecar, JSON records and experiment
+configs, Monte Carlo CSVs.
 
 This module alone knows their columns and keys. All files are UTF-8 with LF
 line endings and locale-independent number formatting; writes go through a
@@ -12,6 +13,7 @@ import tempfile
 
 import numpy as np
 
+from .montecarlo import ExperimentConfig
 from .params import Series, model_class, params_from_dict, params_to_dict
 
 SUMMARY_COLUMNS = ("model", "n", "param", "mc_mean", "made", "n_converged")
@@ -111,6 +113,15 @@ def _numbers(path, header, cells, cols, dtype=float):
 
 def write_json(path, obj):
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def read_config(path):
+    """The experiment config in the JSON file at path; its keys are ``ExperimentConfig``'s."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return ExperimentConfig.from_dict(json.load(fh))
+        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"bad experiment config: {exc}") from exc
 
 
 def meta_path(series_path):

@@ -1,4 +1,4 @@
-"""Conditional log-likelihood: iterated state map, filter trace, gradients.
+"""Conditional log-likelihood: iterated state map, state path, gradients.
 
 Observations are a Series of the params' model or a 1-d array, checked once
 by ``Series.of``.
@@ -24,14 +24,6 @@ def digamma(x):
 
 
 @dataclass
-class FilterTrace:
-    """u[k] is the state reached by iterating the update map along y[:k]."""
-
-    u: np.ndarray
-    x1: object
-
-
-@dataclass
 class LoglikValue:
     value: float
     n: int
@@ -47,10 +39,9 @@ def iterate_f(params, x, y_slice):
 
 
 def filter_series(params, x1, series):
-    """Filter trace u[k]: the state path of the affine map along the series."""
+    """The state path, (n,) or (n, d): row k is the state reached from x1 along y[:k]."""
     s = Series.of(series, params.tag)
-    x1 = _check_anchor(params, x1)
-    return FilterTrace(u=kernels.affine_filter(params.h(s.y), x1, *params.coefficients()), x1=x1)
+    return kernels.affine_filter(params.h(s.y), _check_anchor(params, x1), *params.coefficients())
 
 
 def loglik(params, x1, series):

@@ -85,11 +85,13 @@ def _check_anchor(params, x1):
     raise ValueError(f"x1 must be one positive finite {params.tag} state, got {x1!r}")
 
 
-def _check_seed(seed):
-    """seed as given, if it is a non-negative integer (not a bool)."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+def _check_int(name, value, least):
+    """value as given, if it is an integer (not a bool) and, unless least is None, >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def psi_step(params, x, y):
@@ -104,7 +106,7 @@ def log_emission(params, x, y):
 
 def sample_emission(params, x, rng):
     """One exact draw from the emission distribution at each state in x."""
-    return np.asarray(params.draw(_check_state(params, x), rng), dtype=float)[()]
+    return np.asarray(params.sampler(rng)(_check_state(params, x)), dtype=float)[()]
 
 
 def simulate(params, n, x0=None, seed=0, burn_in=BURN_IN):
@@ -115,29 +117,35 @@ def simulate(params, n, x0=None, seed=0, burn_in=BURN_IN):
     stationary law, then records n (x, y) pairs. Deterministic given
     the seed.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    _check_int("n", n, 1)
+    _check_int("burn_in", burn_in, 0)
     stable = bool(params.stable())
     if not stable:
         warnings.warn("parameters are outside the stability region; "
                       "the simulated path need not be stationary", stacklevel=2)
     x = _check_anchor(params, params.fixed_point() if x0 is None else x0)
-    draw, step = params.sampler(np.random.default_rng(_check_seed(seed))), params.step
+    draw, step = params.sampler(np.random.default_rng(_check_int("seed", seed, 0))), params.step
     if params.state_shape == ():
         x = x.item()  # a Python float steps faster than a numpy scalar, to the same bits
     # Draws are valid observations by construction, so the loop skips the
-    # per-step checks; an unstable path can still overflow, so the recorded
-    # trace is checked once at the end.
-    for _ in range(burn_in):
-        x = step(x, draw(x))
+    # per-step checks. An unstable path can still explode: NBIN's draw then
+    # raises, and a TING or NM path overflows, so the recorded trace is
+    # checked once at the end.
     ys = np.empty(n)
     xs = np.empty((n,) + np.shape(x))
-    for k in range(n):
-        xs[k] = x
-        ys[k] = y = draw(x)
-        x = step(x, y)
+    done = 0  # the steps of the loops that have ended
+    try:
+        for k in range(burn_in):
+            x = step(x, draw(x))
+        done = burn_in
+        for k in range(n):
+            xs[k] = x
+            ys[k] = y = draw(x)
+            x = step(x, y)
+    except ValueError as exc:
+        why = "" if stable else "; the parameters are outside the stability region"
+        raise ValueError(f"{params.tag} draw failed at step {done + k + 1} of {burn_in + n} "
+                         f"(burn-in included), from state {x}: {exc}{why}") from exc
     _check_state(params, xs)
     return Series(y=ys, model_tag=params.tag, seed=int(seed), x_trace=xs,
                   stable=stable, burn_in=burn_in, params=params)

@@ -1,16 +1,14 @@
 """Monte Carlo study: replicate scheduling, fitting, MADE aggregation."""
 
-import json
-import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .estimation import FitOptions, mle_fit
 from .likelihood import loglik
-from .models import BURN_IN, _check_anchor, simulate
-from .params import Series, params_from_dict, params_to_dict
+from .models import BURN_IN, _check_anchor, _check_int, simulate
+from .params import Series, params_from_dict
 
 
 def splitmix64(x):
@@ -41,30 +39,25 @@ class ExperimentConfig:
         if self.model_tag != self.theta_star.tag:
             raise ValueError(f"model {self.model_tag} is not theta_star's {self.theta_star.tag}")
         self.sample_sizes = tuple(self.sample_sizes)
-        for name, values in (("m", [self.m]), ("base_seed", [self.base_seed]),
-                             ("burn_in", [self.burn_in]), ("sample_sizes", self.sample_sizes)):
-            if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in values):
-                raise ValueError(f"{name} must be integral, got {getattr(self, name)!r}")
+        _check_int("m", self.m, 1)
+        _check_int("base_seed", self.base_seed, None)
+        _check_int("burn_in", self.burn_in, 0)
+        for n in self.sample_sizes:
+            _check_int("sample_sizes", n, 16)
         if not isinstance(self.drop_nonconverged, (bool, np.bool_)):
             raise ValueError(f"drop_nonconverged must be a boolean, got {self.drop_nonconverged!r}")
         if not self.theta_star.stable():
             raise ValueError("theta_star must be stable")
         if self.x1 is not None:
             _check_anchor(self.theta_star, self.x1)
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
         if not self.sample_sizes:
             raise ValueError("sample_sizes must not be empty")
-        if any(n < 16 for n in self.sample_sizes):
-            raise ValueError("all sample sizes must be >= 16")
         if len(set(self.sample_sizes)) < len(self.sample_sizes):
             raise ValueError(f"sample_sizes must be distinct, got {list(self.sample_sizes)}")
 
     @classmethod
     def from_dict(cls, d):
-        """From the form of ``config_to_dict``; a key left out takes the field's default."""
+        """From the experiment config's JSON object; a key left out takes the field's default."""
         plain = {f.name for f in fields(cls)} - {"model_tag", "theta_star", "options"}
         unknown = set(d) - plain - {"model", "theta_star", "optimizer"}
         if unknown:
@@ -72,11 +65,6 @@ class ExperimentConfig:
         return cls(model_tag=d["model"], theta_star=params_from_dict(d["model"], d["theta_star"]),
                    options=FitOptions(**d.get("optimizer", {})),
                    **{k: d[k] for k in plain & set(d)})
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass
@@ -134,8 +122,7 @@ def run_experiment(config, jobs=1):
     Replicates are independent and results are stored by index, so the
     summary does not depend on execution order or parallelism.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_int("jobs", jobs, 1)
     tasks = [(config, n, j) for n in config.sample_sizes for j in range(config.m)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -165,17 +152,3 @@ def run_experiment(config, jobs=1):
                      param_names=tuple(config.theta_star.param_names),
                      sample_sizes=tuple(config.sample_sizes), m=config.m,
                      estimates=estimates, gaps=gaps, converged=converged, seeds=seeds)
-
-
-def config_to_dict(config):
-    return {
-        "model": config.model_tag,
-        "theta_star": params_to_dict(config.theta_star),
-        "sample_sizes": list(config.sample_sizes),
-        "m": config.m,
-        "base_seed": config.base_seed,
-        "x1": config.x1,
-        "burn_in": config.burn_in,
-        "optimizer": asdict(config.options),
-        "drop_nonconverged": config.drop_nonconverged,
-    }

@@ -128,9 +128,9 @@ class _Model:
         """The summary of y that the model's likelihood kernel takes: none."""
         return None
 
-    def draw(self, x, rng):
-        """One draw from the emission law at each state in x."""
-        return self.sampler(rng)(x)
+    def to_dict(self):
+        """The fields as plain numbers and lists, the form that JSON holds."""
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):
@@ -213,9 +213,6 @@ class _CountModel(_Model):
     def state_trace(columns):
         """The (n,) trace that ``simulate`` records, from the series CSV's one state column."""
         return columns.reshape(len(columns))
-
-    def to_dict(self):
-        return {name: getattr(self, name) for name in self.param_names}
 
     def encode(self):
         return _safe_log(self.as_array())
@@ -516,16 +513,10 @@ class NmParams(_Model):
         """The (n, d) trace that ``simulate`` records: the series CSV's state columns."""
         return columns
 
-    def to_dict(self):
-        return {"gamma": self.gamma.tolist(), "omega_vec": self.omega_vec.tolist(),
-                "A": self.A.tolist(), "b_vec": self.b_vec.tolist()}
-
     def encode(self):
         """Softmax logits of gamma with the first pinned to 0, then logs."""
         logits = _safe_log(self.gamma)
-        logits = logits[1:] - logits[0]
-        return np.concatenate([logits, _safe_log(self.omega_vec),
-                               _safe_log(self.A.ravel()), _safe_log(self.b_vec)])
+        return np.concatenate([logits[1:] - logits[0], _safe_log(self.as_array()[self.d:])])
 
     @classmethod
     def decode(cls, z, d):
@@ -533,9 +524,7 @@ class NmParams(_Model):
         logits -= logits.max()
         gamma = np.exp(logits)
         gamma /= gamma.sum()
-        rest = np.exp(z[d - 1:])
-        return cls(gamma=gamma, omega_vec=rest[:d],
-                   A=rest[d:d + d * d].reshape(d, d), b_vec=rest[d + d * d:])
+        return cls.from_array(np.concatenate([gamma, np.exp(z[d - 1:])]), d)
 
     def chain_rule(self, grad_theta):
         """d/dz: the softmax Jacobian for the logits, theta * d/dtheta for the logs."""

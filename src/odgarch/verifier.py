@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .models import _check_seed, log_emission, psi_step, sample_emission
+from .models import _check_int, log_emission, psi_step, sample_emission
 from .params import SLACK_LOOSE, SLACK_TIGHT, params_to_dict
 
 STATE_HI = 1e3
@@ -117,9 +117,7 @@ def _halton(dims, n, seed):
 
 def _grid(dims, n, seed):
     """The first n points of the verifier's grid in [0, 1)^dims."""
-    if n < 1:
-        raise ValueError(f"n_triples must be >= 1, got {n}")
-    return _halton(dims, n, seed)
+    return _halton(dims, _check_int("n_triples", n, 1), seed)
 
 
 def _states(params, u):
@@ -197,7 +195,7 @@ def check_lipschitz_logg(params, n_triples=N_TRIPLES, seed=0):
 
 
 def verify_model(params, n_triples=N_TRIPLES, seed=0):
-    seed = _check_seed(seed)
+    seed = _check_int("seed", seed, 0)
     checks = [
         check_contraction(params, n_triples, seed),
         check_drift(params, n_triples, seed + 101),

@@ -287,7 +287,18 @@ def test_negative_seed(tmp_path, capsys, command):
     argv = {"simulate": ["simulate", *M1_FLAGS, "--n", "64", "--out", str(out)],
             "verify": ["verify", *M1_FLAGS, "--triples", "100"]}[command]
     assert run(argv + ["--seed", "-1"]) == 1
-    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_simulate_explosive_nbin_exits_1(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run(["simulate", "--model", "nbin", "--omega", "3", "--a", ".9", "--b", ".5",
+                "--r", "2", "--n", "64", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "warning: parameters are outside the stability region"
+    assert err[1].startswith("error: nbin draw failed at step 70 of 564 (burn-in included)")
+    assert err[1].endswith("the parameters are outside the stability region")
     assert not out.exists()
 
 

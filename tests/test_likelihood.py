@@ -58,14 +58,14 @@ def test_contraction_identity():
 
 def test_filter_base_case():
     p = NbinParams(1, .5, 1, 2)
-    tr = filter_series(p, 2.0, np.array([3.0]))
-    assert np.array_equal(tr.u, [2.0])
+    u = filter_series(p, 2.0, np.array([3.0]))
+    assert np.array_equal(u, [2.0])
 
 
 def test_filter_one_step():
     p = NbinParams(1, .5, 1, 2)
-    tr = filter_series(p, 2.0, np.array([3.0, 0.0]))
-    assert np.allclose(tr.u, [2.0, 5.0])
+    u = filter_series(p, 2.0, np.array([3.0, 0.0]))
+    assert np.allclose(u, [2.0, 5.0])
 
 
 def test_loglik_single_term():
@@ -84,8 +84,8 @@ def test_loglik_equals_mean_of_emissions(draw):
     p = draw(rng)
     s = simulate(p, 64, seed=3)
     x1 = p.fixed_point()
-    tr = filter_series(p, x1, s)
-    ref = np.mean([log_emission(p, u, yk) for u, yk in zip(tr.u, s.y)])
+    path = filter_series(p, x1, s)
+    ref = np.mean([log_emission(p, u, yk) for u, yk in zip(path, s.y)])
     assert abs(loglik(p, x1, s).value - ref) < 1e-12
 
 

@@ -239,6 +239,27 @@ def test_simulate_n1_and_errors():
         simulate(p, 16, seed=0, burn_in=-3)
 
 
+@pytest.mark.parametrize("name,value,message", [
+    ("n", 2.5, "n must be an integer, got 2.5"), ("n", True, "n must be an integer, got True"),
+    ("n", "8", "n must be an integer, got '8'"),
+    ("burn_in", 2.5, "burn_in must be an integer, got 2.5"),
+    ("burn_in", True, "burn_in must be an integer, got True")],
+    ids=["n-float", "n-bool", "n-str", "burn_in-float", "burn_in-bool"])
+def test_simulate_needs_integer_settings(name, value, message):
+    kwargs = {"n": 8, "burn_in": 2, name: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate(NbinParams(3, .2, .2, 2), seed=0, **kwargs)
+
+
+def test_simulate_explosive_nbin_names_the_step():
+    # the state passes what rng.poisson takes; the error says where the path went
+    with pytest.warns(UserWarning), pytest.raises(ValueError) as info:
+        simulate(NbinParams(3, .9, .5, 2), 64)
+    assert re.fullmatch(r"nbin draw failed at step 70 of 564 \(burn-in included\), from "
+                        r"state \S+e\+18: lam value too large; the parameters are outside "
+                        r"the stability region", str(info.value)), str(info.value)
+
+
 def test_simulate_unstable_warns():
     p = NbinParams(1, .6, .5, 1)
     with pytest.warns(UserWarning):

@@ -4,7 +4,7 @@ import pytest
 from odgarch import (ExperimentConfig, FitOptions, NbinParams, loglik_gap, made, mle_fit,
                      run_experiment, simulate)
 from odgarch.io import write_mc_outputs
-from odgarch.montecarlo import config_to_dict, replicate_seed
+from odgarch.montecarlo import replicate_seed
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
 
@@ -89,12 +89,14 @@ def test_config_dict_roundtrip():
     cfg = ExperimentConfig(model_tag="nbin", theta_star=M1,
                            sample_sizes=(64, 128), m=5, base_seed=99,
                            options=FitOptions(fd_step=3e-6))
-    d = config_to_dict(cfg)
+    d = {"model": "nbin", "theta_star": M1.to_dict(), "sample_sizes": [64, 128], "m": 5,
+         "base_seed": 99, "optimizer": {"fd_step": 3e-6}}
     cfg2 = ExperimentConfig.from_dict(d)
     assert cfg2.sample_sizes == (64, 128)
     assert cfg2.m == 5 and cfg2.base_seed == 99
     assert np.allclose(cfg2.theta_star.as_array(), M1.as_array())
     assert cfg2.options == cfg.options
+    assert cfg2 == cfg
     # a key left out takes the field's default
     assert ExperimentConfig.from_dict({"model": "nbin", "theta_star": M1.to_dict()}) == \
         ExperimentConfig(model_tag="nbin", theta_star=M1)
@@ -110,6 +112,13 @@ def test_single_replicate_identity():
     assert np.array_equal(summary.mc_mean[256], fit.theta_hat.as_array())
     assert np.allclose(summary.made_[256],
                        np.abs(fit.theta_hat.as_array() - M1.as_array()))
+
+
+@pytest.mark.parametrize("jobs", [2.5, True, "2"], ids=["float", "bool", "str"])
+def test_jobs_must_be_an_integer(jobs):
+    cfg = ExperimentConfig(model_tag="nbin", theta_star=M1, sample_sizes=(16,), m=1)
+    with pytest.raises(ValueError, match=f"^jobs must be an integer, got {jobs!r}$"):
+        run_experiment(cfg, jobs=jobs)
 
 
 def test_parallel_matches_serial():

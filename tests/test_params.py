@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import os
 import re
@@ -313,3 +314,63 @@ def test_stability_is_stated_once():
                                                     "constraint_grad_z", "pull_inside"}
         for f in methods:
             assert not {a.arg for a in f.args.args} & {"fmap", "fd_step"}, f.name
+
+# json.dumps of to_dict for one set of each model, recorded before the dict forms were
+# written once: the keys, their order and the JSON bytes.
+DICT_PINS = [
+    (NbinParams(3.0, 0.2, 0.2, 2.0), '{"omega": 3.0, "a": 0.2, "b": 0.2, "r": 2.0}'),
+    (TingParams(3.0, 0.35, 0.1, 4.0), '{"omega": 3.0, "a": 0.35, "b": 0.1, "tau": 4.0}'),
+    (NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0], A=[[0.3, 0.1], [0.05, 0.25]],
+              b_vec=[0.2, 0.1]),
+     '{"gamma": [0.4, 0.6], "omega_vec": [1.0, 2.0], "A": [[0.3, 0.1], [0.05, 0.25]], '
+     '"b_vec": [0.2, 0.1]}')]
+
+
+@pytest.mark.parametrize("p,text", DICT_PINS, ids=["nbin", "ting", "nm-d2"])
+def test_to_dict_pinned(p, text):
+    assert json.dumps(p.to_dict()) == text
+    assert json.dumps(params_to_dict(p)) == text
+
+
+NM_SETS = {
+    1: NmParams(gamma=[1.0], omega_vec=[1.0], A=[[0.4]], b_vec=[0.25]),
+    2: NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0], A=[[0.3, 0.1], [0.05, 0.25]],
+                b_vec=[0.2, 0.1]),
+    3: NmParams(gamma=[0.2, 0.5, 0.3], omega_vec=[0.5, 1.5, 3.0],
+                A=[[0.2, 0.0, 0.05], [0.1, 0.3, 0.0], [0.0, 0.02, 0.15]], b_vec=[0.1, 0.0, 0.3]),
+}
+# NmParams.encode of each set, and decode(encode) as its as_array, as float hex, recorded
+# before NM's theta order was read from as_array and from_array. d = 3 has zeros, which
+# encode floors.
+NM_CODE_PINS = {
+    1: (['0x0.0p+0', '-0x1.d5240f0e0e077p-1', '-0x1.62e42fefa39efp+0'],
+        ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.999999999999ap-2',
+         '0x1.0000000000000p-2']),
+    2: (['0x1.9f323ecbf984ap-2', '0x0.0p+0', '0x1.62e42fefa39efp-1',
+         '-0x1.34378fcbda721p+0', '-0x1.26bb1bbb55515p+1', '-0x1.7f7427b73e391p+1',
+         '-0x1.62e42fefa39efp+0', '-0x1.9c041f7ed8d33p+0', '-0x1.26bb1bbb55515p+1'],
+        ['0x1.999999999999ap-2', '0x1.3333333333333p-1', '0x1.0000000000000p+0',
+         '0x1.0000000000000p+1', '0x1.3333333333333p-2', '0x1.999999999999bp-4',
+         '0x1.999999999999bp-5', '0x1.0000000000000p-2', '0x1.999999999999ap-3',
+         '0x1.999999999999bp-4']),
+    3: (['0x1.d5240f0e0e077p-1', '0x1.9f323ecbf9848p-2', '-0x1.62e42fefa39efp-1',
+         '0x1.9f323ecbf984cp-2', '0x1.193ea7aad030bp+0', '-0x1.9c041f7ed8d33p+0',
+         '-0x1.ba18a998fffa0p+4', '-0x1.7f7427b73e391p+1', '-0x1.26bb1bbb55515p+1',
+         '-0x1.34378fcbda721p+0', '-0x1.ba18a998fffa0p+4', '-0x1.ba18a998fffa0p+4',
+         '-0x1.f4bd2b7ac1bafp+1', '-0x1.e5a9a7c3ac418p+0', '-0x1.26bb1bbb55515p+1',
+         '-0x1.ba18a998fffa0p+4', '-0x1.34378fcbda721p+0'],
+        ['0x1.999999999999bp-3', '0x1.0000000000001p-1', '0x1.3333333333333p-2',
+         '0x1.0000000000000p-1', '0x1.8000000000000p+0', '0x1.8000000000001p+1',
+         '0x1.999999999999ap-3', '0x1.19799812dea16p-40', '0x1.999999999999bp-5',
+         '0x1.999999999999bp-4', '0x1.3333333333333p-2', '0x1.19799812dea16p-40',
+         '0x1.19799812dea16p-40', '0x1.47ae147ae147bp-6', '0x1.3333333333333p-3',
+         '0x1.999999999999bp-4', '0x1.19799812dea16p-40', '0x1.3333333333333p-2']),
+}
+
+
+@pytest.mark.parametrize("d", sorted(NM_SETS))
+def test_nm_encode_decode_pinned(d):
+    z_hex, theta_hex = NM_CODE_PINS[d]
+    z = NM_SETS[d].encode()
+    assert [float(v).hex() for v in z] == z_hex
+    assert [float(v).hex() for v in NmParams.decode(z, d).as_array()] == theta_hex

@@ -292,3 +292,10 @@ def test_import_leaves_scipy_stats_unloaded():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("check", [verify_model, check_contraction])
+def test_n_triples_must_be_an_integer(check, value):
+    with pytest.raises(ValueError, match=f"^n_triples must be an integer, got {value!r}$"):
+        check(M1, n_triples=value)
