@@ -1,0 +1,33 @@
+"""Rewrite manifest.json from the workflows of tests/test_golden.py.
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+Run it only for a change that moves output bits on purpose, and say in
+CHANGES.md which files moved and why.
+"""
+
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from test_golden import MANIFEST, environment, run_workflows  # noqa: E402
+
+
+def main():
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        os.chdir(d)
+        try:
+            files = run_workflows()
+        finally:
+            os.chdir(here)
+    MANIFEST.write_text(json.dumps({"environment": environment(), "files": files},
+                                   indent=2, sort_keys=True) + "\n")
+    print(f"{MANIFEST}: {len(files)} files")
+
+
+if __name__ == "__main__":
+    main()
