@@ -4,7 +4,7 @@ from .estimation import FitOptions, FitResult, init_generic, mle_fit
 from .likelihood import (LoglikValue, digamma, filter_series, grad_loglik_nbin,
                          grad_loglik_numeric, iterate_f, loglik)
 from .models import log_emission, psi_step, sample_emission, simulate
-from .montecarlo import ExperimentConfig, McSummary, loglik_gap, made, run_experiment
+from .montecarlo import ExperimentConfig, McSummary, run_experiment
 from .params import (ModelParams, NbinParams, NmParams, Series, TingParams,
                      spectral_radius)
 from .reparam import FeasibleMap, feasible_map_for
@@ -17,7 +17,7 @@ __all__ = [
     "LoglikValue", "digamma", "filter_series",
     "grad_loglik_nbin", "grad_loglik_numeric", "iterate_f", "loglik",
     "log_emission", "psi_step", "sample_emission", "simulate",
-    "ExperimentConfig", "McSummary", "loglik_gap", "made", "run_experiment",
+    "ExperimentConfig", "McSummary", "run_experiment",
     "ModelParams", "NbinParams", "NmParams", "Series", "TingParams",
     "spectral_radius",
     "FeasibleMap", "feasible_map_for",

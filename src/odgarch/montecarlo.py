@@ -8,7 +8,7 @@ import numpy as np
 from .estimation import FitOptions, mle_fit
 from .likelihood import loglik
 from .models import BURN_IN, _check_anchor, _check_int, simulate
-from .params import Series, params_from_dict
+from .params import params_from_dict
 
 
 def splitmix64(x):
@@ -73,7 +73,6 @@ class McSummary:
     theta_star: object
     param_names: tuple
     sample_sizes: tuple
-    m: int
     estimates: dict       # n -> (m, p) array of theta_hat
     gaps: dict            # n -> (m,) array of loglik(theta_hat) - loglik(theta_star)
     converged: dict       # n -> (m,) bool array
@@ -87,23 +86,6 @@ class McSummary:
         self.mc_mean = {n: est.mean(axis=0) for n, est in self.estimates.items()}
         self.made_ = {n: np.abs(est - star).mean(axis=0) for n, est in self.estimates.items()}
         self.n_converged = {n: int(c.sum()) for n, c in self.converged.items()}
-
-
-def made(estimates, theta_star):
-    """Componentwise mean absolute deviation of estimates from the truth."""
-    if len(estimates) == 0:
-        raise ValueError("empty estimate list")
-    tags = {p.tag for p in estimates}
-    if tags != {theta_star.tag}:
-        raise ValueError("model tag mismatch")
-    arr = np.stack([p.as_array() for p in estimates])
-    return np.abs(arr - theta_star.as_array()).mean(axis=0)
-
-
-def loglik_gap(series, theta_hat, theta_star, x1):
-    """loglik(theta_hat) - loglik(theta_star) on the same data and anchor."""
-    s = Series.of(series, theta_star.tag)
-    return loglik(theta_hat, x1, s).value - loglik(theta_star, x1, s).value
 
 
 def _run_replicate(args):
@@ -150,5 +132,5 @@ def run_experiment(config, jobs=1):
 
     return McSummary(model_tag=config.model_tag, theta_star=config.theta_star,
                      param_names=tuple(config.theta_star.param_names),
-                     sample_sizes=tuple(config.sample_sizes), m=config.m,
+                     sample_sizes=tuple(config.sample_sizes),
                      estimates=estimates, gaps=gaps, converged=converged, seeds=seeds)

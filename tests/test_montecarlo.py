@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from odgarch import (ExperimentConfig, FitOptions, NbinParams, loglik_gap, made, mle_fit,
+from odgarch import (ExperimentConfig, FitOptions, McSummary, NbinParams, mle_fit,
                      run_experiment, simulate)
 from odgarch.io import write_mc_outputs
 from odgarch.montecarlo import replicate_seed
@@ -9,37 +9,24 @@ from odgarch.montecarlo import replicate_seed
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
 
 
+def _summary(truth, estimates):
+    """The study summary of one sample size whose estimates are the given parameters."""
+    est = np.stack([p.as_array() for p in estimates])
+    m = len(est)
+    return McSummary(model_tag=truth.tag, theta_star=truth, param_names=truth.param_names,
+                     sample_sizes=(64,), estimates={64: est}, gaps={64: np.zeros(m)},
+                     converged={64: np.ones(m, dtype=bool)},
+                     seeds={64: np.zeros(m, dtype=np.uint64)})
+
+
 def test_made_hand_values():
     truth = NbinParams(1.5, 1.5, 1.5, 1.5)
     ests = [NbinParams(1.0, 1.0, 1.0, 1.0), NbinParams(2.0, 2.0, 2.0, 2.0)]
-    assert np.allclose(made(ests, truth), 0.5)
-    assert np.allclose(made([truth, truth], truth), 0.0)
+    assert np.allclose(_summary(truth, ests).made_[64], 0.5)
+    assert np.allclose(_summary(truth, [truth, truth]).made_[64], 0.0)
     truth1 = NbinParams(1.0, 1.0, 1.0, 1.0)
     ests = [NbinParams(1e-12, 1e-12, 1e-12, 1e-12), NbinParams(3.0, 3.0, 3.0, 3.0)]
-    assert np.allclose(made(ests, truth1), 1.5, atol=1e-9)
-
-
-def test_made_errors():
-    with pytest.raises(ValueError):
-        made([], M1)
-    from odgarch import TingParams
-    with pytest.raises(ValueError):
-        made([TingParams(1, .5, .5, 1)], M1)
-
-
-def test_loglik_gap_identity_and_sign():
-    s = simulate(M1, 256, seed=1)
-    assert loglik_gap(s, M1, M1, 7.5) == 0.0
-    fit = mle_fit(s)
-    gap = loglik_gap(s, fit.theta_hat, M1, fit.x1_used)
-    assert gap >= -1e-8  # the maximizer dominates the feasible truth
-
-
-def test_loglik_gap_tag_mismatch():
-    from odgarch import TingParams
-    s = simulate(M1, 64, seed=1)
-    with pytest.raises(ValueError):
-        loglik_gap(s, TingParams(1, .5, .5, 1), M1, 7.5)
+    assert np.allclose(_summary(truth1, ests).made_[64], 1.5, atol=1e-9)
 
 
 def test_replicate_seeds_distinct():

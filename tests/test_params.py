@@ -9,8 +9,8 @@ import pytest
 
 import odgarch
 from odgarch import (NbinParams, NmParams, Series, TingParams, filter_series,
-                     grad_loglik_nbin, grad_loglik_numeric, init_generic, loglik, loglik_gap,
-                     mle_fit, simulate, spectral_radius)
+                     grad_loglik_nbin, grad_loglik_numeric, init_generic, loglik, mle_fit,
+                     simulate, spectral_radius)
 from odgarch.params import params_from_dict, params_to_dict
 
 
@@ -188,7 +188,6 @@ ENTRY_POINTS = {
     "filter_series": lambda s: filter_series(NB, 5.0, s),
     "mle_fit": lambda s: mle_fit(s, model_tag="nbin"),
     "init_generic": lambda s: init_generic(s, "nbin"),
-    "loglik_gap": lambda s: loglik_gap(s, NB, NB, 5.0),
 }
 
 
