@@ -93,14 +93,14 @@ def _bad_cell(path, i, name, what, cell):
     return ValueError(f"{path}: row {i + 1}, column {name}: {what}: {str(cell)!r}")
 
 
-def _numbers(path, header, cells, cols, dtype=float):
-    """The cells of the columns in slice cols as numbers of dtype.
+def _numbers(path, header, cells, cols, dtype=float, finite=False):
+    """The cells of the columns in slice cols as numbers of dtype, finite ones if finite.
 
     Raises naming the row and the column of the first cell that is not one.
     """
     block = cells[:, cols]
     try:
-        return block.astype(dtype)
+        numbers = block.astype(dtype)
     except ValueError:
         for (i, j), cell in np.ndenumerate(block):
             try:
@@ -109,6 +109,10 @@ def _numbers(path, header, cells, cols, dtype=float):
                 what = "not an integer" if dtype is int else "not a number"
                 raise _bad_cell(path, i, header[cols][j], what, cell) from None
         raise
+    if finite and not np.isfinite(numbers).all():
+        i, j = np.argwhere(~np.isfinite(numbers))[0]
+        raise _bad_cell(path, i, header[cols][j], "not a finite number", block[i, j])
+    return numbers
 
 
 def write_json(path, obj):
@@ -211,6 +215,6 @@ def read_replicates(path):
         "param_names": list(header[lead:]),
         "n": _numbers(path, header, cells, slice(1, 2), int)[:, 0],
         "converged": converged == "true",
-        "gap": _numbers(path, header, cells, slice(5, 6))[:, 0],
-        "estimates": _numbers(path, header, cells, slice(lead, None)),
+        "gap": _numbers(path, header, cells, slice(5, 6), finite=True)[:, 0],
+        "estimates": _numbers(path, header, cells, slice(lead, None), finite=True),
     }

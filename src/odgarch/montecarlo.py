@@ -58,10 +58,17 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d):
         """From the experiment config's JSON object; a key left out takes the field's default."""
+        if not isinstance(d, dict):
+            raise ValueError(f"bad experiment config: the config must be a JSON object, got {d!r}")
         plain = {f.name for f in fields(cls)} - {"model_tag", "theta_star", "options"}
         unknown = set(d) - plain - {"model", "theta_star", "optimizer"}
         if unknown:
             raise ValueError(f"bad experiment config: unknown keys {sorted(unknown)}")
+        for key, kind, what in [("theta_star", dict, "a JSON object"),
+                                ("optimizer", dict, "a JSON object"),
+                                ("sample_sizes", list, "a list")]:
+            if not isinstance(d.get(key, kind()), kind):
+                raise ValueError(f"bad experiment config: {key} must be {what}, got {d[key]!r}")
         return cls(model_tag=d["model"], theta_star=params_from_dict(d["model"], d["theta_star"]),
                    options=FitOptions(**d.get("optimizer", {})),
                    **{k: d[k] for k in plain & set(d)})

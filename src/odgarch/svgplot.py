@@ -94,6 +94,8 @@ def boxplot_panel(groups, title="", ref_line=None, true_value=None, mean_markers
     plot_h = HEIGHT - mt - mb
 
     all_vals = np.concatenate([np.asarray(v, dtype=float) for _, v in groups])
+    if not np.isfinite(all_vals).all():
+        raise ValueError("boxplot requires finite values")
     lo = min(float(all_vals.min()), *( [ref_line] if ref_line is not None else [] ),
              *( [true_value] if true_value is not None else [] ))
     hi = max(float(all_vals.max()), *( [ref_line] if ref_line is not None else [] ),

@@ -246,6 +246,51 @@ def test_mc_config_names_a_value_that_is_not_real(tmp_path, capsys):
         "error: bad experiment config: nbin parameter omega must be a real number, got 'x'\n")
 
 
+NBIN_CONFIG = {"model": "nbin", "theta_star": {"omega": 3, "a": .2, "b": .2, "r": 2}}
+
+
+@pytest.mark.parametrize("config,message", [
+    ([1, 2], "the config must be a JSON object, got [1, 2]"),
+    ({**NBIN_CONFIG, "theta_star": [1]}, "theta_star must be a JSON object, got [1]"),
+    ({**NBIN_CONFIG, "optimizer": [1]}, "optimizer must be a JSON object, got [1]"),
+    ({**NBIN_CONFIG, "sample_sizes": 64}, "sample_sizes must be a list, got 64"),
+], ids=["config", "theta_star", "optimizer", "sample_sizes"])
+def test_mc_config_of_a_bad_shape(tmp_path, capsys, config, message):
+    cpath = str(tmp_path / "bad.json")
+    with open(cpath, "w") as fh:
+        json.dump(config, fh)
+    assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: bad experiment config: {message}\n"
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_fit_without_a_sidecar_needs_a_model(tmp_path, capsys):
+    series = str(tmp_path / "s.csv")
+    with open(series, "w") as fh:
+        fh.write("k,y\n" + "".join(f"{k},{k % 5}\n" for k in range(1, 33)))
+    assert run(["fit", "--series", series]) == 1
+    assert capsys.readouterr().err == ("error: model tag not given and no metadata "
+                                       "sidecar found\n")
+    assert run(["fit", "--series", series, "--model", "nbin"]) == 0
+
+
+def test_simulate_x1_that_is_not_a_state(tmp_path, capsys):
+    nm1 = ["--model", "nm", "--gamma", "1", "--omega", "1", "--A", ".4", "--bvec", ".25"]
+    out = str(tmp_path / "s.csv")
+    assert run(["simulate", *nm1, "--n", "16", "--x1", "abc", "--out", out]) == 1
+    assert capsys.readouterr().err == "error: x1 must be one positive finite nm state, got 'abc'\n"
+    assert not os.path.exists(out)
+
+
+def test_fit_x1_that_is_not_a_state(tmp_path, capsys):
+    series, out = str(tmp_path / "s.csv"), str(tmp_path / "fit.json")
+    assert run(["simulate", *M1_FLAGS, "--n", "64", "--out", series]) == 0
+    assert run(["fit", "--series", series, "--x1", "1,2", "--out", out]) == 1
+    assert capsys.readouterr().err == ("error: x1 must be one positive finite nbin state, "
+                                       "got '1,2'\n")
+    assert not os.path.exists(out)
+
+
 def test_fit_rejects_a_sidecar_of_another_model(tmp_path, capsys):
     series = str(tmp_path / "s.csv")
     assert run(["simulate", *M1_FLAGS, "--n", "64", "--out", series]) == 0
@@ -378,6 +423,20 @@ def test_plot_config_of_another_model(tmp_path, capsys, theta_star, named):
     assert run(["plot", "--replicates", rpath, "--config", cpath, "--out-dir", pdir]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and all(s in err for s in named), err
+    assert not os.path.exists(pdir)
+
+
+@pytest.mark.parametrize("row,where", [
+    ("nbin,64,2,3,true,nan,3,.2,.2,2", "row 3, column loglik_gap: not a finite number: 'nan'"),
+    ("nbin,64,2,3,true,0.5,3,inf,.2,2", "row 3, column a: not a finite number: 'inf'"),
+], ids=["nan_gap", "inf_estimate"])
+def test_plot_rejects_a_non_finite_cell(tmp_path, capsys, row, where):
+    path = str(tmp_path / "r.csv")
+    with open(path, "w") as fh:
+        fh.write(NBIN_REPLICATES + row + "\n")
+    pdir = str(tmp_path / "p")
+    assert run(["plot", "--replicates", path, "--out-dir", pdir]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {where}\n"
     assert not os.path.exists(pdir)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from odgarch import (FeasibleMap, FitOptions, NbinParams, NmParams, TingParams,
                      grad_loglik_nbin, init_generic, loglik, mle_fit,
                      simulate)
-from odgarch.estimation import EPS_MARGIN
+from odgarch.estimation import EPS_MARGIN, _bfgs
 from odgarch.params import Series
 from odgarch.reparam import feasible_map_for
 
@@ -286,6 +286,53 @@ def test_pull_inside_meets_margin(draw):
         q = p.pull_inside(EPS_MARGIN)
         assert q.margin() >= EPS_MARGIN
         assert q.margin() < EPS_MARGIN + 1e-9
+
+
+def test_bfgs_restarts_when_rounding_loses_curvature():
+    # on a quadratic of condition 1e10, rounding leaves the inverse-Hessian estimate
+    # indefinite along the gradient; _bfgs restarts from steepest descent, whose first
+    # trial is z - g exactly, and still converges
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    rot = np.array([[c, -s], [s, c]])
+    h = rot @ np.diag([1.0, 1e10]) @ rot.T
+    seen = []
+
+    def f_and_g(z):
+        g = h @ z
+        seen.append((z, g))
+        return 0.5 * z @ g, g, None
+
+    z0 = np.ones(2)
+    z, fval, g, _, n_iter, ok = _bfgs(f_and_g, z0, f_and_g(z0), 1e-8, 50)
+    # the first iteration's h is the identity: restarts are trials after it
+    restarts = [k for k in range(2, len(seen))
+                if any(np.array_equal(seen[k][0], zj - gj) for zj, gj in seen[1:k])]
+    assert restarts
+    assert ok and abs(g).max() < 1e-8 and fval < 1e-20 and n_iter < 50
+
+
+def test_bfgs_gives_up_when_the_line_search_fails():
+    trials = []
+
+    def f_and_g(z):
+        trials.append(z)
+        raise FloatingPointError("overflow")
+
+    z0, g0 = np.array([1.0, 2.0]), np.array([1.0, -1.0])
+    z, fval, g, extra, n_iter, ok = _bfgs(f_and_g, z0, (3.0, g0, "start"), 1e-8, 10)
+    assert np.array_equal(z, z0) and fval == 3.0 and g is g0 and extra == "start"
+    assert (n_iter, ok) == (1, False)
+    assert len(trials) == 60 and np.array_equal(trials[-1], z0 - 0.5 ** 59 * g0)
+
+
+def test_mle_fit_falls_back_to_its_start():
+    # one outer iteration from a start on the margin ends outside it; pulled back
+    # inside, the point is worse than the start, so the fit returns the start
+    series = simulate(NbinParams(0.5, 0.7, 0.149, 2.0), 256, seed=2)
+    start = mle_fit(series).theta_hat
+    fit = mle_fit(series, theta_init=start, options=FitOptions(max_outer=1))
+    assert fit.theta_hat is fit.theta_init
+    assert fit.loglik_hat == fit.loglik_init and not fit.converged
 
 
 def test_mle_fit_nm_ends_outside_margin():

@@ -193,6 +193,12 @@ def test_boxplot_panel_deterministic_svg():
         boxplot_panel([("a", [])])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_boxplot_panel_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="^boxplot requires finite values$"):
+        boxplot_panel([("n=64", [1.0, 2.0]), ("n=128", [1.0, bad])], ref_line=0.0)
+
+
 def test_boxplot_panel_true_value_markers():
     groups = [("n=128", [1.0, 2.0, 3.0]), ("n=256", [1.5, 2.0, 2.5])]
     svg = boxplot_panel(groups, title="omega", true_value=2.0, mean_markers=True)
