@@ -18,16 +18,16 @@ from .verifier import N_TRIPLES, verify_model
 
 
 def _params_from_args(args):
+    """The parameters of --model from its flags; a flag of another model is refused."""
     model = model_class(args.model)
-    _require(args, model.cli_flags)
-    return model.from_flags([getattr(args, name) for name in model.cli_flags])
-
-
-def _require(args, names):
-    missing = [n for n in names if getattr(args, n, None) is None]
+    stray = [f for f, _, _ in _PARAM_FLAGS
+             if f not in model.cli_help and getattr(args, f) is not None]
+    if stray:
+        raise UsageError(f"--model {args.model} takes no " + " ".join(f"--{f}" for f in stray))
+    missing = [f for f in model.cli_help if getattr(args, f) is None]
     if missing:
-        raise UsageError(f"--model {args.model} requires " +
-                         " ".join(f"--{m}" for m in missing))
+        raise UsageError(f"--model {args.model} requires " + " ".join(f"--{f}" for f in missing))
+    return model.from_flags([getattr(args, f) for f in model.cli_help])
 
 
 class UsageError(Exception):
@@ -47,7 +47,7 @@ def _param_flags():
     """(flag, metavar, help) of each parameter flag; a flag's models with equal help
     share its text."""
     flags = []
-    for flag in dict.fromkeys(f for model in MODELS.values() for f in model.cli_flags):
+    for flag in dict.fromkeys(f for model in MODELS.values() for f in model.cli_help):
         metavars, texts = {}, {}
         for model in MODELS.values():
             if flag in model.cli_help:
@@ -97,7 +97,7 @@ def cmd_simulate(args):
 def cmd_fit(args):
     options = _opts_from_args(args)
     series = odio.read_series(args.series, model_tag=args.model)
-    x1 = None if args.x1 is None else _parse_x1(model_class(series.model_tag), args.x1)
+    x1 = None if args.x1 is None else _parse_x1(series.model, args.x1)
     fit = mle_fit(series, x1=x1, options=options)
     if args.out:
         odio.write_json(args.out, fit.to_dict())
@@ -120,7 +120,7 @@ def cmd_mc(args):
 
 def _print_table(summary):
     ns = summary.sample_sizes
-    print(f"model {summary.model_tag}: mean of estimates, MADEs (within parentheses)")
+    print(f"model {summary.theta_star.tag}: mean of estimates, MADEs (within parentheses)")
     print("parameter  " + "  ".join(f"n={n}" for n in ns))
     for i, name in enumerate(summary.param_names):
         cells = [f"{summary.mc_mean[n][i]:.3f}({summary.made_[n][i]:.3f})" for n in ns]

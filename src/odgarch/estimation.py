@@ -15,7 +15,7 @@ import numpy as np
 
 from .likelihood import grad_loglik_numeric
 from .models import _check_anchor
-from .params import EPS_MARGIN, FD_STEP, Series, model_class, params_to_dict
+from .params import EPS_MARGIN, FD_STEP, Series, params_to_dict
 from .reparam import feasible_map_for
 
 
@@ -77,14 +77,14 @@ def _validate_series(series):
     return series
 
 
-def init_generic(series, model_tag, x1=None):
-    """Feasible, roughly scaled starting point for any model.
+def init_generic(series, model_tag=None, x1=None):
+    """Feasible, roughly scaled starting point for a Series, or an array of model_tag.
 
     For NM, x1 (the state anchor of the fit) gives the number of mixture
     components when the series carries neither parameters nor a state trace.
     """
     s = _validate_series(Series.of(series, model_tag))
-    return model_class(model_tag).start(s, x1)
+    return s.model.start(s, x1)
 
 
 def _bfgs(f_and_g, z0, start, tol, max_iter):
@@ -145,8 +145,7 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None):
     """
     opts = options or FitOptions()
     series = _validate_series(Series.of(series, model_tag))
-    theta0 = (theta_init if theta_init is not None
-              else init_generic(series, series.model_tag, x1))
+    theta0 = theta_init if theta_init is not None else init_generic(series, x1=x1)
     theta0 = theta0.pull_inside(opts.margin)
     x1 = _check_anchor(theta0, theta0.fixed_point() if x1 is None else x1)
     fmap = feasible_map_for(theta0)

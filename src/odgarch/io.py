@@ -14,7 +14,7 @@ import tempfile
 import numpy as np
 
 from .montecarlo import ExperimentConfig
-from .params import Series, model_class, params_from_dict, params_to_dict
+from .params import Series, model_class, params_to_dict
 
 SUMMARY_COLUMNS = ("model", "n", "param", "mc_mean", "made", "n_converged")
 REPLICATE_COLUMNS = ("model", "n", "j", "seed", "converged", "loglik_gap")  # then the parameters
@@ -166,7 +166,8 @@ def _read_sidecar(path, n):
         raise ValueError(f"{side}: n is {given['n']}, but {path} has {n} rows")
     meta.update(given)
     try:
-        meta["params"] = params_from_dict(meta["model"], meta["params"]) if meta["params"] else None
+        meta["params"] = (model_class(meta["model"]).from_dict(meta["params"])
+                          if meta["params"] else None)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{side}: params: {exc}") from None
     return meta
@@ -179,19 +180,20 @@ def read_series(path, model_tag=None):
     meta = _read_sidecar(path, len(y))
     tag = model_tag or meta["model"]
     if tag is None:
-        raise ValueError("model tag not given and no metadata sidecar found")
-    x_trace = model_class(tag).state_trace(xs) if xs.shape[1] else None
-    return Series(y=y, model_tag=tag, seed=meta["seed"], x_trace=x_trace,
+        side = meta_path(path)
+        where = f"{side} has no model" if os.path.exists(side) else "no metadata sidecar found"
+        raise ValueError(f"model tag not given and {where}")
+    return Series(y=y, model_tag=tag, seed=meta["seed"], x_trace=xs if xs.shape[1] else None,
                   stable=meta["stable"], burn_in=meta["burn_in"], params=meta["params"])
 
 
 def write_mc_outputs(summary_path, replicates_path, summary):
     s = summary
     write_csv(summary_path, SUMMARY_COLUMNS,
-              [(s.model_tag, n, name, s.mc_mean[n][i], s.made_[n][i], s.n_converged[n])
+              [(s.theta_star.tag, n, name, s.mc_mean[n][i], s.made_[n][i], s.n_converged[n])
                for n in s.sample_sizes for i, name in enumerate(s.param_names)])
     write_csv(replicates_path, (*REPLICATE_COLUMNS, *s.param_names),
-              [(s.model_tag, n, j, s.seeds[n][j], s.converged[n][j], s.gaps[n][j],
+              [(s.theta_star.tag, n, j, s.seeds[n][j], s.converged[n][j], s.gaps[n][j],
                 *s.estimates[n][j])
                for n in s.sample_sizes for j in range(len(s.gaps[n]))])
 

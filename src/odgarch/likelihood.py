@@ -26,8 +26,6 @@ def digamma(x):
 @dataclass
 class LoglikValue:
     value: float
-    n: int
-    x1: object
 
 
 def iterate_f(params, x, y_slice):
@@ -51,7 +49,7 @@ def loglik(params, x1, series):
     value = params.kernel_loglik(s.y, x1, s.count_table)
     if not math.isfinite(value):
         raise FloatingPointError("log-likelihood is not finite")
-    return LoglikValue(value=float(value), n=s.n, x1=x1)
+    return LoglikValue(value=float(value))
 
 
 def grad_loglik_nbin(params, x1, series, *, with_value=False):

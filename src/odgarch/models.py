@@ -82,7 +82,8 @@ def _check_anchor(params, x1):
     x = np.asarray(x1)
     if x.dtype.kind in "iuf" and x.shape == params.state_shape and ((x > 0) & (x < np.inf)).all():
         return np.asarray(x, dtype=float)[()]
-    raise ValueError(f"x1 must be one positive finite {params.tag} state, got {x1!r}")
+    shown = x.tolist() if isinstance(x1, (np.ndarray, np.generic)) else x1  # values, not a repr
+    raise ValueError(f"x1 must be one positive finite {params.tag} state, got {shown!r}")
 
 
 def _check_int(name, value, least):

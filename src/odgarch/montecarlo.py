@@ -8,7 +8,7 @@ import numpy as np
 from .estimation import FitOptions, mle_fit
 from .likelihood import loglik
 from .models import BURN_IN, _check_anchor, _check_int, simulate
-from .params import params_from_dict
+from .params import model_class
 
 
 def splitmix64(x):
@@ -69,14 +69,14 @@ class ExperimentConfig:
                                 ("sample_sizes", list, "a list")]:
             if not isinstance(d.get(key, kind()), kind):
                 raise ValueError(f"bad experiment config: {key} must be {what}, got {d[key]!r}")
-        return cls(model_tag=d["model"], theta_star=params_from_dict(d["model"], d["theta_star"]),
+        star = model_class(d["model"]).from_dict(d["theta_star"])
+        return cls(model_tag=d["model"], theta_star=star,
                    options=FitOptions(**d.get("optimizer", {})),
                    **{k: d[k] for k in plain & set(d)})
 
 
 @dataclass
 class McSummary:
-    model_tag: str
     theta_star: object
     param_names: tuple
     sample_sizes: tuple
@@ -99,8 +99,7 @@ def _run_replicate(args):
     config, n, j = args
     seed = replicate_seed(config.base_seed, n, j)
     series = simulate(config.theta_star, n, seed=seed, burn_in=config.burn_in)
-    fit = mle_fit(series, model_tag=config.model_tag,
-                  x1=config.x1, options=config.options)
+    fit = mle_fit(series, x1=config.x1, options=config.options)
     gap = fit.loglik_hat - loglik(config.theta_star, fit.x1_used, series).value
     return n, j, fit.theta_hat.as_array(), gap, fit.converged, seed
 
@@ -137,7 +136,7 @@ def run_experiment(config, jobs=1):
         estimates, gaps, seeds, converged = [{n: col[n][converged[n]] for n in config.sample_sizes}
                                              for col in (estimates, gaps, seeds, converged)]
 
-    return McSummary(model_tag=config.model_tag, theta_star=config.theta_star,
+    return McSummary(theta_star=config.theta_star,
                      param_names=tuple(config.theta_star.param_names),
                      sample_sizes=tuple(config.sample_sizes),
                      estimates=estimates, gaps=gaps, converged=converged, seeds=seeds)

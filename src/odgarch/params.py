@@ -156,7 +156,7 @@ class _CountModel(_Model):
     d = 1
     state_shape = ()
     N_Y_GRID = 201  # the verifier's observations: y in {0..200}
-    # (metavar, help) of each command-line flag
+    # (metavar, help) of each command-line flag, in the order ``from_flags`` takes them
     cli_help = {"omega": ("NUM", "intercept w > 0"),
                 "a": ("NUM", "coefficient a > 0 of the state"),
                 "b": ("NUM", "coefficient b > 0 of the count")}
@@ -211,7 +211,7 @@ class _CountModel(_Model):
 
     @staticmethod
     def state_trace(columns):
-        """The (n,) trace that ``simulate`` records, from the series CSV's one state column."""
+        """The (n,) trace that ``simulate`` records, from it or from one state column."""
         return columns.reshape(len(columns))
 
     def encode(self):
@@ -249,7 +249,7 @@ class NbinParams(_CountModel):
     r: float
 
     tag = "nbin"
-    param_names = cli_flags = ("omega", "a", "b", "r")
+    param_names = ("omega", "a", "b", "r")
     cli_help = {**_CountModel.cli_help, "r": ("NUM", "shape r > 0 of the negative binomial")}
     scaled = ("a", "b")
 
@@ -338,7 +338,7 @@ class TingParams(_CountModel):
     tau: float
 
     tag = "ting"
-    param_names = cli_flags = ("omega", "a", "b", "tau")
+    param_names = ("omega", "a", "b", "tau")
     cli_help = {**_CountModel.cli_help, "tau": ("NUM", "threshold tau > 0 of the intensity")}
     scaled = ("a",)
 
@@ -392,7 +392,6 @@ class NmParams(_Model):
     b_vec: np.ndarray
 
     tag = "nm"
-    cli_flags = ("gamma", "omega", "A", "bvec")
     cli_help = {"gamma": ("LIST", "weights, a comma list of d values >= 0 summing to 1"),
                 "omega": ("LIST", "intercepts, a comma list of d values > 0"),
                 "A": ("ROWS", "d x d matrix >= 0, its rows comma lists joined by ';', "
@@ -510,7 +509,7 @@ class NmParams(_Model):
 
     @staticmethod
     def state_trace(columns):
-        """The (n, d) trace that ``simulate`` records: the series CSV's state columns."""
+        """The (n, d) trace that ``simulate`` records: one column per state component."""
         return columns
 
     def encode(self):
@@ -623,10 +622,6 @@ def params_to_dict(params):
     return params.to_dict()
 
 
-def params_from_dict(tag, d):
-    return model_class(tag).from_dict(d)
-
-
 @dataclass
 class Series:
     """An observed sample with optional simulated hidden-state trace.
@@ -643,18 +638,19 @@ class Series:
     burn_in: int = 0
     params: ModelParams | None = field(default=None, repr=False)
     count_table: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _model: type | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
         if self.y.ndim != 1 or self.y.size == 0:
             raise ValueError("observations must be a nonempty 1-d array")
-        model = model_class(self.model_tag)
+        self._model = model = model_class(self.model_tag)
         if self.params is not None and not isinstance(self.params, model):
             raise ValueError(f"a {self.model_tag} series cannot carry {self.params.tag} parameters")
         model.check_obs(self.y)
         self.count_table = model.obs_table(self.y)
         if self.x_trace is not None:
-            self.x_trace = np.asarray(self.x_trace, dtype=float)
+            self.x_trace = model.state_trace(np.asarray(self.x_trace, dtype=float))
             if self.x_trace.shape[0] != self.y.shape[0]:
                 raise ValueError("x_trace must match y in length")
 
@@ -671,6 +667,11 @@ class Series:
         if tag is not None and obs.model_tag != tag:
             raise ValueError(f"a {obs.model_tag} series cannot be used with model {tag}")
         return obs
+
+    @property
+    def model(self):
+        """The class of the series' model, looked up once from its tag."""
+        return self._model
 
     @property
     def n(self):

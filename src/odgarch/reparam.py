@@ -8,14 +8,12 @@ here — it is enforced by the augmented-Lagrangian outer loop.
 
 import numpy as np
 
-from .params import model_class
-
 
 class FeasibleMap:
-    """encode: ModelParams -> R^k, decode: inverse, both smooth."""
+    """encode: ModelParams -> R^k, decode: inverse, both smooth; model is the class."""
 
-    def __init__(self, model_tag, d=1):
-        self.model = model_class(model_tag)
+    def __init__(self, model, d=1):
+        self.model = model
         self.d = d
 
     def encode(self, params):
@@ -45,4 +43,4 @@ class FeasibleMap:
 
 
 def feasible_map_for(params):
-    return FeasibleMap(params.tag, d=params.d)
+    return FeasibleMap(type(params), d=params.d)

@@ -28,10 +28,7 @@ def _fmt(x):
 
 
 def _ticks(lo, hi, target=6):
-    span = hi - lo
-    if span <= 0:
-        return [lo]
-    raw = span / target
+    raw = (hi - lo) / target
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -96,13 +93,15 @@ def boxplot_panel(groups, title="", ref_line=None, true_value=None, mean_markers
     all_vals = np.concatenate([np.asarray(v, dtype=float) for _, v in groups])
     if not np.isfinite(all_vals).all():
         raise ValueError("boxplot requires finite values")
-    lo = min(float(all_vals.min()), *( [ref_line] if ref_line is not None else [] ),
-             *( [true_value] if true_value is not None else [] ))
-    hi = max(float(all_vals.max()), *( [ref_line] if ref_line is not None else [] ),
-             *( [true_value] if true_value is not None else [] ))
+    lines = [v for v in (ref_line, true_value) if v is not None]
+    lo = min([float(all_vals.min()), *lines])
+    hi = max([float(all_vals.max()), *lines])
     pad = 0.05 * (hi - lo) if hi > lo else 1.0
     lo -= pad
     hi += pad
+    if not 0.0 < hi - lo < np.inf:  # the values span more than a float holds, or a pad is lost
+        raise ValueError(f"boxplot {title!r}: the padded range [{lo:g}, {hi:g}] of its values "
+                         "is not a positive finite span")
 
     def ty(v):
         return mt + plot_h * (hi - v) / (hi - lo)

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -274,11 +275,33 @@ def test_fit_without_a_sidecar_needs_a_model(tmp_path, capsys):
     assert run(["fit", "--series", series, "--model", "nbin"]) == 0
 
 
+@pytest.mark.parametrize("meta", [{"seed": 3}, {"model": None}], ids=["no-key", "null"])
+def test_fit_names_a_sidecar_without_a_model(tmp_path, capsys, meta):
+    series, side = str(tmp_path / "s.csv"), str(tmp_path / "s.meta.json")
+    assert run(["simulate", *M1_FLAGS, "--n", "64", "--out", series]) == 0
+    with open(side, "w") as fh:
+        json.dump(meta, fh)
+    assert run(["fit", "--series", series]) == 1
+    assert capsys.readouterr().err == f"error: model tag not given and {side} has no model\n"
+
+
 def test_simulate_x1_that_is_not_a_state(tmp_path, capsys):
     nm1 = ["--model", "nm", "--gamma", "1", "--omega", "1", "--A", ".4", "--bvec", ".25"]
     out = str(tmp_path / "s.csv")
     assert run(["simulate", *nm1, "--n", "16", "--x1", "abc", "--out", out]) == 1
     assert capsys.readouterr().err == "error: x1 must be one positive finite nm state, got 'abc'\n"
+    # a literal that parses to a state outside the model is named by its values
+    assert run(["simulate", *nm1, "--n", "16", "--x1", "-1", "--out", out]) == 1
+    assert capsys.readouterr().err == "error: x1 must be one positive finite nm state, got [-1.0]\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command,argv", [("simulate", ["--n", "16", "--out"]),
+                                          ("verify", ["--triples", "10", "--out"])])
+def test_flags_of_another_model_are_refused(tmp_path, capsys, command, argv):
+    out = str(tmp_path / "out")
+    assert run([command, *M1_FLAGS, "--tau", "9", "--gamma", "1", *argv, out]) == 2
+    assert capsys.readouterr().err == "error: --model nbin takes no --gamma --tau\n"
     assert not os.path.exists(out)
 
 
@@ -463,6 +486,31 @@ def test_plot_replicates_of_two_models(tmp_path, capsys):
                                        "not row 1's model 'nbin': 'ting'\n")
 
 
+def test_plot_refuses_gaps_a_float_cannot_span(tmp_path, capsys):
+    path = str(tmp_path / "r.csv")
+    with open(path, "w") as fh:
+        fh.write("model,n,j,seed,converged,loglik_gap,omega,a,b,r\n"
+                 "nbin,64,0,1,true,1e308,3,.2,.2,2\nnbin,64,1,2,true,-1e308,2.5,.3,.1,2.5\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["plot", "--replicates", path, "--out-dir", str(tmp_path / "p")]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: boxplot 'loglik(MLE) - loglik(truth)': "
+                                               "the padded range"), err
+
+
+def test_plot_without_a_config(tmp_path):
+    path = str(tmp_path / "r.csv")
+    with open(path, "w") as fh:
+        fh.write(NBIN_REPLICATES)
+    pdir = str(tmp_path / "p")
+    assert run(["plot", "--replicates", path, "--out-dir", pdir]) == 0
+    assert len(os.listdir(pdir)) == 5
+    with open(os.path.join(pdir, "estimates_omega.svg"), encoding="utf-8") as fh:
+        assert "stroke-dasharray" not in fh.read()  # no true value to draw
+
+
 # Each bad value of a FitOptions field, as config JSON, and as a flag where the value is
 # of the flag's type (a value that is not, argparse rejects as a usage error).
 BAD_OPTIONS = [("tol", "x", False), ("tol", 0, True), ("tol", -1e-6, True),
@@ -515,9 +563,10 @@ def test_help_names_the_models_of_each_flag(capsys, command):
         flags[flag] = (metavar, " ".join(text))
     assert flags["a"][0] != flags["A"][0]
     for model in PARAM_MODELS.values():
-        assert list(model.cli_help) == list(model.cli_flags)
-        for flag in model.cli_flags:
+        for flag in model.cli_help:
             assert model.tag in re.findall(r"(\w+)[,:]", flags[flag][1]), (flag, model.tag)
+    for model in (PARAM_MODELS["nbin"], PARAM_MODELS["ting"]):
+        assert tuple(model.cli_help) == model.param_names  # from_flags is from_array
     for flag in ("gamma", "bvec"):
         assert "comma list" in flags[flag][1]
     assert "rows comma lists joined by ';'" in flags["A"][1]

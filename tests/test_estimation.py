@@ -37,13 +37,13 @@ def test_feasible_map_roundtrip_all_models():
 @given(st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=4, max_size=4))
 def test_feasible_map_roundtrip_hypothesis(vals):
     p = NbinParams(*vals)
-    fmap = FeasibleMap("nbin")
+    fmap = FeasibleMap(NbinParams)
     q = fmap.decode(fmap.encode(p))
     assert np.allclose(p.as_array(), q.as_array(), rtol=1e-12)
 
 
 def test_decode_always_positive():
-    fmap = FeasibleMap("nbin")
+    fmap = FeasibleMap(NbinParams)
     rng = np.random.default_rng(21)
     for _ in range(50):
         z = rng.uniform(-1e6, 1e6, 4)
@@ -134,6 +134,17 @@ def test_init_generic_contract():
             s = simulate(draw(rng), 256, seed=int(rng.integers(1 << 30)))
             p0 = init_generic(s.y, tag)
             assert p0.stable() and p0.margin() >= EPS_MARGIN - 1e-12
+
+
+@pytest.mark.parametrize("star", [M1, TingParams(3.0, 0.35, 0.1, 4.0), NM_STAR],
+                         ids=["nbin", "ting", "nm-d2"])
+def test_init_generic_takes_the_model_of_a_series(star):
+    s = simulate(star, 256, seed=5)
+    start, tagged = init_generic(s), init_generic(s, s.model_tag)
+    assert type(start) is type(tagged) is type(star)
+    assert start.as_array().tobytes() == tagged.as_array().tobytes()
+    with pytest.raises(ValueError, match="a plain array needs a model tag"):
+        init_generic(s.y)
 
 
 def test_init_generic_nm_white_noise():

@@ -203,3 +203,12 @@ def test_boxplot_panel_true_value_markers():
     groups = [("n=128", [1.0, 2.0, 3.0]), ("n=256", [1.5, 2.0, 2.5])]
     svg = boxplot_panel(groups, title="omega", true_value=2.0, mean_markers=True)
     assert "stroke-dasharray" in svg  # dashed true-value line
+
+
+@pytest.mark.parametrize("values", [[1e308, -1e308], [1.79e308, 0.0], [1e300, 1e300]],
+                         ids=["overflow", "pad-overflow", "pad-lost"])
+def test_boxplot_panel_refuses_a_range_a_float_cannot_span(values):
+    # the padded range must be a positive finite span for the ticks and the y map
+    with pytest.raises(ValueError, match=r"^boxplot 'loglik gap': the padded range .* is not "
+                                         "a positive finite span$"):
+        boxplot_panel([("n=64", values)], title="loglik gap")

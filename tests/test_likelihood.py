@@ -72,7 +72,6 @@ def test_loglik_single_term():
     p = NbinParams(1, .2, .2, 1)
     v = loglik(p, 1.0, np.array([0.0]))
     assert abs(v.value - math.log(0.5)) < 1e-12
-    assert v.n == 1 and v.x1 == 1.0
 
 
 @pytest.mark.parametrize("draw", [random_nbin, random_ting, lambda rng: random_nm(rng, 1),
@@ -190,3 +189,33 @@ def test_loglik_ting_and_nm_paths():
     s = simulate(p, 128, seed=2)
     v = loglik(p, p.fixed_point(), s)
     assert np.isfinite(v.value)
+
+
+# The paper's forgetting of the initial state: each state pair started at x1 and x1'
+# contracts at rate a (NBIN, TING) or by A (NM), so the summed log-likelihood gap
+# S_n = n (l_n(theta; x1) - l_n(theta; x1')) stops changing once the states agree to
+# rounding. S_n for n = 16384 draws (seed 1), x1 = 0.1 and x1' = 10 times the fixed point.
+FORGETTING = [
+    (NbinParams(3.0, 0.2, 0.2, 2.0), -11.42502521),
+    (TingParams(1.2, 0.5, 0.1, 3.2), -6.325912986),
+    (NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0], A=[[0.3, 0.1], [0.05, 0.25]],
+              b_vec=[0.2, 0.1]), -0.04098448336),
+]
+
+
+@pytest.mark.parametrize("params,measured", FORGETTING, ids=["nbin", "ting", "nm-d2"])
+def test_loglik_forgets_the_initial_state(params, measured):
+    y = simulate(params, 16384, seed=1).y
+    x1, x1p = 0.1 * params.fixed_point(), 10.0 * params.fixed_point()
+    gaps = [n * (loglik(params, x1, y[:n]).value - loglik(params, x1p, y[:n]).value)
+            for n in (256, 1024, 4096, 16384)]
+    assert max(gaps) - min(gaps) <= 1e-8, gaps
+    assert abs(gaps[-1] - measured) <= 1e-8
+    if params.tag == "nm":
+        return
+    # Bound for a scalar state: from k = 2 on both states lie in [omega, inf), where
+    # |log g(x; y) - log g(x'; y)| <= K(y) |x - x'|, and they differ by a^(k-1) |x1 - x1'|.
+    k = np.arange(2, y.size + 1)
+    bound = (abs(log_emission(params, x1, y[0]) - log_emission(params, x1p, y[0]))
+             + float(np.sum(params.lipschitz_k(y[1:]) * params.a ** (k - 1))) * abs(x1 - x1p))
+    assert abs(gaps[-1]) <= bound

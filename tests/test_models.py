@@ -294,7 +294,9 @@ def test_check_anchor_scalar_state(x1, want):
     # a float takes a shortcut past the array checks; every case ends as before it
     p = NbinParams(3, .2, .2, 2)
     if want is None:
-        message = re.escape(f"x1 must be one positive finite nbin state, got {x1!r}")
+        # a numpy value is named by its values, not by its repr
+        shown = x1.tolist() if isinstance(x1, (np.ndarray, np.generic)) else x1
+        message = re.escape(f"x1 must be one positive finite nbin state, got {shown!r}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             _check_anchor(p, x1)
         return

@@ -11,7 +11,7 @@ import odgarch
 from odgarch import (NbinParams, NmParams, Series, TingParams, filter_series,
                      grad_loglik_nbin, grad_loglik_numeric, init_generic, loglik, mle_fit,
                      simulate, spectral_radius)
-from odgarch.params import params_from_dict, params_to_dict
+from odgarch.params import model_class, params_to_dict
 
 
 def test_nbin_margin_and_stability():
@@ -131,7 +131,7 @@ def test_params_dict_roundtrip():
               TingParams(3.0, 0.35, 0.1, 4.0),
               NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0],
                        A=[[0.3, 0.1], [0.05, 0.25]], b_vec=[0.2, 0.1])):
-        q = params_from_dict(p.tag, params_to_dict(p))
+        q = model_class(p.tag).from_dict(params_to_dict(p))
         assert np.allclose(p.as_array(), q.as_array())
         assert p.tag == q.tag
 
@@ -149,7 +149,7 @@ def test_from_dict_names_a_value_that_is_not_real(tag, d, name, value):
     what = "a real number or a list of them" if tag == "nm" else "a real number"
     with pytest.raises(TypeError, match=re.escape(f"{tag} parameter {name} must be {what}, "
                                                   f"got {value}")):
-        params_from_dict(tag, d)
+        model_class(tag).from_dict(d)
 
 
 def test_param_names_match_array_length():
@@ -297,6 +297,31 @@ def test_no_model_branches_outside_model_classes():
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 assert model_branches(fh.read()) == [], name
+
+
+# The modules where a model tag enters the program: Series construction, --model, the
+# series and sidecar readers and the experiment config. All else takes the class from
+# the parameters or the Series it holds.
+TAG_ENTRY_MODULES = {"params.py", "io.py", "cli.py", "montecarlo.py"}
+
+
+def test_model_tags_are_looked_up_where_they_enter():
+    src = os.path.dirname(os.path.abspath(odgarch.__file__))
+    found = set()
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                text = fh.read()
+            if "model_class(" in text or "MODELS[" in text:
+                found.add(name)
+    assert "params.py" in found and found <= TAG_ENTRY_MODULES, sorted(found)
+
+
+def test_series_holds_its_model_class():
+    for tag, model in odgarch.params.MODELS.items():
+        assert Series(y=[1.0, 2.0], model_tag=tag).model is model
+    with pytest.raises(AttributeError):
+        Series(y=[1.0, 2.0], model_tag="nbin").model = NmParams
 
 
 def test_stability_is_stated_once():
