@@ -217,7 +217,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, FloatingPointError, KeyError) as exc:
+    except (OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

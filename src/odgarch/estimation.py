@@ -13,9 +13,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .likelihood import grad_loglik_numeric
+from .likelihood import FD_STEP, grad_loglik_numeric
 from .models import _check_anchor
-from .params import EPS_MARGIN, FD_STEP, Series, params_to_dict
+from .params import EPS_MARGIN, Series, params_to_dict
 from .reparam import feasible_map_for
 
 

@@ -124,7 +124,7 @@ def read_config(path):
     with open(path, encoding="utf-8") as fh:
         try:
             return ExperimentConfig.from_dict(json.load(fh))
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except json.JSONDecodeError as exc:
             raise ValueError(f"bad experiment config: {exc}") from exc
 
 
@@ -183,8 +183,11 @@ def read_series(path, model_tag=None):
         side = meta_path(path)
         where = f"{side} has no model" if os.path.exists(side) else "no metadata sidecar found"
         raise ValueError(f"model tag not given and {where}")
-    return Series(y=y, model_tag=tag, seed=meta["seed"], x_trace=xs if xs.shape[1] else None,
-                  stable=meta["stable"], burn_in=meta["burn_in"], params=meta["params"])
+    try:
+        return Series(y=y, model_tag=tag, seed=meta["seed"], x_trace=xs if xs.shape[1] else None,
+                      stable=meta["stable"], burn_in=meta["burn_in"], params=meta["params"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_mc_outputs(summary_path, replicates_path, summary):

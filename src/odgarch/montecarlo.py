@@ -64,14 +64,23 @@ class ExperimentConfig:
         unknown = set(d) - plain - {"model", "theta_star", "optimizer"}
         if unknown:
             raise ValueError(f"bad experiment config: unknown keys {sorted(unknown)}")
+        missing = {"model", "theta_star"} - set(d)
+        if missing:
+            raise ValueError(f"bad experiment config: missing keys {sorted(missing)}")
         for key, kind, what in [("theta_star", dict, "a JSON object"),
                                 ("optimizer", dict, "a JSON object"),
                                 ("sample_sizes", list, "a list")]:
             if not isinstance(d.get(key, kind()), kind):
                 raise ValueError(f"bad experiment config: {key} must be {what}, got {d[key]!r}")
-        star = model_class(d["model"]).from_dict(d["theta_star"])
-        return cls(model_tag=d["model"], theta_star=star,
-                   options=FitOptions(**d.get("optimizer", {})),
+        optimizer = d.get("optimizer", {})
+        unknown = set(optimizer) - {f.name for f in fields(FitOptions)}
+        if unknown:
+            raise ValueError(f"bad experiment config: unknown optimizer keys {sorted(unknown)}")
+        try:
+            star = model_class(d["model"]).from_dict(d["theta_star"])
+        except TypeError as exc:  # a parameter that is not a real number
+            raise ValueError(f"bad experiment config: {exc}") from None
+        return cls(model_tag=d["model"], theta_star=star, options=FitOptions(**optimizer),
                    **{k: d[k] for k in plain & set(d)})
 
 

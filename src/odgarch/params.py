@@ -20,7 +20,6 @@ from scipy.special import gammaln
 # Default interior margin of the stability constraint; the fit's starts keep
 # at least this far from their bounds.
 EPS_MARGIN = 1e-4
-FD_STEP = 1e-5  # the default step of the fit's central differences, in its coordinates z
 _LOG_FLOOR = 1e-12
 # Rounding allowances of the verifier's checks: SLACK_TIGHT, scaled by the
 # state, for an identity that holds exactly; SLACK_LOOSE for an inequality.
@@ -209,9 +208,11 @@ class _CountModel(_Model):
     def parse_state(text):
         return float(text)
 
-    @staticmethod
-    def state_trace(columns):
+    @classmethod
+    def state_trace(cls, columns):
         """The (n,) trace that ``simulate`` records, from it or from one state column."""
+        if columns.ndim == 2 and columns.shape[1] != 1:
+            raise ValueError(f"a {cls.tag} state trace has one column, got {columns.shape[1]}")
         return columns.reshape(len(columns))
 
     def encode(self):
@@ -509,7 +510,11 @@ class NmParams(_Model):
 
     @staticmethod
     def state_trace(columns):
-        """The (n, d) trace that ``simulate`` records: one column per state component."""
+        """The (n, d) trace that ``simulate`` records, one column per state component; a
+        1-d trace is one column."""
+        columns = columns.reshape(len(columns), -1)
+        if columns.shape[1] == 0:
+            raise ValueError("a nm state trace has one column per state component, got 0")
         return columns
 
     def encode(self):
@@ -650,9 +655,15 @@ class Series:
         model.check_obs(self.y)
         self.count_table = model.obs_table(self.y)
         if self.x_trace is not None:
-            self.x_trace = model.state_trace(np.asarray(self.x_trace, dtype=float))
+            x_trace = np.asarray(self.x_trace, dtype=float)
+            if x_trace.ndim not in (1, 2):
+                raise ValueError(f"x_trace must be a 1-d or 2-d array, got {x_trace.ndim}-d")
+            self.x_trace = model.state_trace(x_trace)
             if self.x_trace.shape[0] != self.y.shape[0]:
                 raise ValueError("x_trace must match y in length")
+            if self.params is not None and self.x_trace.shape[1:] != self.params.state_shape:
+                raise ValueError(f"x_trace has {self.x_trace[0].size} state columns, "
+                                 f"but the parameters have d = {self.params.d}")
 
     @classmethod
     def of(cls, obs, tag=None):

@@ -28,19 +28,6 @@ class FeasibleMap:
         """Map a gradient in natural parameters to unconstrained coordinates."""
         return params.chain_rule(grad_theta)
 
-    def central_difference(self, fn, params, step):
-        """Central-difference gradient of fn(theta) in the coordinates, at params."""
-        z0 = self.encode(params)
-        grad = np.empty(z0.size)
-        for i in range(z0.size):
-            z = z0.copy()
-            z[i] = z0[i] + step
-            hi = fn(self.decode(z))
-            z[i] = z0[i] - step
-            lo = fn(self.decode(z))
-            grad[i] = (hi - lo) / (2.0 * step)
-        return grad
-
 
 def feasible_map_for(params):
     return FeasibleMap(type(params), d=params.d)

@@ -1,4 +1,5 @@
-"""Shared helpers: random stable parameter draws for property-style tests."""
+"""Shared helpers: random stable parameter draws for property-style tests, and the
+state map iterated one step at a time."""
 
 import numpy as np
 
@@ -28,3 +29,10 @@ def random_nm(rng, d=None):
     rho = 1.0 - p.margin()
     s = rng.uniform(0.3, 0.9) / max(rho, 1e-6)
     return NmParams(gamma=gamma, omega_vec=omega, A=a_mat * s, b_vec=b_vec * s)
+
+
+def iterate_step(params, x, ys):
+    """The state reached from x along the observations ys, one ``params.step`` each."""
+    for y in ys:
+        x = params.step(x, y)
+    return x

@@ -128,6 +128,32 @@ def test_bad_cell_names_its_place(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: {path}: {where}\n"
 
 
+@pytest.mark.parametrize("text,message", [
+    ("k,y\n1,3\n2,-1\n", "count models require non-negative integer observations"),
+    ("k,y,x_1,x_2\n" + "".join(f"{k + 1},{k % 3},1,2\n" for k in range(20)),
+     "a nbin state trace has one column, got 2"),
+], ids=["negative-count", "two-state-columns"])
+def test_fit_names_the_csv_of_a_bad_series(tmp_path, capsys, text, message):
+    path = str(tmp_path / "bad.csv")
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert run(["fit", "--series", path, "--model", "nbin"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_fit_nm_csv_of_other_state_columns_than_its_sidecar(tmp_path, capsys):
+    path, out = str(tmp_path / "nm.csv"), str(tmp_path / "fit.json")
+    assert run(["simulate", *NM2_FLAGS, "--n", "64", "--seed", "1", "--out", path]) == 0
+    with open(path) as fh:
+        header, *rows = fh.read().splitlines()
+    with open(path, "w") as fh:  # a third state column beside the sidecar of d = 2
+        fh.write("\n".join([header + ",x_3", *(row + ",1" for row in rows)]) + "\n")
+    assert run(["fit", "--series", path, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: x_trace has 3 state columns, but the parameters have d = 2\n")
+    assert not os.path.exists(out)
+
+
 def test_fit_truncated_csv(tmp_path):
     series = str(tmp_path / "bad.csv")
     with open(series, "w") as fh:
@@ -245,6 +271,9 @@ def test_mc_config_names_a_value_that_is_not_real(tmp_path, capsys):
     assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
         "error: bad experiment config: nbin parameter omega must be a real number, got 'x'\n")
+    with open(cpath) as fh:  # a ValueError, with the same text, from the library too
+        with pytest.raises(ValueError, match="^bad experiment config: nbin parameter omega"):
+            ExperimentConfig.from_dict(json.load(fh))
 
 
 NBIN_CONFIG = {"model": "nbin", "theta_star": {"omega": 3, "a": .2, "b": .2, "r": 2}}
@@ -255,7 +284,11 @@ NBIN_CONFIG = {"model": "nbin", "theta_star": {"omega": 3, "a": .2, "b": .2, "r"
     ({**NBIN_CONFIG, "theta_star": [1]}, "theta_star must be a JSON object, got [1]"),
     ({**NBIN_CONFIG, "optimizer": [1]}, "optimizer must be a JSON object, got [1]"),
     ({**NBIN_CONFIG, "sample_sizes": 64}, "sample_sizes must be a list, got 64"),
-], ids=["config", "theta_star", "optimizer", "sample_sizes"])
+    ({"theta_star": NBIN_CONFIG["theta_star"]}, "missing keys ['model']"),
+    ({"model": "nbin"}, "missing keys ['theta_star']"),
+    ({**NBIN_CONFIG, "optimizer": {"bogus": 1}}, "unknown optimizer keys ['bogus']"),
+], ids=["config", "theta_star", "optimizer", "sample_sizes", "no-model", "no-theta_star",
+        "optimizer-key"])
 def test_mc_config_of_a_bad_shape(tmp_path, capsys, config, message):
     cpath = str(tmp_path / "bad.json")
     with open(cpath, "w") as fh:
@@ -320,7 +353,8 @@ def test_fit_rejects_a_sidecar_of_another_model(tmp_path, capsys):
     out = str(tmp_path / "fit.json")
     capsys.readouterr()
     assert run(["fit", "--series", series, "--model", "ting", "--out", out]) == 1
-    assert capsys.readouterr().err == "error: a ting series cannot carry nbin parameters\n"
+    assert capsys.readouterr().err == (
+        f"error: {series}: a ting series cannot carry nbin parameters\n")
     assert not os.path.exists(out)
     assert read_series(series, model_tag="nbin").params == read_series(series).params
 

@@ -179,6 +179,29 @@ def test_series_validation():
     assert Series.of([1.0, 2.0, 2.0], "nbin").count_table[0].tolist() == [1.0, 2.0]
 
 
+def test_series_reads_a_1d_nm_trace_as_one_column():
+    y = np.random.default_rng(5).normal(size=50)
+    s = Series(y=y, model_tag="nm", x_trace=np.ones(50))
+    assert s.x_trace.shape == (50, 1)
+    assert init_generic(s).d == 1  # the start takes d from the trace's columns
+
+
+def test_series_refuses_a_trace_that_is_not_its_state():
+    y = np.random.default_rng(6).normal(size=50)
+    with pytest.raises(ValueError, match="^a nbin state trace has one column, got 2$"):
+        Series(y=np.arange(50.0), model_tag="nbin", x_trace=np.ones((50, 2)))
+    p = NmParams(gamma=[.4, .6], omega_vec=[1, 2], A=[[.3, .1], [.05, .25]], b_vec=[.2, .1])
+    with pytest.raises(ValueError, match="^x_trace has 3 state columns, but the parameters "
+                                         "have d = 2$"):
+        Series(y=y, model_tag="nm", x_trace=np.ones((50, 3)), params=p)
+    with pytest.raises(ValueError, match="1-d or 2-d"):
+        Series(y=y, model_tag="nm", x_trace=np.ones((50, 2, 1)))
+    with pytest.raises(ValueError, match="^a nm state trace has one column per state "
+                                         "component, got 0$"):
+        Series(y=y, model_tag="nm", x_trace=np.ones((50, 0)))
+    assert Series(y=y, model_tag="nm", x_trace=np.ones((50, 2)), params=p).x_trace.shape == (50, 2)
+
+
 NB = NbinParams(3.0, 0.2, 0.2, 2.0)
 # Every entry point that takes observations, called for NBIN.
 ENTRY_POINTS = {
