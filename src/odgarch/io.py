@@ -120,12 +120,15 @@ def write_json(path, obj):
 
 
 def read_config(path):
-    """The experiment config in the JSON file at path; its keys are ``ExperimentConfig``'s."""
+    """The experiment config in the JSON file at path, its keys ``ExperimentConfig``'s;
+    every error it raises starts with path."""
     with open(path, encoding="utf-8") as fh:
         try:
             return ExperimentConfig.from_dict(json.load(fh))
         except json.JSONDecodeError as exc:
-            raise ValueError(f"bad experiment config: {exc}") from exc
+            raise ValueError(f"{path}: bad experiment config: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def meta_path(series_path):
@@ -168,7 +171,7 @@ def _read_sidecar(path, n):
     try:
         meta["params"] = (model_class(meta["model"]).from_dict(meta["params"])
                           if meta["params"] else None)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{side}: params: {exc}") from None
     return meta
 

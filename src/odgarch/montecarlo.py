@@ -78,7 +78,7 @@ class ExperimentConfig:
             raise ValueError(f"bad experiment config: unknown optimizer keys {sorted(unknown)}")
         try:
             star = model_class(d["model"]).from_dict(d["theta_star"])
-        except TypeError as exc:  # a parameter that is not a real number
+        except ValueError as exc:
             raise ValueError(f"bad experiment config: {exc}") from None
         return cls(model_tag=d["model"], theta_star=star, options=FitOptions(**optimizer),
                    **{k: d[k] for k in plain & set(d)})

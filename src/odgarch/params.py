@@ -37,9 +37,16 @@ def spectral_radius(m):
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-def _check_positive(name, value):
-    if not math.isfinite(value) or value <= 0:
-        raise ValueError(f"{name} must be a positive finite real, got {value!r}")
+def _field_error(tag, name, what, value):
+    return ValueError(f"{tag} parameter {name} must be {what}, got {value!r}")
+
+
+def _check_positive(tag, name, value):
+    # the float test first: the fit's decode builds every point from floats
+    real = type(value) is float or (isinstance(value, numbers.Real)
+                                     and not isinstance(value, bool))
+    if not real or not math.isfinite(value) or value <= 0:
+        raise _field_error(tag, name, "a positive finite real", value)
 
 
 def _safe_log(v):
@@ -51,13 +58,20 @@ def _acf(y, lag):
     return float((ym[:-lag] * ym[lag:]).sum() / (ym * ym).sum())
 
 
+def _number(v):
+    """v as a float, or v itself where float() cannot read it: the constructor names it."""
+    try:
+        return float(v)
+    except ValueError:
+        return v
+
+
 def _parse_vector(text):
-    return np.array([float(v) for v in text.replace(";", ",").split(",") if v != ""])
+    return [_number(v) for v in text.replace(";", ",").split(",") if v != ""]
 
 
 def _parse_matrix(text):
-    rows = [r for r in text.split(";") if r != ""]
-    return np.array([[float(v) for v in r.split(",")] for r in rows])
+    return [[_number(v) for v in r.split(",")] for r in text.split(";") if r != ""]
 
 
 def _perron_vector(m):
@@ -133,15 +147,11 @@ class _Model:
 
     @classmethod
     def from_dict(cls, d):
-        """From the form of ``to_dict``; raises unless d has exactly the fields, each real."""
+        """From the form of ``to_dict``; raises unless d has exactly the fields."""
         names = [f.name for f in fields(cls)]
         if set(d) != set(names):
             raise ValueError(f"{cls.tag} parameters are {', '.join(names)}; "
                              f"got {', '.join(map(str, d))}")
-        for name in names:
-            if not cls.is_real(d[name]):
-                raise TypeError(f"{cls.tag} parameter {name} must be {cls.real_what}, "
-                                f"got {d[name]!r}")
         return cls(**d)
 
     def loglik_and_grad(self, x1, series):
@@ -159,15 +169,10 @@ class _CountModel(_Model):
     cli_help = {"omega": ("NUM", "intercept w > 0"),
                 "a": ("NUM", "coefficient a > 0 of the state"),
                 "b": ("NUM", "coefficient b > 0 of the count")}
-    real_what = "a real number"  # what ``from_dict`` takes for a field: see ``is_real``
 
     def __post_init__(self):
         for name in self.param_names:
-            _check_positive(name, getattr(self, name))
-
-    @staticmethod
-    def is_real(v):
-        return isinstance(v, numbers.Real) and not isinstance(v, bool)
+            _check_positive(self.tag, name, getattr(self, name))
 
     @staticmethod
     def check_obs(y):
@@ -200,7 +205,7 @@ class _CountModel(_Model):
 
     @classmethod
     def from_array(cls, v):
-        return cls(*map(float, v))
+        return cls(*map(_number, v))
 
     from_flags = from_array  # the command-line flags are the parameters, in order
 
@@ -402,31 +407,30 @@ class NmParams(_Model):
     # The verifier's observations: symmetric probabilists'-Hermite nodes,
     # scaled to the stationary spread.
     _Y_NODES = np.polynomial.hermite_e.hermegauss(64)[0]
-    real_what = "a real number or a list of them"
-
-    @staticmethod
-    def is_real(v):
-        try:
-            return np.asarray(v).dtype.kind in "iuf"
-        except ValueError:  # a ragged list
-            return False
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", np.atleast_1d(np.asarray(self.gamma, dtype=float)))
-        object.__setattr__(self, "omega_vec", np.atleast_1d(np.asarray(self.omega_vec, dtype=float)))
-        object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=float)))
-        object.__setattr__(self, "b_vec", np.atleast_1d(np.asarray(self.b_vec, dtype=float)))
-        d = self.gamma.shape[0]
-        if self.omega_vec.shape != (d,) or self.b_vec.shape != (d,) or self.A.shape != (d, d):
-            raise ValueError("inconsistent dimensions for gamma/omega_vec/A/b_vec")
-        if np.any(self.gamma < 0) or abs(self.gamma.sum() - 1.0) > 1e-10:
-            raise ValueError("gamma must lie on the simplex")
-        if np.any(self.omega_vec <= 0) or not np.all(np.isfinite(self.omega_vec)):
-            raise ValueError("omega_vec entries must be positive")
-        if np.any(self.A < 0) or np.any(self.b_vec < 0):
-            raise ValueError("A and b_vec entries must be non-negative")
-        for arr in (self.gamma, self.omega_vec, self.A, self.b_vec):
+        for name, ndim in (("gamma", 1), ("omega_vec", 1), ("A", 2), ("b_vec", 1)):
+            value = getattr(self, name)
+            try:
+                arr = np.array(value, ndmin=ndim)  # a copy: the caller's array stays writeable
+            except ValueError:  # a ragged list
+                arr = None
+            if arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+                raise _field_error(self.tag, name, "an array of finite reals", value)
+            arr = arr.astype(float, copy=False)
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        d = len(self.gamma)
+        for name, bad, what in [
+                ("gamma", self.gamma.ndim != 1 or np.any(self.gamma < 0)
+                 or abs(self.gamma.sum() - 1.0) > 1e-10, "a list of weights >= 0 summing to 1"),
+                ("omega_vec", self.omega_vec.shape != (d,) or np.any(self.omega_vec <= 0),
+                 f"a list of {d} values > 0"),
+                ("A", self.A.shape != (d, d) or np.any(self.A < 0), f"a {d} x {d} matrix >= 0"),
+                ("b_vec", self.b_vec.shape != (d,) or np.any(self.b_vec < 0),
+                 f"a list of {d} values >= 0")]:
+            if bad:
+                raise _field_error(self.tag, name, what, getattr(self, name).tolist())
 
     @property
     def d(self):
@@ -506,7 +510,7 @@ class NmParams(_Model):
 
     @staticmethod
     def parse_state(text):
-        return _parse_vector(text)
+        return np.array(_parse_vector(text), dtype=float)
 
     @staticmethod
     def state_trace(columns):

@@ -1,7 +1,10 @@
-"""Shared helpers: random stable parameter draws for property-style tests, and the
-state map iterated one step at a time."""
+"""Shared helpers: random stable parameter draws for property-style tests, the state
+map iterated one step at a time, and the bad values of each parameter field."""
+
+import math
 
 import numpy as np
+import pytest
 
 from odgarch import NbinParams, NmParams, TingParams
 
@@ -36,3 +39,31 @@ def iterate_step(params, x, ys):
     for y in ys:
         x = params.step(x, y)
     return x
+
+
+# One valid parameter set of each model, in ``to_dict``'s form.
+VALID_PARAMS = {"nbin": {"omega": 3.0, "a": 0.2, "b": 0.2, "r": 2.0},
+                "ting": {"omega": 3.0, "a": 0.35, "b": 0.1, "tau": 4.0},
+                "nm": {"gamma": [0.4, 0.6], "omega_vec": [1.0, 2.0],
+                       "A": [[0.3, 0.1], [0.05, 0.25]], "b_vec": [0.2, 0.1]}}
+
+
+def _bad_values(good):
+    """(kind, value) of each bad value of a field: a bool, a string, None, nan, inf and
+    one out of range. A list field takes nan, inf and the out-of-range value as its first
+    entry, so that its shape stays right."""
+    bad = [("bool", True), ("str", "x"), ("none", None)]
+    for kind, x in [("nan", math.nan), ("inf", math.inf), ("range", -1.0)]:
+        if isinstance(good, list):
+            v = np.array(good)
+            v.flat[0] = x
+            x = v.tolist()
+        bad.append((kind, x))
+    return bad
+
+
+# (model tag, field, bad value) of each bad value of each field, NM's A also ragged
+BAD_FIELDS = [pytest.param(tag, name, value, id=f"{tag}-{name}-{kind}")
+              for tag, d in VALID_PARAMS.items() for name, good in d.items()
+              for kind, value in _bad_values(good)]
+BAD_FIELDS.append(pytest.param("nm", "A", [[0.3, 0.1], [0.05]], id="nm-A-ragged"))

@@ -6,6 +6,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
+from conftest import BAD_FIELDS, VALID_PARAMS
 
 from odgarch import ExperimentConfig, FitOptions, cli
 from odgarch.cli import main
@@ -171,7 +172,7 @@ def test_fit_truncated_csv(tmp_path):
     pytest.param('{"model": "nbin", "params": [1]}',
                  "params must be an object or null, got [1]", id="params"),
     pytest.param('{"model": "nbin", "params": {"omega": "x", "a": 0.2, "b": 0.2, "r": 2}}',
-                 "params: nbin parameter omega must be a real number, got 'x'",
+                 "params: nbin parameter omega must be a positive finite real, got 'x'",
                  id="params-value"),
     pytest.param('{"model": "nbin", "seed": "abc"}',
                  "seed must be a non-negative integer, got 'abc'", id="seed-string"),
@@ -269,11 +270,65 @@ def test_mc_config_names_a_value_that_is_not_real(tmp_path, capsys):
     with open(cpath, "w") as fh:
         json.dump({"model": "nbin", "theta_star": {"omega": "x", "a": .2, "b": .2, "r": 2}}, fh)
     assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == (
-        "error: bad experiment config: nbin parameter omega must be a real number, got 'x'\n")
+    assert capsys.readouterr().err == (f"error: {cpath}: bad experiment config: "
+                                       "nbin parameter omega must be a positive finite real, "
+                                       "got 'x'\n")
     with open(cpath) as fh:  # a ValueError, with the same text, from the library too
         with pytest.raises(ValueError, match="^bad experiment config: nbin parameter omega"):
             ExperimentConfig.from_dict(json.load(fh))
+
+
+@pytest.mark.parametrize("tag,name,value", BAD_FIELDS)
+def test_a_bad_parameter_in_a_config_or_sidecar_is_named(tmp_path, capsys, tag, name, value):
+    params = {**VALID_PARAMS[tag], name: value}
+    cpath = str(tmp_path / "c.json")
+    with open(cpath, "w") as fh:
+        json.dump({"model": tag, "theta_star": params}, fh)  # nan and inf as NaN, Infinity
+    assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {cpath}: bad experiment config: {tag} parameter {name} must be ")
+    series, side = str(tmp_path / "s.csv"), str(tmp_path / "s.meta.json")
+    with open(series, "w") as fh:
+        fh.write("k,y\n1,1\n2,0\n")
+    with open(side, "w") as fh:
+        json.dump({"model": tag, "params": params}, fh)
+    assert run(["fit", "--series", series]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {side}: params: {tag} parameter {name} must be ")
+
+
+def _flag_literal(value):
+    """A parameter as its flag writes it: a comma list, a matrix's rows joined by ';'."""
+    if not isinstance(value, list):
+        return str(value)
+    if isinstance(value[0], list):
+        return ";".join(map(_flag_literal, value))
+    return ",".join(map(str, value))
+
+
+@pytest.mark.parametrize("tag,name,value", [p for p in BAD_FIELDS if p.values[2] is not None
+                                            and not isinstance(p.values[2], bool)])
+def test_a_bad_parameter_flag_is_named(capsys, tag, name, value):
+    flags = dict(zip(VALID_PARAMS[tag], PARAM_MODELS[tag].cli_help))
+    params = {**VALID_PARAMS[tag], name: value}
+    argv = [f"--{flags[k]}={_flag_literal(v)}" for k, v in params.items()]
+    assert run(["verify", "--model", tag, *argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tag} parameter {name} must be ")
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--model", "nbin", "--omega", "x", "--a", ".2", "--b", ".2", "--r", "2"],
+     "nbin parameter omega must be a positive finite real, got 'x'"),
+    (["--model", "nm", "--gamma", ".5,.5", "--omega", "1,2", "--A", ".3,x;.1,.2",
+      "--bvec", ".2,.1"],
+     "nm parameter A must be an array of finite reals, got [[0.3, 'x'], [0.1, 0.2]]"),
+    (["--model", "nm", "--gamma", ".5,.5", "--omega", "1,2", "--A", ".3,.1;.1",
+      "--bvec", ".2,.1"],
+     "nm parameter A must be an array of finite reals, got [[0.3, 0.1], [0.1]]"),
+], ids=["omega-x", "A-x", "A-ragged"])
+def test_a_parameter_flag_that_is_not_a_number_names_its_parameter(capsys, flags, message):
+    assert run(["verify", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 NBIN_CONFIG = {"model": "nbin", "theta_star": {"omega": 3, "a": .2, "b": .2, "r": 2}}
@@ -287,14 +342,17 @@ NBIN_CONFIG = {"model": "nbin", "theta_star": {"omega": 3, "a": .2, "b": .2, "r"
     ({"theta_star": NBIN_CONFIG["theta_star"]}, "missing keys ['model']"),
     ({"model": "nbin"}, "missing keys ['theta_star']"),
     ({**NBIN_CONFIG, "optimizer": {"bogus": 1}}, "unknown optimizer keys ['bogus']"),
+    ({**NBIN_CONFIG, "theta_star": {"omega": 3, "a": .2, "b": .2}},
+     "nbin parameters are omega, a, b, r; got omega, a, b"),
+    ({**NBIN_CONFIG, "model": "garch"}, "unknown model tag 'garch'"),
 ], ids=["config", "theta_star", "optimizer", "sample_sizes", "no-model", "no-theta_star",
-        "optimizer-key"])
+        "optimizer-key", "theta_star-keys", "unknown-model"])
 def test_mc_config_of_a_bad_shape(tmp_path, capsys, config, message):
     cpath = str(tmp_path / "bad.json")
     with open(cpath, "w") as fh:
         json.dump(config, fh)
     assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == f"error: bad experiment config: {message}\n"
+    assert capsys.readouterr().err == f"error: {cpath}: bad experiment config: {message}\n"
     assert not os.path.exists(tmp_path / "o")
 
 
@@ -563,7 +621,7 @@ def test_bad_fit_options(tmp_path, capsys, name, value, as_flag):
         json.dump({**MODELS["nbin"][4], "optimizer": {name: value}}, fh)
     assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {name} must be") and "Traceback" not in err, err
+    assert err.startswith(f"error: {cpath}: {name} must be") and "Traceback" not in err, err
     if not as_flag:
         return
     series = str(tmp_path / "s.csv")

@@ -1,12 +1,13 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from odgarch import ExperimentConfig, NbinParams, NmParams, psi_step, run_experiment, simulate
-from odgarch.io import (atomic_write_text, meta_path, read_replicates, read_series,
-                        write_csv, write_json, write_mc_outputs, write_series)
+from odgarch.io import (atomic_write_text, meta_path, read_config, read_replicates,
+                        read_series, write_csv, write_json, write_mc_outputs, write_series)
 from odgarch.svgplot import box_stats, boxplot_panel
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
@@ -99,6 +100,29 @@ def test_atomic_write_no_tmp_left(tmp_path):
     atomic_write_text(path, "hello")
     assert open(path).read() == "hello"
     assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
+
+
+def test_atomic_write_that_fails_removes_its_temp_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "x.txt")
+    atomic_write_text(path, "old")
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        atomic_write_text(path, "new")
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == ["x.txt"]
+    assert open(path).read() == "old"
+
+
+def test_read_config_names_its_file_when_it_is_not_json(tmp_path):
+    path = str(tmp_path / "c.json")
+    with open(path, "w") as fh:
+        fh.write("{")
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: bad experiment config: "
+                                         "Expecting property name"):
+        read_config(path)
 
 
 def test_mc_outputs_roundtrip(tmp_path):

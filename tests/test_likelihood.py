@@ -111,6 +111,11 @@ def test_grad_nbin_single_term():
     assert abs(g[3] + math.log(2.0)) < 1e-12  # d/dr = -ln(1 + x1)
 
 
+def test_grad_nbin_refuses_another_model():
+    with pytest.raises(TypeError, match="grad_loglik_nbin requires NbinParams"):
+        grad_loglik_nbin(TingParams(1, .2, .2, 1), 1.0, np.array([0.0]))
+
+
 def test_series_and_array_agree():
     # a Series brings its distinct-count table; a plain array has one built per call
     rng = np.random.default_rng(16)

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import BAD_FIELDS, VALID_PARAMS
 
 import odgarch
 from odgarch import (NbinParams, NmParams, Series, TingParams, filter_series,
@@ -146,10 +147,29 @@ def test_params_dict_roundtrip():
             "b_vec": [0.2, 0.1]}, "A", "[[0.3, 0.1], [0.05]]"),
 ], ids=["nbin-str", "nbin-bool", "ting-none", "nm-str", "nm-ragged"])
 def test_from_dict_names_a_value_that_is_not_real(tag, d, name, value):
-    what = "a real number or a list of them" if tag == "nm" else "a real number"
-    with pytest.raises(TypeError, match=re.escape(f"{tag} parameter {name} must be {what}, "
-                                                  f"got {value}")):
+    what = "an array of finite reals" if tag == "nm" else "a positive finite real"
+    with pytest.raises(ValueError, match=re.escape(f"{tag} parameter {name} must be {what}, "
+                                                   f"got {value}")):
         model_class(tag).from_dict(d)
+
+
+@pytest.mark.parametrize("tag,name,value", BAD_FIELDS)
+def test_the_constructor_and_from_dict_name_a_bad_field(tag, name, value):
+    model = model_class(tag)
+    d = {**VALID_PARAMS[tag], name: value}
+    model(**VALID_PARAMS[tag])  # the set without the bad value is accepted
+    message = f"^{tag} parameter {name} must be "
+    with pytest.raises(ValueError, match=message):
+        model(**d)
+    with pytest.raises(ValueError, match=message):
+        model.from_dict(d)
+
+
+def test_nm_params_freeze_a_copy():
+    a_mat = np.array([[0.3, 0.1], [0.05, 0.25]])
+    p = NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0], A=a_mat, b_vec=[0.2, 0.1])
+    a_mat[0, 1] = 0.05  # the caller's array stays its own, and writeable
+    assert p.A[0, 1] == 0.1 and not p.A.flags.writeable
 
 
 def test_param_names_match_array_length():
