@@ -5,6 +5,7 @@ failure. All randomness flows from explicit seeds.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -177,7 +178,6 @@ def build_parser():
     p.add_argument("--x1", default=None, help="start state: scalar, or comma list for nm")
     p.add_argument("--burn-in", type=int, default=BURN_IN)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit the MLE on a series CSV")
     p.add_argument("--series", required=True)
@@ -185,35 +185,37 @@ def build_parser():
     p.add_argument("--x1", default=None)
     p.add_argument("--out", default=None)
     _add_opt_flags(p)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("mc", help="run a Monte Carlo experiment from a config JSON")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("verify", help="numerical checks of the stability hypotheses")
     _add_param_flags(p)
     p.add_argument("--triples", type=int, default=N_TRIPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("plot", help="SVG boxplots from replicates.csv")
     p.add_argument("--replicates", required=True)
     p.add_argument("--config", default=None,
                    help="experiment config JSON, used for true-value lines")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_plot)
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call of the process and reused after it."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]  # looked up now, so a rebinding is seen
     try:
-        return args.func(args)
+        return command(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

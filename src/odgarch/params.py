@@ -45,8 +45,19 @@ def _check_positive(tag, name, value):
     # the float test first: the fit's decode builds every point from floats
     real = type(value) is float or (isinstance(value, numbers.Real)
                                      and not isinstance(value, bool))
-    if not real or not math.isfinite(value) or value <= 0:
+    try:
+        good = real and math.isfinite(value) and value > 0
+    except OverflowError:  # an integer beyond float range
+        good = False
+    if not good:
         raise _field_error(tag, name, "a positive finite real", value)
+
+
+def _holds_bool(value):
+    """Whether a field holds a bool, which numpy casts to a number among numbers."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return np.asarray(value).dtype == bool
 
 
 def _safe_log(v):
@@ -415,7 +426,8 @@ class NmParams(_Model):
                 arr = np.array(value, ndmin=ndim)  # a copy: the caller's array stays writeable
             except ValueError:  # a ragged list
                 arr = None
-            if arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+            if (arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr))
+                    or _holds_bool(value)):
                 raise _field_error(self.tag, name, "an array of finite reals", value)
             arr = arr.astype(float, copy=False)
             arr.setflags(write=False)

@@ -1,8 +1,27 @@
 """Minimal deterministic SVG boxplot emitter (Tukey convention)."""
 
+import math
+
 import numpy as np
 
 WIDTH, HEIGHT = 640, 420  # of a panel, in pixels
+
+
+def _quantile(v, q):
+    """The q quantile of the sorted values v by Hyndman & Fan's type 7, rounded as
+    numpy's default (linear) ``np.percentile`` rounds it."""
+    m = len(v)
+    vi = (m - 1) * q
+    if vi >= m - 1:  # numpy takes the last value for both ends, with t = vi + 1
+        a = b = v[-1]
+        t = vi + 1.0
+    else:
+        lo = math.floor(vi)
+        a, b = v[lo], v[lo + 1]
+        t = vi - lo
+    # no t == 0 shortcut: numpy adds (b - a) * 0, which turns a -0.0 into 0.0 and is
+    # nan where b - a overflows
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t)
 
 
 def box_stats(values):
@@ -10,7 +29,11 @@ def box_stats(values):
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise ValueError("empty data")
-    q1, med, q3 = np.percentile(v, [25, 50, 75])
+    sv = v.tolist()
+    if not math.isfinite(sv[-1] - sv[0]):  # the quartiles' interpolation would overflow
+        raise ValueError(f"box_stats: the spread [{sv[0]:g}, {sv[-1]:g}] of its values "
+                         "is not finite")
+    q1, med, q3 = (_quantile(sv, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
     hi_fence = q3 + 1.5 * iqr
@@ -18,9 +41,9 @@ def box_stats(values):
     whis_lo = float(inside.min())
     whis_hi = float(inside.max())
     fliers = v[(v < lo_fence) | (v > hi_fence)]
-    return {"q1": float(q1), "median": float(med), "q3": float(q3),
+    return {"q1": q1, "median": med, "q3": q3,
             "whisker_lo": whis_lo, "whisker_hi": whis_hi,
-            "fliers": [float(f) for f in fliers]}
+            "fliers": fliers.tolist()}
 
 
 def _fmt(x):
@@ -35,7 +58,7 @@ def _ticks(lo, hi, target=6):
             step = mult * mag
             break
     start = np.ceil(lo / step) * step
-    return list(np.arange(start, hi + 0.5 * step, step))
+    return np.arange(start, hi + 0.5 * step, step).tolist()
 
 
 class SvgCanvas:

@@ -48,10 +48,17 @@ VALID_PARAMS = {"nbin": {"omega": 3.0, "a": 0.2, "b": 0.2, "r": 2.0},
                        "A": [[0.3, 0.1], [0.05, 0.25]], "b_vec": [0.2, 0.1]}}
 
 
-def _bad_values(good):
-    """(kind, value) of each bad value of a field: a bool, a string, None, nan, inf and
-    one out of range. A list field takes nan, inf and the out-of-range value as its first
-    entry, so that its shape stays right."""
+# Each NM list field with a bool inside, where the number numpy casts it to (1.0 or 0.0)
+# would be a valid entry.
+_BOOL_INSIDE = {"gamma": [True, 0.0], "omega_vec": [True, 2.0],
+                "A": [[0.3, False], [0.05, 0.25]], "b_vec": [0.2, False]}
+
+
+def _bad_values(name, good):
+    """(kind, value) of each bad value of a field: a bool, a string, None, nan, inf, one
+    out of range, and an integer beyond float range (a count-model field) or a bool inside
+    the list (an NM field). A list field takes nan, inf and the out-of-range value as its
+    first entry, so that its shape stays right."""
     bad = [("bool", True), ("str", "x"), ("none", None)]
     for kind, x in [("nan", math.nan), ("inf", math.inf), ("range", -1.0)]:
         if isinstance(good, list):
@@ -59,11 +66,15 @@ def _bad_values(good):
             v.flat[0] = x
             x = v.tolist()
         bad.append((kind, x))
+    if isinstance(good, list):
+        bad.append(("bool-inside", _BOOL_INSIDE[name]))
+    else:
+        bad.append(("huge", 10**400))
     return bad
 
 
 # (model tag, field, bad value) of each bad value of each field, NM's A also ragged
 BAD_FIELDS = [pytest.param(tag, name, value, id=f"{tag}-{name}-{kind}")
               for tag, d in VALID_PARAMS.items() for name, good in d.items()
-              for kind, value in _bad_values(good)]
+              for kind, value in _bad_values(name, good)]
 BAD_FIELDS.append(pytest.param("nm", "A", [[0.3, 0.1], [0.05]], id="nm-A-ragged"))

@@ -603,6 +603,43 @@ def test_plot_without_a_config(tmp_path):
         assert "stroke-dasharray" not in fh.read()  # no true value to draw
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path, monkeypatch):
+    rpath, series = str(tmp_path / "r.csv"), str(tmp_path / "s.csv")
+    with open(rpath, "w") as fh:
+        fh.write(NBIN_REPLICATES)
+    assert run(["simulate", *M1_FLAGS, "--n", "128", "--seed", "5", "--out", series]) == 0
+    builds, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()  # the next call builds the process's parser
+    rounds = []
+    for k in range(2):
+        pdir, out = tmp_path / f"p{k}", tmp_path / f"fit{k}.json"
+        codes = [run(["plot", "--replicates", rpath, "--out-dir", str(pdir)]),
+                 run(["fit", "--series", series, "--out", str(out)]),
+                 run(["simulate", "--model", "nbin", "--omega", "3", "--n", "16",
+                      "--out", str(tmp_path / "x.csv")])]
+        with pytest.raises(SystemExit) as exc:
+            run(["fit"])  # argparse's own usage error, from inside the parser
+        codes.append(exc.value.code)
+        rounds.append((codes, {f.name: f.read_bytes() for f in sorted(pdir.iterdir())},
+                       out.read_bytes()))
+    assert rounds[0][0] == [0, 0, 2, 2] and len(rounds[0][1]) == 5
+    assert rounds[1] == rounds[0]
+    assert builds == [1]
+
+
+def test_main_dispatches_the_command_bound_at_call_time(tmp_path, monkeypatch):
+    rpath = str(tmp_path / "r.csv")
+    with open(rpath, "w") as fh:
+        fh.write(NBIN_REPLICATES)
+    argv = ["plot", "--replicates", rpath, "--out-dir", str(tmp_path / "p")]
+    assert run(argv) == 0  # the parser exists before the rebinding
+    seen = []
+    monkeypatch.setattr(cli, "cmd_plot", lambda args: seen.append(args.replicates) or 7)
+    assert run(argv) == 7
+    assert seen == [rpath]
+
+
 # Each bad value of a FitOptions field, as config JSON, and as a flag where the value is
 # of the flag's type (a value that is not, argparse rejects as a usage error).
 BAD_OPTIONS = [("tol", "x", False), ("tol", 0, True), ("tol", -1e-6, True),

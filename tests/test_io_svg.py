@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from odgarch import ExperimentConfig, NbinParams, NmParams, psi_step, run_experiment, simulate
 from odgarch.io import (atomic_write_text, meta_path, read_config, read_replicates,
                         read_series, write_csv, write_json, write_mc_outputs, write_series)
-from odgarch.svgplot import box_stats, boxplot_panel
+from odgarch.svgplot import _quantile, box_stats, boxplot_panel
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
 
@@ -203,6 +204,38 @@ def test_box_stats_degenerate():
     assert st["fliers"] == []
     with pytest.raises(ValueError):
         box_stats([])
+
+
+def test_quantile_rounds_as_numpy_percentile():
+    rng = np.random.default_rng(23)
+    for m in range(1, 65):
+        for _ in range(20):
+            spread = rng.normal(size=m) * 10.0 ** rng.integers(-300, 301, size=m)
+            ties = rng.integers(-3, 4, size=m) * rng.choice([1e-300, 1.0, 1e300])
+            one_zero = rng.normal(size=m)
+            one_zero[0] = -0.0  # a t == 0 shortcut would keep its sign
+            overflow = rng.uniform(-1.0, 1.0, size=m) * 1.7e308  # b - a may overflow
+            zeros = rng.choice([-0.0, 0.0, 2.5], size=m)
+            for v, signed_zeros in [(spread, False), (ties, False), (one_zero, False),
+                                    (overflow, False), (zeros, True)]:
+                v = np.sort(v)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = np.percentile(v, [25, 50, 75]).tolist()
+                got = [_quantile(v.tolist(), q) for q in (0.25, 0.5, 0.75)]
+                if signed_zeros:  # numpy's partition may reorder tied -0.0 and 0.0
+                    assert got == want
+                else:
+                    assert list(map(float.hex, got)) == list(map(float.hex, want)), v
+
+
+def test_box_stats_refuses_a_spread_a_float_cannot_hold():
+    # the quartiles' b - a overflows, and np.percentile gave nan fences and no whiskers
+    values = [-1.7e308, -1.6e308, 1.6e308, 1.7e308, 1.75e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^box_stats: the spread \[-1\.7e\+308, "
+                                             r"1\.75e\+308\] of its values is not finite$"):
+            box_stats(values)
 
 
 def test_boxplot_panel_deterministic_svg():
