@@ -7,7 +7,7 @@ from .models import log_emission, psi_step, sample_emission, simulate
 from .montecarlo import ExperimentConfig, McSummary, run_experiment
 from .params import (ModelParams, NbinParams, NmParams, Series, TingParams,
                      spectral_radius)
-from .reparam import FeasibleMap, feasible_map_for
+from .reparam import FeasibleMap
 from .verifier import VerifierReport, verify_model
 
 __version__ = "0.1.0"
@@ -19,6 +19,6 @@ __all__ = [
     "ExperimentConfig", "McSummary", "run_experiment",
     "ModelParams", "NbinParams", "NmParams", "Series", "TingParams",
     "spectral_radius",
-    "FeasibleMap", "feasible_map_for",
+    "FeasibleMap",
     "VerifierReport", "verify_model",
 ]

@@ -15,8 +15,8 @@ import numpy as np
 
 from .likelihood import FD_STEP, grad_loglik_numeric
 from .models import _check_anchor
-from .params import EPS_MARGIN, Series, params_to_dict
-from .reparam import feasible_map_for
+from .params import EPS_MARGIN, ModelParams, Series, params_to_dict
+from .reparam import FeasibleMap
 
 
 @dataclass
@@ -52,20 +52,13 @@ class FitResult:
     projected_grad_norm: float = math.nan
 
     def to_dict(self):
-        return {
-            "model": self.theta_hat.tag,
-            "theta_init": params_to_dict(self.theta_init),
-            "theta_hat": params_to_dict(self.theta_hat),
-            "loglik_init": self.loglik_init,
-            "loglik_hat": self.loglik_hat,
-            "converged": self.converged,
-            "n_outer": self.n_outer,
-            "n_inner": self.n_inner,
-            "constraint_margin": self.constraint_margin,
-            "x1": self.x1_used.tolist(),
-            "seed": self.seed,
-            "projected_grad_norm": self.projected_grad_norm,
-        }
+        """The model's tag and every field as JSON holds it, x1_used under "x1"."""
+        out = {"model": self.theta_hat.tag}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name.removesuffix("_used")] = (params_to_dict(v) if isinstance(v, ModelParams)
+                                                 else np.asarray(v).tolist())
+        return out
 
 
 def _validate_series(series):
@@ -148,7 +141,7 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None):
     theta0 = theta_init if theta_init is not None else init_generic(series, x1=x1)
     theta0 = theta0.pull_inside(opts.margin)
     x1 = _check_anchor(theta0, theta0.fixed_point() if x1 is None else x1)
-    fmap = feasible_map_for(theta0)
+    fmap = FeasibleMap(theta0)
     z = fmap.encode(theta0)
     theta0 = fmap.decode(z)  # the start as the optimizer evaluates it
 

@@ -3,7 +3,7 @@
 All three models move their state by the affine map x' = w + A x + b h(y),
 with h(y) = y for NBIN and TING and h(y) = y^2 for NM. A state path is
 therefore the linear recurrence x[k] = A x[k-1] + c[k] with the drive
-c[0] = x1, c[k] = w + b h(y[k-1]), which ``affine_scan`` evaluates.
+c[0] = x1, c[k] = w + b h(y[k-1]), which ``affine_filter`` evaluates.
 Stacked into one vector of n d entries, the path solves L x = c, with L
 unit block lower-bidiagonal: identity blocks on its diagonal and -A below
 it. L is banded with 2d - 1 subdiagonals, so one call of the BLAS banded
@@ -86,15 +86,6 @@ def _filter(y, x1, w, band, b):
     np.multiply(y[:-1], b, out=drive)
     drive += w
     return _solve(c, band)
-
-
-def affine_scan(c, a):
-    """x[0] = c[0], x[k] = a x[k-1] + c[k], for a scalar or a d x d matrix a.
-
-    c has shape (n,) for a scalar a and (n, d) for a d x d matrix.
-    Raises FloatingPointError when the path leaves the floating-point range.
-    """
-    return _solve(np.array(c, dtype=float, order="C"), _band(a, len(c)))
 
 
 @_raise_fp

@@ -12,7 +12,7 @@ import numpy as np
 from . import kernels
 from .models import _check_anchor
 from .params import NbinParams, Series
-from .reparam import feasible_map_for
+from .reparam import FeasibleMap
 
 FD_STEP = 1e-5  # the default step of the fit's central differences, in its coordinates z
 
@@ -60,7 +60,7 @@ def grad_loglik_nbin(params, x1, series, *, with_value=False):
 def grad_loglik_numeric(params, x1, series, step=FD_STEP):
     """Central-difference gradient in the fit's unconstrained coordinates z."""
     s = Series.of(series, params.tag)
-    fmap = feasible_map_for(params)
+    fmap = FeasibleMap(params)
     z0 = fmap.encode(params)
     grad = np.empty(z0.size)
     for i in range(z0.size):

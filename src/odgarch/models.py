@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 from scipy.special import gammaln
 
-from .params import Series
+from .params import Series, _is_state
 
 BURN_IN = 500  # the default number of simulated steps discarded before the recorded ones
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -64,13 +64,12 @@ def nm_log_density(x, y, gamma):
 
 
 def _check_state(params, x):
-    x = np.asarray(x, dtype=float)
-    shape = params.state_shape
-    if x.shape[x.ndim - len(shape):] != shape:
-        raise ValueError(f"state must have shape {shape}")
-    if not ((x > 0) & (x < np.inf)).all():  # also false for nan
-        raise ValueError("state must be positive and finite")
-    return x[()]
+    """x as floats, if it holds states of params' model by ``params._is_state``."""
+    x = np.asarray(x)
+    if not _is_state(x, params.state_shape):
+        raise ValueError(f"a {params.tag} state must be real, positive and finite, in an "
+                         f"array whose shape ends in {params.state_shape}")
+    return np.asarray(x, dtype=float)[()]
 
 
 def _check_anchor(params, x1):
@@ -80,7 +79,7 @@ def _check_anchor(params, x1):
             and 0.0 < x1 < math.inf:
         return np.float64(x1)
     x = np.asarray(x1)
-    if x.dtype.kind in "iuf" and x.shape == params.state_shape and ((x > 0) & (x < np.inf)).all():
+    if x.shape == params.state_shape and _is_state(x, params.state_shape):
         return np.asarray(x, dtype=float)[()]
     shown = x.tolist() if isinstance(x1, (np.ndarray, np.generic)) else x1  # values, not a repr
     raise ValueError(f"x1 must be one positive finite {params.tag} state, got {shown!r}")
@@ -130,8 +129,8 @@ def simulate(params, n, x0=None, seed=0, burn_in=BURN_IN):
         x = x.item()  # a Python float steps faster than a numpy scalar, to the same bits
     # Draws are valid observations by construction, so the loop skips the
     # per-step checks. An unstable path can still explode: NBIN's draw then
-    # raises, and a TING or NM path overflows, so the recorded trace is
-    # checked once at the end.
+    # raises, and a TING or NM path overflows, which the Series returned
+    # refuses in its trace.
     ys = np.empty(n)
     xs = np.empty((n,) + np.shape(x))
     done = 0  # the steps of the loops that have ended
@@ -147,6 +146,5 @@ def simulate(params, n, x0=None, seed=0, burn_in=BURN_IN):
         why = "" if stable else "; the parameters are outside the stability region"
         raise ValueError(f"{params.tag} draw failed at step {done + k + 1} of {burn_in + n} "
                          f"(burn-in included), from state {x}: {exc}{why}") from exc
-    _check_state(params, xs)
     return Series(y=ys, model_tag=params.tag, seed=int(seed), x_trace=xs,
                   stable=stable, burn_in=burn_in, params=params)

@@ -87,18 +87,20 @@ class ExperimentConfig:
 @dataclass
 class McSummary:
     theta_star: object
-    param_names: tuple
-    sample_sizes: tuple
     estimates: dict       # n -> (m, p) array of theta_hat
     gaps: dict            # n -> (m,) array of loglik(theta_hat) - loglik(theta_star)
     converged: dict       # n -> (m,) bool array
     seeds: dict           # n -> (m,) uint64 array
+    param_names: tuple = field(init=False)
+    sample_sizes: tuple = field(init=False)  # the keys of estimates, in order
     mc_mean: dict = field(init=False)
     made_: dict = field(init=False)
     n_converged: dict = field(init=False)
 
     def __post_init__(self):
         star = self.theta_star.as_array()
+        self.param_names = tuple(self.theta_star.param_names)
+        self.sample_sizes = tuple(self.estimates)
         self.mc_mean = {n: est.mean(axis=0) for n, est in self.estimates.items()}
         self.made_ = {n: np.abs(est - star).mean(axis=0) for n, est in self.estimates.items()}
         self.n_converged = {n: int(c.sum()) for n, c in self.converged.items()}
@@ -145,7 +147,5 @@ def run_experiment(config, jobs=1):
         estimates, gaps, seeds, converged = [{n: col[n][converged[n]] for n in config.sample_sizes}
                                              for col in (estimates, gaps, seeds, converged)]
 
-    return McSummary(theta_star=config.theta_star,
-                     param_names=tuple(config.theta_star.param_names),
-                     sample_sizes=tuple(config.sample_sizes),
-                     estimates=estimates, gaps=gaps, converged=converged, seeds=seeds)
+    return McSummary(theta_star=config.theta_star, estimates=estimates, gaps=gaps,
+                     converged=converged, seeds=seeds)

@@ -60,6 +60,13 @@ def _holds_bool(value):
     return np.asarray(value).dtype == bool
 
 
+def _is_state(x, shape):
+    """The rule for a model's states: whether the array x has a real dtype (not bool,
+    string or object), positive finite entries and a shape that ends in shape."""
+    return (x.dtype.kind in "iuf" and x.shape[x.ndim - len(shape):] == shape
+            and bool(((x > 0) & (x < np.inf)).all()))  # also false for nan
+
+
 def _safe_log(v):
     return np.log(np.maximum(v, _LOG_FLOOR))
 
@@ -141,11 +148,11 @@ class _Model:
 
     @staticmethod
     def check_obs(y):
-        """y as floats (a scalar for a single observation); raises unless finite."""
-        y = np.asarray(y, dtype=float)
-        if not np.all(np.isfinite(y)):
-            raise ValueError("observation must be finite")
-        return y[()]
+        """y as floats (a scalar for a single observation); raises unless real and finite."""
+        y = np.asarray(y)
+        if y.dtype.kind not in "iuf" or not np.all(np.isfinite(y)):
+            raise ValueError("observation must be finite and real")
+        return np.asarray(y, dtype=float)[()]
 
     @staticmethod
     def obs_table(y):
@@ -662,19 +669,22 @@ class Series:
     _model: type | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
+        self.y = np.asarray(self.y)
         if self.y.ndim != 1 or self.y.size == 0:
             raise ValueError("observations must be a nonempty 1-d array")
         self._model = model = model_class(self.model_tag)
         if self.params is not None and not isinstance(self.params, model):
             raise ValueError(f"a {self.model_tag} series cannot carry {self.params.tag} parameters")
-        model.check_obs(self.y)
+        self.y = model.check_obs(self.y)  # checked before it is cast to floats
         self.count_table = model.obs_table(self.y)
         if self.x_trace is not None:
-            x_trace = np.asarray(self.x_trace, dtype=float)
+            x_trace = np.asarray(self.x_trace)
             if x_trace.ndim not in (1, 2):
                 raise ValueError(f"x_trace must be a 1-d or 2-d array, got {x_trace.ndim}-d")
-            self.x_trace = model.state_trace(x_trace)
+            # its columns' shape is the model's state shape, checked below
+            if not _is_state(x_trace, ()):
+                raise ValueError("x_trace must hold positive finite real states")
+            self.x_trace = model.state_trace(np.asarray(x_trace, dtype=float))
             if self.x_trace.shape[0] != self.y.shape[0]:
                 raise ValueError("x_trace must match y in length")
             if self.params is not None and self.x_trace.shape[1:] != self.params.state_shape:

@@ -10,11 +10,11 @@ import numpy as np
 
 
 class FeasibleMap:
-    """encode: ModelParams -> R^k, decode: inverse, both smooth; model is the class."""
+    """encode: ModelParams -> R^k, decode: inverse, both smooth; for params' model and d."""
 
-    def __init__(self, model, d=1):
-        self.model = model
-        self.d = d
+    def __init__(self, params):
+        self.model = type(params)
+        self.d = params.d
 
     def encode(self, params):
         return params.encode()
@@ -27,7 +27,3 @@ class FeasibleMap:
     def chain_rule(self, grad_theta, params):
         """Map a gradient in natural parameters to unconstrained coordinates."""
         return params.chain_rule(grad_theta)
-
-
-def feasible_map_for(params):
-    return FeasibleMap(type(params), d=params.d)

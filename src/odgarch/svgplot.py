@@ -50,8 +50,8 @@ def _fmt(x):
     return f"{x:.6g}"
 
 
-def _ticks(lo, hi, target=6):
-    raw = (hi - lo) / target
+def _ticks(lo, hi):
+    raw = (hi - lo) / 6  # about six ticks
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -62,13 +62,11 @@ def _ticks(lo, hi, target=6):
 
 
 class SvgCanvas:
-    def __init__(self, width, height):
-        self.width = width
-        self.height = height
+    def __init__(self):
         self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">',
-            f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         ]
 
     def line(self, x1, y1, x2, y2, stroke="black", width=1.0, dash=None):
@@ -77,24 +75,23 @@ class SvgCanvas:
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
             f'stroke="{stroke}" stroke-width="{width}"{d}/>')
 
-    def rect(self, x, y, w, h, stroke="black", fill="none"):
+    def rect(self, x, y, w, h):
         self.parts.append(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-            f'stroke="{stroke}" fill="{fill}"/>')
+            'stroke="black" fill="none"/>')
 
-    def circle(self, cx, cy, r=2.0, stroke="black", fill="none"):
+    def circle(self, cx, cy):
         self.parts.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{r}" '
-            f'stroke="{stroke}" fill="{fill}"/>')
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2.0" stroke="black" fill="none"/>')
 
     def text(self, x, y, s, size=11, anchor="middle"):
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
             f'font-family="sans-serif" text-anchor="{anchor}">{s}</text>')
 
-    def cross(self, cx, cy, half=3.5, stroke="blue"):
-        self.line(cx - half, cy - half, cx + half, cy + half, stroke=stroke, width=1.5)
-        self.line(cx - half, cy + half, cx + half, cy - half, stroke=stroke, width=1.5)
+    def cross(self, cx, cy):
+        self.line(cx - 3.5, cy - 3.5, cx + 3.5, cy + 3.5, stroke="blue", width=1.5)
+        self.line(cx - 3.5, cy + 3.5, cx + 3.5, cy - 3.5, stroke="blue", width=1.5)
 
     def to_string(self):
         return "\n".join(self.parts + ["</svg>"]) + "\n"
@@ -129,7 +126,7 @@ def boxplot_panel(groups, title="", ref_line=None, true_value=None, mean_markers
     def ty(v):
         return mt + plot_h * (hi - v) / (hi - lo)
 
-    c = SvgCanvas(WIDTH, HEIGHT)
+    c = SvgCanvas()
     c.rect(ml, mt, plot_w, plot_h)
     for tick in _ticks(lo, hi):
         c.line(ml - 4, ty(tick), ml, ty(tick))

@@ -51,9 +51,12 @@ class CheckRecord:
 
 @dataclass
 class VerifierReport:
-    model_tag: str
     params: object
     checks: list
+
+    @property
+    def model_tag(self):
+        return self.params.tag
 
     @property
     def passed(self):
@@ -202,4 +205,4 @@ def verify_model(params, n_triples=N_TRIPLES, seed=0):
         check_minorization(params, n_triples, seed + 202),
         check_lipschitz_logg(params, n_triples, seed + 303),
     ]
-    return VerifierReport(model_tag=params.tag, params=params, checks=checks)
+    return VerifierReport(params=params, checks=checks)

@@ -21,7 +21,7 @@ from scipy.special import psi
 
 from odgarch import (ExperimentConfig, NbinParams, NmParams, TingParams, grad_loglik_nbin,
                      grad_loglik_numeric, run_experiment, simulate, verify_model)
-from odgarch.reparam import feasible_map_for
+from odgarch.reparam import FeasibleMap
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
 M2 = NbinParams(3.0, 0.35, 0.1, 1.5)
@@ -93,7 +93,7 @@ def test_criterion_5_gradient_suite():
         p = random_nbin(rng)
         s = simulate(p, 64, seed=int(rng.integers(1 << 30)))
         x1 = p.fixed_point()
-        fmap = feasible_map_for(p)
+        fmap = FeasibleMap(p)
         ga = fmap.chain_rule(grad_loglik_nbin(p, x1, s), p)
         gn = grad_loglik_numeric(p, x1, s, step=1e-5)
         rel = np.max(np.abs(ga - gn)) / max(1.0, np.max(np.abs(ga)))

@@ -12,7 +12,6 @@ from odgarch import (FeasibleMap, FitOptions, NbinParams, NmParams, TingParams,
                      simulate)
 from odgarch.estimation import EPS_MARGIN, _bfgs
 from odgarch.params import Series
-from odgarch.reparam import feasible_map_for
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
 M2 = NbinParams(3.0, 0.35, 0.1, 1.5)
@@ -28,7 +27,7 @@ def test_feasible_map_roundtrip_all_models():
     for draw in (random_nbin, random_ting, random_nm):
         for _ in range(20):
             p = draw(rng)
-            fmap = feasible_map_for(p)
+            fmap = FeasibleMap(p)
             q = fmap.decode(fmap.encode(p))
             assert np.allclose(p.as_array(), q.as_array(), rtol=1e-12, atol=1e-14)
 
@@ -37,13 +36,13 @@ def test_feasible_map_roundtrip_all_models():
 @given(st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=4, max_size=4))
 def test_feasible_map_roundtrip_hypothesis(vals):
     p = NbinParams(*vals)
-    fmap = FeasibleMap(NbinParams)
+    fmap = FeasibleMap(p)
     q = fmap.decode(fmap.encode(p))
     assert np.allclose(p.as_array(), q.as_array(), rtol=1e-12)
 
 
 def test_decode_always_positive():
-    fmap = FeasibleMap(NbinParams)
+    fmap = FeasibleMap(NbinParams(3.0, 0.2, 0.2, 2.0))
     rng = np.random.default_rng(21)
     for _ in range(50):
         z = rng.uniform(-1e6, 1e6, 4)
@@ -57,7 +56,7 @@ def test_chain_rule_matches_numeric():
     p = random_nbin(rng)
     s = simulate(p, 128, seed=4)
     x1 = p.fixed_point()
-    fmap = feasible_map_for(p)
+    fmap = FeasibleMap(p)
     ga = fmap.chain_rule(grad_loglik_nbin(p, x1, s), p)
     gn = grad_loglik_numeric(p, x1, s)
     assert np.max(np.abs(ga - gn)) <= 1e-4 * max(1.0, np.max(np.abs(ga)))

@@ -67,6 +67,16 @@ def test_series_roundtrip_nm(tmp_path):
     assert np.allclose(back.y, s.y, rtol=1e-11)
 
 
+@pytest.mark.parametrize("bad", ["nan", "-2", "inf"])
+def test_read_series_refuses_a_trace_that_is_not_positive_and_finite(tmp_path, bad):
+    path = str(tmp_path / "trace.csv")
+    with open(path, "w") as fh:
+        fh.write(f"k,y,x_1\n1,3,7.5\n2,4,{bad}\n3,2,6.1\n")
+    with pytest.raises(ValueError) as exc:
+        read_series(path, model_tag="nbin")
+    assert str(exc.value) == f"{path}: x_trace must hold positive finite real states"
+
+
 def test_read_series_truncated(tmp_path):
     path = str(tmp_path / "bad.csv")
     with open(path, "w") as fh:

@@ -83,14 +83,16 @@ SKEW *= 0.95 / np.max(np.abs(np.linalg.eigvals(SKEW)))
 
 @pytest.mark.parametrize("n", SIZES + (3, 5, 1000))
 def test_affine_scan_matches_loop(n):
+    # the banded solve of x[k] = a x[k-1] + c[k] on a C-ordered drive, as _filter builds it
     rng = np.random.default_rng(n)
     for c, a in [(rng.uniform(0, 2, n), 0.7),
                  (rng.uniform(0, 2, (n, 1)), np.array([[0.7]])),
                  (rng.uniform(0, 2, (n, 3)), 0.95 * np.eye(3)),
-                 (np.asfortranarray(rng.uniform(0, 2, (n, 3))), 0.5 * np.eye(3)),
+                 (rng.uniform(0, 2, (n, 3)), 0.5 * np.eye(3)),
                  (rng.uniform(0, 2, (n, 3)), rng.uniform(0, 0.3, (3, 3))),
                  (rng.uniform(0, 2, (n, 2)), SKEW)]:
-        np.testing.assert_allclose(kernels.affine_scan(c, a), ref_scan(c, a), **TOL)
+        x = kernels._solve(np.array(c, dtype=float, order="C"), kernels._band(a, n))
+        np.testing.assert_allclose(x, ref_scan(c, a), **TOL)
 
 
 def count_series(params, kind):
@@ -177,7 +179,7 @@ def test_overflow_raises():
     # TING caps the state at tau: an infinite state must raise, not become tau
     with pytest.raises(FloatingPointError):
         kernels.ting_loglik(y, 5.0, 3.0, 5.0, 0.1, 4.0, count_table(y))
-    # NM: the BLAS solve ignores numpy's error state, so affine_scan's own
+    # NM: the BLAS solve ignores numpy's error state, so _solve's own
     # check is what catches the path at spectral radius 1.44
     nm = NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0], A=[[1.4, 0.1], [0.05, 1.3]],
                   b_vec=[0.2, 0.1])

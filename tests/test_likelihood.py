@@ -8,7 +8,7 @@ from scipy.special import psi
 
 from odgarch import (NbinParams, NmParams, TingParams, filter_series, grad_loglik_nbin,
                      grad_loglik_numeric, log_emission, loglik, simulate)
-from odgarch.reparam import feasible_map_for
+from odgarch.reparam import FeasibleMap
 
 
 def nbin_closed_form(p, x, y):
@@ -135,7 +135,7 @@ def test_grad_nbin_vs_finite_differences():
         p = random_nbin(rng)
         s = simulate(p, 64, seed=int(rng.integers(1 << 30)))
         x1 = p.fixed_point()
-        fmap = feasible_map_for(p)
+        fmap = FeasibleMap(p)
         ga = fmap.chain_rule(grad_loglik_nbin(p, x1, s), p)
         gn = grad_loglik_numeric(p, x1, s, step=1e-5)
         assert np.max(np.abs(ga - gn)) <= 1e-5 * max(1.0, np.max(np.abs(ga)))

@@ -44,6 +44,36 @@ def test_psi_step_validation():
         psi_step(q, np.array([1.0]), 0.5)  # wrong state dimension
 
 
+NM1 = NmParams(gamma=[1.0], omega_vec=[1.0], A=[[0.5]], b_vec=[0.3])
+# States that cast to positive floats but are not real numbers: a bool, a string, an object.
+NOT_REAL_STATES = [(NbinParams(3, .2, .2, 2), True), (NbinParams(3, .2, .2, 2), "3.0"),
+                   (TingParams(1, .5, .25, 2), np.bool_(True)),
+                   (TingParams(1, .5, .25, 2), np.array([3.0, 2.0], dtype=object)),
+                   (NM1, np.array([True])), (NM1, ["2.5"])]
+STATE_ENTRY_POINTS = {
+    "psi_step": lambda p, x: psi_step(p, x, 1),
+    "log_emission": lambda p, x: log_emission(p, x, 1),
+    "sample_emission": lambda p, x: sample_emission(p, x, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STATE_ENTRY_POINTS))
+@pytest.mark.parametrize("params,x", NOT_REAL_STATES,
+                         ids=[f"{p.tag}-{x!r}" for p, x in NOT_REAL_STATES])
+def test_a_state_that_is_not_real_is_refused(entry, params, x):
+    with pytest.raises(ValueError, match=f"^a {params.tag} state must be real, positive "
+                                         "and finite"):
+        STATE_ENTRY_POINTS[entry](params, x)
+
+
+@pytest.mark.parametrize("y", [True, "2", np.array([True, False]), np.array(["1", "2"])],
+                         ids=repr)
+def test_log_emission_refuses_an_observation_that_is_not_real(y):
+    for p in (NbinParams(3, .2, .2, 2), NM1):
+        with pytest.raises(ValueError, match="^observation must be finite and real$"):
+            log_emission(p, p.fixed_point(), y)
+
+
 def test_log_emission_hand_values():
     assert abs(log_emission(NbinParams(1, .2, .2, 1), 1.0, 0.0)
                - math.log(0.5)) < 1e-12

@@ -13,8 +13,7 @@ def _summary(truth, estimates):
     """The study summary of one sample size whose estimates are the given parameters."""
     est = np.stack([p.as_array() for p in estimates])
     m = len(est)
-    return McSummary(theta_star=truth, param_names=truth.param_names,
-                     sample_sizes=(64,), estimates={64: est}, gaps={64: np.zeros(m)},
+    return McSummary(theta_star=truth, estimates={64: est}, gaps={64: np.zeros(m)},
                      converged={64: np.ones(m, dtype=bool)},
                      seeds={64: np.zeros(m, dtype=np.uint64)})
 

@@ -269,6 +269,29 @@ def test_bad_anchor_is_rejected(entry, tag):
             ANCHOR_ENTRY_POINTS[entry](params, x1, series)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -2.0, math.inf, 0.0], ids=["nan", "-2", "inf", "0"])
+def test_series_refuses_a_trace_that_is_not_positive_and_finite(bad):
+    for tag, trace in [("nbin", [1.5, bad, 2.0]), ("ting", [[1.5], [bad], [2.0]]),
+                       ("nm", [[1.5, 2.0], [1.0, bad], [2.0, 2.0]])]:
+        with pytest.raises(ValueError, match="^x_trace must hold positive finite real states$"):
+            Series(y=[1.0, 2.0, 3.0], model_tag=tag, x_trace=trace)
+
+
+def test_series_refuses_a_trace_that_is_not_real():
+    for trace in ([True, True, True], ["1", "2", "3"]):
+        with pytest.raises(ValueError, match="^x_trace must hold positive finite real states$"):
+            Series(y=[1.0, 2.0, 3.0], model_tag="nbin", x_trace=trace)
+
+
+@pytest.mark.parametrize("y", [["1", "2", "3"], [True, False, True],
+                               np.array([1.0, 2.0], dtype=object)], ids=repr)
+def test_series_refuses_observations_that_are_not_real(y):
+    # checked before the cast to floats, which would read them as counts
+    for tag in ("nbin", "ting", "nm"):
+        with pytest.raises(ValueError, match="^observation must be finite and real$"):
+            Series(y=y, model_tag=tag)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_series_rejects_non_finite(bad):
     # every model rejects it with the one observation check that psi_step uses
