@@ -23,6 +23,9 @@ NBIN = ["--model", "nbin", "--omega", "3", "--a", ".2", "--b", ".2", "--r", "2"]
 NM1 = ["--model", "nm", "--gamma", "1", "--omega", "1", "--A", ".4", "--bvec", ".25"]
 NM2 = ["--model", "nm", "--gamma", ".4,.6", "--omega", "1,2", "--A", ".3,.1;.05,.25",
        "--bvec", ".2,.1"]
+# its verify grid has 7 columns, in the prime bases up to 17
+NM3 = ["--model", "nm", "--gamma", ".3,.3,.4", "--omega", "1,2,3",
+       "--A", ".3,.05,0;.05,.25,.05;0,.05,.2", "--bvec", ".1,.1,.1"]
 TING = ["--model", "ting", "--omega", "3", "--a", ".35", "--b", ".1", "--tau", "4"]
 # CI's Monte Carlo study
 EXPERIMENT = {"model": "nbin", "theta_star": {"omega": 3.0, "a": 0.2, "b": 0.2, "r": 2.0},
@@ -39,6 +42,7 @@ WORKFLOWS = [
     ["fit", "--series", "nm1.csv", "--out", "nm1_fit.json"],
     ["verify", *NBIN, "--out", "nbin_report.json"],
     ["verify", *NM2, "--out", "nm2_report.json"],
+    ["verify", *NM3, "--out", "nm3_report.json"],
     ["verify", *TING, "--out", "ting_report.json"],
     ["mc", "--config", "experiment.json", "--out-dir", "results", "--jobs", "1"],
     ["plot", "--replicates", "results/replicates.csv", "--config", "experiment.json",
