@@ -93,8 +93,14 @@ def _bad_cell(path, i, name, what, cell):
     return ValueError(f"{path}: row {i + 1}, column {name}: {what}: {str(cell)!r}")
 
 
-def _numbers(path, header, cells, cols, dtype=float, finite=False):
-    """The cells of the columns in slice cols as numbers of dtype, finite ones if finite.
+# what _numbers can require of the numbers it reads: (test, what a cell that fails it is)
+_FINITE = (np.isfinite, "not a finite number")
+_POSITIVE_FINITE = (lambda v: (v > 0) & (v < np.inf), "not a positive finite number")
+
+
+def _numbers(path, header, cells, cols, dtype=float, require=None):
+    """The cells of the columns in slice cols as numbers of dtype, each passing the test
+    of require, (test, what), if given.
 
     Raises naming the row and the column of the first cell that is not one.
     """
@@ -109,9 +115,12 @@ def _numbers(path, header, cells, cols, dtype=float, finite=False):
                 what = "not an integer" if dtype is int else "not a number"
                 raise _bad_cell(path, i, header[cols][j], what, cell) from None
         raise
-    if finite and not np.isfinite(numbers).all():
-        i, j = np.argwhere(~np.isfinite(numbers))[0]
-        raise _bad_cell(path, i, header[cols][j], "not a finite number", block[i, j])
+    if require is not None:
+        test, what = require
+        bad = ~test(numbers)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise _bad_cell(path, i, header[cols][j], what, block[i, j])
     return numbers
 
 
@@ -179,7 +188,7 @@ def _read_sidecar(path, n):
 def read_series(path, model_tag=None):
     header, cells = _read_csv(path, "series", lambda h: _series_columns(len(h) - 2))
     y = _numbers(path, header, cells, slice(1, 2))[:, 0]
-    xs = _numbers(path, header, cells, slice(2, None))
+    xs = _numbers(path, header, cells, slice(2, None), require=_POSITIVE_FINITE)  # states
     meta = _read_sidecar(path, len(y))
     tag = model_tag or meta["model"]
     if tag is None:
@@ -223,6 +232,6 @@ def read_replicates(path):
         "param_names": list(header[lead:]),
         "n": _numbers(path, header, cells, slice(1, 2), int)[:, 0],
         "converged": converged == "true",
-        "gap": _numbers(path, header, cells, slice(5, 6), finite=True)[:, 0],
-        "estimates": _numbers(path, header, cells, slice(lead, None), finite=True),
+        "gap": _numbers(path, header, cells, slice(5, 6), require=_FINITE)[:, 0],
+        "estimates": _numbers(path, header, cells, slice(lead, None), require=_FINITE),
     }

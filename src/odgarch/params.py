@@ -54,10 +54,11 @@ def _check_positive(tag, name, value):
 
 
 def _holds_bool(value):
-    """Whether a field holds a bool, which numpy casts to a number among numbers."""
+    """Whether value holds a bool, which numpy casts to a number among numbers: a list
+    or tuple is searched, an array is judged by its dtype."""
     if isinstance(value, (list, tuple)):
         return any(map(_holds_bool, value))
-    return np.asarray(value).dtype == bool
+    return type(value) not in (int, float) and np.asarray(value).dtype == bool
 
 
 def _is_state(x, shape):
@@ -116,6 +117,19 @@ def count_table(y):
     return values, counts / y.size, gammaln(values + 1.0)
 
 
+def _per_count(f, y):
+    """f(y) for counts y (non-negative integers as floats), f elementwise.
+
+    Where y repeats its counts (max y < y.size), f is evaluated once for each of
+    0..max y and indexed back, as ``count_table`` serves the kernels' sums;
+    the bits are f(y)'s. A scalar or an array of few repeats is evaluated
+    directly, which also keeps a count beyond the integer range uncast.
+    """
+    if np.ndim(y) and y.size and y.max() < y.size:
+        return f(np.arange(y.max() + 1.0))[y.astype(np.intp)]
+    return f(y)
+
+
 class _Model:
     """What the three model classes share. Each states its stability quantity (stable iff
     below 1), its theta-gradient, and ``scaled``: the coefficients it is 1-homogeneous in."""
@@ -149,10 +163,10 @@ class _Model:
     @staticmethod
     def check_obs(y):
         """y as floats (a scalar for a single observation); raises unless real and finite."""
-        y = np.asarray(y)
-        if y.dtype.kind not in "iuf" or not np.all(np.isfinite(y)):
+        arr = np.asarray(y)
+        if arr.dtype.kind not in "iuf" or _holds_bool(y) or not np.all(np.isfinite(arr)):
             raise ValueError("observation must be finite and real")
-        return np.asarray(y, dtype=float)[()]
+        return np.asarray(arr, dtype=float)[()]
 
     @staticmethod
     def obs_table(y):
@@ -285,8 +299,8 @@ class NbinParams(_CountModel):
 
     def log_density(self, x, y):
         """Log pmf of NB(r, x/(1+x)) at y."""
-        return (models.nbin_count_term(y, self.r, gammaln(y + 1.0))
-                + models.nbin_state_term(x, y, self.r))
+        count = _per_count(lambda v: models.nbin_count_term(v, self.r, gammaln(v + 1.0)), y)
+        return count + models.nbin_state_term(x, y, self.r)
 
     def sampler(self, rng):
         """The emission draw as a function of the state, rng's methods and r bound once."""
@@ -374,7 +388,8 @@ class TingParams(_CountModel):
 
     def log_density(self, x, y):
         lam = np.minimum(x, self.tau)
-        return models.poisson_count_term(gammaln(y + 1.0)) + models.poisson_state_term(lam, y)
+        count = _per_count(lambda v: models.poisson_count_term(gammaln(v + 1.0)), y)
+        return count + models.poisson_state_term(lam, y)
 
     def sampler(self, rng):
         poisson, tau = rng.poisson, self.tau
@@ -669,20 +684,21 @@ class Series:
     _model: type | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.y = np.asarray(self.y)
+        y = self.y
+        self.y = np.asarray(y)
         if self.y.ndim != 1 or self.y.size == 0:
             raise ValueError("observations must be a nonempty 1-d array")
         self._model = model = model_class(self.model_tag)
         if self.params is not None and not isinstance(self.params, model):
             raise ValueError(f"a {self.model_tag} series cannot carry {self.params.tag} parameters")
-        self.y = model.check_obs(self.y)  # checked before it is cast to floats
+        self.y = model.check_obs(y)  # checked as given, before it is cast to floats
         self.count_table = model.obs_table(self.y)
         if self.x_trace is not None:
             x_trace = np.asarray(self.x_trace)
             if x_trace.ndim not in (1, 2):
                 raise ValueError(f"x_trace must be a 1-d or 2-d array, got {x_trace.ndim}-d")
             # its columns' shape is the model's state shape, checked below
-            if not _is_state(x_trace, ()):
+            if not _is_state(x_trace, ()) or _holds_bool(self.x_trace):
                 raise ValueError("x_trace must hold positive finite real states")
             self.x_trace = model.state_trace(np.asarray(x_trace, dtype=float))
             if self.x_trace.shape[0] != self.y.shape[0]:

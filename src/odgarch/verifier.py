@@ -93,8 +93,12 @@ def _halton(dims, n, seed):
     perms[j][digit_j(i)] / b^(j+1) over j in the same order, so the result
     rounds exactly as scipy's per-point loop. Only the first ceil(log_b n)
     digits vary over the n points: their partial sums are built for every
-    digit combination at once, and the remaining digits are all 0, so they
-    add the same constant perms[j][0] / b^(j+1) to every point.
+    digit combination at once, the last digit only for the values that
+    points below n take. The remaining digits are all 0, so they add the same
+    constant perms[j][0] / b^(j+1) to every point, one whole-grid add each,
+    skipped where it is 0. In base 2 every partial sum has bits only at
+    2^-1 ... 2^-53, so each of those adds is exact, and so is one add of
+    their exact sum.
     """
     rng = np.random.default_rng(seed)
     out = np.empty((n, dims))
@@ -106,14 +110,22 @@ def _halton(dims, n, seed):
         s = np.zeros(1)
         b2r = 1.0 / base
         j = 0
-        while s.size < n:  # s[i] for i < b^j: the sum over the digits of i so far
-            s = (s[None, :] + (perms[j] * b2r)[:, None]).ravel()
+        while s.size < n:  # s[i] for i < b^j (fewer at the last j): the sum over its digits so far
+            used = perms[j, :-(-n // s.size)]  # digit j's values at i < n: all but at the last
+            s = (s[None, :] + (used * b2r)[:, None]).ravel()
             b2r /= base
             j += 1
         s = s[:n]
+        zero_to = perms[:, 0].tolist()  # what a digit 0 maps to
+        tail = []  # digits j.. are 0 at every point
         for k in range(j, count):
-            s += perms[k, 0] * b2r
+            tail.append(zero_to[k] * b2r)
             b2r /= base
+        if base == 2:  # exact: every partial sum has bits only at 2^-1 ... 2^-53
+            tail = [math.fsum(tail)]
+        for w in tail:
+            if w:  # adding 0 changes no bit
+                s += w
         out[:, col] = s
     return out
 

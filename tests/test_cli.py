@@ -134,7 +134,7 @@ def test_bad_cell_names_its_place(tmp_path, capsys, command):
     ("k,y,x_1,x_2\n" + "".join(f"{k + 1},{k % 3},1,2\n" for k in range(20)),
      "a nbin state trace has one column, got 2"),
     ("k,y,x_1\n" + "".join(f"{k + 1},{k % 3},{'nan' if k == 7 else 2}\n" for k in range(20)),
-     "x_trace must hold positive finite real states"),
+     "row 8, column x_1: not a positive finite number: 'nan'"),
 ], ids=["negative-count", "two-state-columns", "nan-state"])
 def test_fit_names_the_csv_of_a_bad_series(tmp_path, capsys, text, message):
     path = str(tmp_path / "bad.csv")

@@ -74,7 +74,7 @@ def test_read_series_refuses_a_trace_that_is_not_positive_and_finite(tmp_path, b
         fh.write(f"k,y,x_1\n1,3,7.5\n2,4,{bad}\n3,2,6.1\n")
     with pytest.raises(ValueError) as exc:
         read_series(path, model_tag="nbin")
-    assert str(exc.value) == f"{path}: x_trace must hold positive finite real states"
+    assert str(exc.value) == f"{path}: row 2, column x_1: not a positive finite number: {bad!r}"
 
 
 def test_read_series_truncated(tmp_path):

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from conftest import random_nbin, random_nm, random_ting
 
+from scipy.special import gammaln
+
 from odgarch import (NbinParams, NmParams, TingParams, log_emission, loglik, psi_step,
-                     sample_emission, simulate)
+                     sample_emission, simulate, verifier)
 from odgarch.models import _check_anchor, nm_log_density
 
 
@@ -45,11 +47,16 @@ def test_psi_step_validation():
 
 
 NM1 = NmParams(gamma=[1.0], omega_vec=[1.0], A=[[0.5]], b_vec=[0.3])
-# States that cast to positive floats but are not real numbers: a bool, a string, an object.
+NM2 = NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0], A=[[0.3, 0.1], [0.05, 0.25]],
+               b_vec=[0.2, 0.1])
+# States that cast to positive floats but are not real numbers: a bool, a string, an
+# object, and a bool inside a list of numbers, which numpy casts to a float
 NOT_REAL_STATES = [(NbinParams(3, .2, .2, 2), True), (NbinParams(3, .2, .2, 2), "3.0"),
                    (TingParams(1, .5, .25, 2), np.bool_(True)),
                    (TingParams(1, .5, .25, 2), np.array([3.0, 2.0], dtype=object)),
-                   (NM1, np.array([True])), (NM1, ["2.5"])]
+                   (NM1, np.array([True])), (NM1, ["2.5"]),
+                   (NbinParams(3, .2, .2, 2), [True, 2.0]), (NM2, [True, 2.0]),
+                   (NM2, [[1.0, 2.0], [2.0, np.True_]])]
 STATE_ENTRY_POINTS = {
     "psi_step": lambda p, x: psi_step(p, x, 1),
     "log_emission": lambda p, x: log_emission(p, x, 1),
@@ -66,12 +73,53 @@ def test_a_state_that_is_not_real_is_refused(entry, params, x):
         STATE_ENTRY_POINTS[entry](params, x)
 
 
-@pytest.mark.parametrize("y", [True, "2", np.array([True, False]), np.array(["1", "2"])],
-                         ids=repr)
+@pytest.mark.parametrize("y", [True, "2", np.array([True, False]), np.array(["1", "2"]),
+                               [True, 2.0]], ids=repr)
 def test_log_emission_refuses_an_observation_that_is_not_real(y):
     for p in (NbinParams(3, .2, .2, 2), NM1):
         with pytest.raises(ValueError, match="^observation must be finite and real$"):
             log_emission(p, p.fixed_point(), y)
+
+
+def _count_log_pmf(params, x, y):
+    """The NBIN or TING log pmf at each (x, y), elementwise: the count term plus the state
+    term, in the order ``log_density`` adds them."""
+    y = np.asarray(y, dtype=float)
+    if params.tag == "nbin":
+        r = params.r
+        return (gammaln(y + r) - gammaln(r) - gammaln(y + 1.0)) + (y * np.log(x)
+                                                                   - (y + r) * np.log1p(x))
+    lam = np.minimum(x, params.tau)
+    return -gammaln(y + 1.0) + (y * np.log(lam) - lam)
+
+
+def _count_cases(params):
+    """(x, y) pairs: the verifier's grids of params, counts that repeat little or not at
+    all, a scalar count, and (3, 4) batches of states against 4 counts."""
+    rng = np.random.default_rng(5)
+    for seed in (202, 303):  # the minorization and Lipschitz checks' grids at seed 0
+        x, xp, y = verifier._sample_triples(params, 10_000, seed)
+        yield x, y
+        yield xp, y
+    y = rng.integers(0, 10 ** 6, size=50).astype(float)
+    y[0] = 10 ** 6
+    yield rng.uniform(0.5, 2e6, size=50), y
+    yield rng.uniform(0.5, 50.0, size=5), np.array([0.0, 3.0, 1e15, 1e200, 1e300])
+    yield 7.5, 4.0
+    yield rng.uniform(0.5, 20.0, size=(3, 4)), np.array([0.0, 2.0, 2.0, 9.0])
+    yield rng.uniform(0.5, 20.0, size=(3, 4)), np.array([0.0, 1.0, 1.0, 3.0])  # max < size
+
+
+@pytest.mark.parametrize("params", [NbinParams(3, .2, .2, 2), NbinParams(1.5, .3, .1, 0.7),
+                                    TingParams(3, .35, .1, 4), TingParams(1.2, .5, .1, 3.2)],
+                         ids=["nbin", "nbin-r<1", "ting", "ting-tau3.2"])
+def test_count_log_emission_is_the_elementwise_formula(params):
+    # log_density evaluates the count term once per count where counts repeat; the
+    # bits must be the elementwise formula's
+    for x, y in _count_cases(params):
+        got = log_emission(params, x, y)
+        assert np.array_equal(got, _count_log_pmf(params, x, y)), (x, y)
+        assert np.shape(got) == np.broadcast_shapes(np.shape(x), np.shape(y))
 
 
 def test_log_emission_hand_values():
@@ -332,6 +380,16 @@ def test_check_anchor_scalar_state(x1, want):
         return
     got = _check_anchor(p, x1)
     assert type(got) is np.float64 and got == want
+
+
+def test_a_bool_inside_a_vector_anchor_is_refused():
+    # numpy casts [True, 2.0] to [1.0, 2.0]; the anchor is refused as a lone True is
+    series = simulate(NM2, 64, seed=1)
+    for x1 in ([True, 2.0], (1.0, np.True_)):
+        with pytest.raises(ValueError, match="^x1 must be one positive finite nm state, got "):
+            _check_anchor(NM2, x1)
+        with pytest.raises(ValueError, match="^x1 must be one positive finite nm state, got "):
+            loglik(NM2, x1, series)
 
 
 def test_check_anchor_float_for_a_vector_state():

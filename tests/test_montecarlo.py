@@ -69,6 +69,9 @@ def test_config_validation():
             ("nm", {**nm2, "b": [.2, .1]}, nm_keys + ", b_vec, b$")]:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict({"model": model, "theta_star": theta})
+    # an NM anchor with a bool inside, which numpy would cast to a float
+    with pytest.raises(ValueError, match="^x1 must be one positive finite nm state"):
+        ExperimentConfig.from_dict({"model": "nm", "theta_star": nm2, "x1": [True, 2.0]})
 
 
 def test_config_dict_roundtrip():

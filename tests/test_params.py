@@ -278,13 +278,14 @@ def test_series_refuses_a_trace_that_is_not_positive_and_finite(bad):
 
 
 def test_series_refuses_a_trace_that_is_not_real():
-    for trace in ([True, True, True], ["1", "2", "3"]):
+    for trace in ([True, True, True], ["1", "2", "3"], [True, 2.0, 3.0]):
         with pytest.raises(ValueError, match="^x_trace must hold positive finite real states$"):
             Series(y=[1.0, 2.0, 3.0], model_tag="nbin", x_trace=trace)
 
 
 @pytest.mark.parametrize("y", [["1", "2", "3"], [True, False, True],
-                               np.array([1.0, 2.0], dtype=object)], ids=repr)
+                               np.array([1.0, 2.0], dtype=object), [True, 2.0, 3.0]],
+                         ids=repr)
 def test_series_refuses_observations_that_are_not_real(y):
     # checked before the cast to floats, which would read them as counts
     for tag in ("nbin", "ting", "nm"):

@@ -259,6 +259,9 @@ def test_halton_matches_scipy(dims):
             got = _halton(dims, n, seed)
             assert got.shape == (n, dims)
             assert np.array_equal(got, _scipy_halton(dims, n, seed)), (seed, n)
+    for seed in range(1, 9):  # the verifier's own size, where the base-2 tail is one add
+        got = _halton(dims, 10_000, seed)
+        assert np.array_equal(got, _scipy_halton(dims, 10_000, seed)), seed
 
 
 def test_halton_pinned():
