@@ -125,8 +125,8 @@ def _per_count(f, y):
     the bits are f(y)'s. A scalar or an array of few repeats is evaluated
     directly, which also keeps a count beyond the integer range uncast.
     """
-    if np.ndim(y) and y.size and y.max() < y.size:
-        return f(np.arange(y.max() + 1.0))[y.astype(np.intp)]
+    if np.ndim(y) and y.size and (top := y.max()) < y.size:
+        return f(np.arange(top + 1.0))[y.astype(np.intp)]
     return f(y)
 
 
