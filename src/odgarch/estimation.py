@@ -5,6 +5,11 @@ loop; the inner problems are solved by BFGS with Armijo backtracking in
 the unconstrained log/softmax coordinates of FeasibleMap. Gradients are
 analytic for NBIN and central-difference for NM/TING. Observations are a
 Series of the model or a 1-d array, checked once by ``Series.of``.
+
+Every inner problem starts BFGS from one inverse-Hessian estimate taken at
+the fit's start: for a model with per-observation scores (NBIN), the damped
+inverse of their outer product (OPG), an estimate of the information
+(Berndt, Hall, Hall & Hausman 1974); otherwise the identity.
 """
 
 import math
@@ -17,6 +22,11 @@ from .likelihood import FD_STEP, grad_loglik_numeric
 from .models import _check_anchor
 from .params import EPS_MARGIN, ModelParams, Series, params_to_dict
 from .reparam import FeasibleMap
+
+# delta of the start metric (OPG + delta I)^-1: where the start pins a coefficient near
+# its bound the OPG's condition number reaches 1e7-1e16, and its plain inverse then
+# sends the first steps far along directions the scores barely see.
+OPG_DAMPING = 1e-2
 
 
 @dataclass
@@ -80,16 +90,34 @@ def init_generic(series, model_tag=None, x1=None):
     return s.model.start(s, x1)
 
 
-def _bfgs(f_and_g, z0, start, tol, max_iter):
+def _start_metric(theta0, x1, series):
+    """BFGS's first inverse Hessian in z at the start theta0: (OPG + delta I)^-1.
+
+    OPG = s_z' s_z / n, where s_z is the per-observation scores mapped to z by the
+    chain rule row by row. The identity where the model has no scores or the
+    damped OPG is not finite.
+    """
+    eye = np.eye(theta0.encode().size)
+    s = theta0.scores(x1, series)
+    if s is None:
+        return eye
+    s_z = theta0.chain_rule(s)
+    damped = s_z.T @ s_z / len(s_z) + OPG_DAMPING * eye
+    return np.linalg.inv(damped) if np.isfinite(damped).all() else eye
+
+
+def _bfgs(f_and_g, z0, start, tol, max_iter, h0):
     """BFGS with Armijo backtracking. Returns (z, fval, grad, extra, n_iter, ok).
 
     f_and_g(z) returns (fval, grad, extra); extra is handed back unchanged for
-    the returned point. start is f_and_g(z0), already in hand.
+    the returned point. start is f_and_g(z0), already in hand. h0 is the first
+    inverse-Hessian estimate; a restart after lost curvature goes to steepest
+    descent.
     """
     z = z0.copy()
     fval, g, extra = start
     eye = np.eye(z.size)
-    h = eye
+    h = h0
     n_iter = 0
     n_flat = 0
     for n_iter in range(1, max_iter + 1):
@@ -144,6 +172,7 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None):
     fmap = FeasibleMap(theta0)
     z = fmap.encode(theta0)
     theta0 = fmap.decode(z)  # the start as the optimizer evaluates it
+    h0 = _start_metric(theta0, x1, series)
 
     def loglik_and_grad_z(params):
         """The loglik and its gradient in z: exact where the model has one."""
@@ -182,7 +211,7 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None):
         # each inner problem starts at the point the last one accepted
         start = (*penalized(theta, ll_z, gz_z, lam, mu), (ll_z, gz_z))
         z, fv, _, (ll_z, gz_z), n_it, inner_ok = _bfgs(f_and_g, z, start, opts.tol,
-                                                      opts.max_inner)
+                                                      opts.max_inner, h0)
         n_inner_total += n_it
         theta = fmap.decode(z)
         c = theta.constraint(opts.margin)

@@ -17,7 +17,11 @@ the score g[k] = d log p / d u[k], one reverse solve v[j] = g[j] + a v[j+1]
 gives d/dtheta sum_k log p = sum_{j>=1} v[j] dc[j]/dtheta, where the
 drive's derivatives are (1, u[j-1], y[j-1]). ``nbin_loglik_grad`` returns
 the value and the gradient from one solve of the state path, for a fitter
-that needs both at every point; ``nbin_loglik`` is its value.
+that needs both at every point; ``nbin_loglik`` is its value. The score is
+written (y - r u) / (u (1 + u)), which does not cancel at large counts as
+y / u - (y + r) / (1 + u) does. ``nbin_scores`` gives the per-observation
+scores instead of their mean: the forward sensitivities du/d(w, a, b) solve
+the same recursion, driven by (1, u[k-1], y[k-1]), on the same band.
 
 The count models' log pmfs split into a part that depends on the count
 alone and a part that depends on the state. The count-only part, and the
@@ -94,6 +98,16 @@ def affine_filter(y, x1, w, a, b):
     return _filter(y if np.ndim(b) == 0 else y[:, None], x1, w, _band(a, len(y)), b)
 
 
+def _nbin_score(y, u, r, out, work):
+    """The NBIN score d log p / d u = (y - r u) / (u (1 + u)) in out; work is overwritten."""
+    np.multiply(u, r, out=out)
+    np.subtract(y, out, out=out)
+    np.add(u, 1.0, out=work)
+    work *= u
+    out /= work
+    return out
+
+
 def nbin_loglik(y, x1, w, a, b, r, table):
     """The normalized log-likelihood: ``nbin_loglik_grad``'s value."""
     return nbin_loglik_grad(y, x1, w, a, b, r, table)[0]
@@ -107,10 +121,9 @@ def nbin_loglik_grad(y, x1, w, a, b, r, table):
     of the gradient comes from one reverse solve of the state recursion driven
     by the score; the forward sensitivities are never formed. Both solves share
     one band. The value's terms and the score are computed in place in two n-long
-    buffers, in the order of y log(u) - (y + r) log1p(u) and y / u - (y + r) / (1 + u),
-    so they round as those expressions do. The score is then copied reversed into
-    the reverse solve's array: numpy writes a negative-stride output slower than it
-    copies one.
+    buffers, in the order of y log(u) - (y + r) log1p(u) and ``_nbin_score``, so they
+    round as those expressions do. The score is then copied reversed into the reverse
+    solve's array: numpy writes a negative-stride output slower than it copies one.
     """
     values, weights, log_factorial = table
     n = len(y)
@@ -124,15 +137,42 @@ def nbin_loglik_grad(y, x1, w, a, b, r, table):
     s = np.multiply(ypr, l1p)
     term -= s
     value = weights @ nbin_count_term(values, r, log_factorial) + term.sum() / n
-    score = np.divide(y, u, out=term)
-    score -= np.divide(ypr, np.add(u, 1.0, out=s), out=s)
-    s[:] = score[::-1]
+    s[:] = _nbin_score(y, u, r, term, s)[::-1]
     v = _solve(s, band)[-2::-1]  # v[j] = score[j] + a v[j+1], j >= 1
     grad = np.empty(4)
     grad[:3] = (v.sum(), v @ u[:-1], v @ y[:-1])
     grad[:3] /= n
     grad[3] = weights @ psi(r + values) - psi(r) - l1p.sum() / n
     return value, grad
+
+
+@_raise_fp
+def nbin_scores(y, x1, w, a, b, r, table):
+    """The (n, 4) per-observation scores d log p(y[k] | u[k]) / d(w, a, b, r).
+
+    Column j < 3 is score[k] du[k]/dtheta_j: each sensitivity is one forward solve,
+    on the state path's band, of the drive (1, u[k-1], y[k-1]), zero at k = 0 because
+    the anchor is fixed; the three are held as C-contiguous rows. Column 3 is
+    psi(y[k] + r) - psi(r) - log1p(u[k]). The column means are ``nbin_loglik_grad``'s
+    gradient.
+    """
+    values = table[0]
+    n = len(y)
+    band = _band(a, n)
+    u = _filter(y, x1, w, band, b)
+    out = np.empty((4, n))
+    du = out[:3]
+    du[:, 0] = 0.0
+    du[0, 1:] = 1.0
+    du[1, 1:] = u[:-1]
+    du[2, 1:] = y[:-1]
+    for row in du:
+        _solve(row, band)
+    du *= _nbin_score(y, u, r, out[3], np.empty(n))
+    out[3] = psi(r + values)[np.searchsorted(values, y)]
+    out[3] -= psi(r)
+    out[3] -= np.log1p(u)
+    return out.T
 
 
 @_raise_fp

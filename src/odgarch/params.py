@@ -190,6 +190,10 @@ class _Model:
         """The loglik and its exact gradient in theta, or None where there is none."""
         return likelihood.loglik(self, x1, series).value, None
 
+    def scores(self, x1, series):
+        """The (n, p) per-observation scores in theta, or None where there are none."""
+        return None
+
 
 class _CountModel(_Model):
     """NBIN and TING: the scalar state w + a x + b y, driven by a count y."""
@@ -314,6 +318,12 @@ class NbinParams(_CountModel):
     def loglik_and_grad(self, x1, series):
         """The loglik and its exact gradient, from one solve of the state path."""
         return likelihood.grad_loglik_nbin(self, x1, series, with_value=True)
+
+    def scores(self, x1, series):
+        """The (n, 4) per-observation scores in theta; their mean is the gradient."""
+        s = Series.of(series, self.tag)
+        return kernels.nbin_scores(s.y, models._check_anchor(self, x1), self.omega, self.a,
+                                   self.b, self.r, s.count_table)
 
     @classmethod
     def start(cls, series, x1=None):

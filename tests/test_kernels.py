@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import random_nm
@@ -36,7 +37,7 @@ def ref_nbin(y, x1, w, a, b, r):
             du[k] = np.array([1.0, u[k - 1], y[k - 1]]) + a * du[k - 1]
         s += (math.lgamma(y[k] + r) - math.lgamma(r) - math.lgamma(y[k] + 1.0)
               + y[k] * math.log(u[k]) - (y[k] + r) * math.log1p(u[k]))
-        g[:3] += (y[k] / u[k] - (y[k] + r) / (1.0 + u[k])) * du[k]
+        g[:3] += (y[k] - r * u[k]) / (u[k] * (1.0 + u[k])) * du[k]
         g[3] += digamma(r + y[k]) - digamma(r) - math.log1p(u[k])
     return u, du, s / n, g / n
 
@@ -127,13 +128,6 @@ def test_count_table(n):
     assert log_factorial.tobytes() == gammaln(values + 1.0).tobytes()
 
 
-# At counts above 10^5 the score y/u - (y + r)/(1 + u) is the difference of two terms
-# about 10^5 times its size, so an ulp of u moves it by about 1e-11 of itself: the kernel
-# and the loop each lie up to about 2e-12 from a 40-digit mpmath gradient, and apart by
-# up to 1.3e-12. The looser bound is that loss of digits, which the kernel keeps.
-GRAD_TOL = {"large": dict(rtol=1e-11, atol=1e-12)}
-
-
 @pytest.mark.parametrize("n", COUNT_KINDS)
 def test_nbin_kernels_match_loop(n):
     for p in NBINS:
@@ -145,8 +139,57 @@ def test_nbin_kernels_match_loop(n):
         np.testing.assert_allclose(kernels.nbin_loglik(*args, table), value, **TOL)
         got_value, got_grad = kernels.nbin_loglik_grad(*args, table)
         np.testing.assert_allclose(got_value, value, **TOL)
-        np.testing.assert_allclose(got_grad, grad, **GRAD_TOL.get(n, TOL))
+        np.testing.assert_allclose(got_grad, grad, **TOL)
         assert got_value == kernels.nbin_loglik(*args, table)
+
+
+def mp_nbin_grad(y, x1, w, a, b, r):
+    """The (w, a, b) gradient of ``ref_nbin`` in 40-digit mpmath arithmetic."""
+    with mpmath.workdps(40):
+        w, a, b, r = map(mpmath.mpf, (w, a, b, r))
+        u, du, g = mpmath.mpf(x1), [mpmath.mpf(0)] * 3, [mpmath.mpf(0)] * 3
+        for k, yk in enumerate(map(mpmath.mpf, y)):
+            if k:
+                du = [1 + a * du[0], u + a * du[1], y_prev + a * du[2]]
+                u = w + a * u + b * y_prev
+            score = yk / u - (yk + r) / (1 + u)
+            g = [gi + score * di for gi, di in zip(g, du)]
+            y_prev = yk
+        return [float(gi / len(y)) for gi in g]
+
+
+def test_nbin_grad_on_large_counts_matches_mpmath():
+    # the score (y - r u) / (u (1 + u)) keeps its digits at counts above 10^5, where
+    # y / u - (y + r) / (1 + u) cancelled to about 1e-12
+    for p in NBINS:
+        y = count_series(p, "large")
+        args = (y, 7.5, p.omega, p.a, p.b, p.r)
+        grad = kernels.nbin_loglik_grad(*args, count_table(y))[1]
+        np.testing.assert_allclose(grad[:3], mp_nbin_grad(*args), rtol=1e-14, atol=0)
+
+
+def ref_nbin_scores(y, x1, w, a, b, r):
+    """The (n, 4) per-observation scores from ``ref_nbin``'s loop sensitivities."""
+    u, du, _, _ = ref_nbin(y, x1, w, a, b, r)
+    s = np.empty((len(y), 4))
+    for k in range(len(y)):
+        s[k, :3] = (y[k] - r * u[k]) / (u[k] * (1.0 + u[k])) * du[k]
+        s[k, 3] = digamma(r + y[k]) - digamma(r) - math.log1p(u[k])
+    return s
+
+
+@pytest.mark.parametrize("n", COUNT_KINDS)
+def test_nbin_scores_match_loop(n):
+    for p in NBINS:
+        y = count_series(p, n)
+        args = (y, 7.5, p.omega, p.a, p.b, p.r)
+        table = count_table(y)
+        scores = kernels.nbin_scores(*args, table)
+        assert scores.shape == (len(y), 4)
+        np.testing.assert_allclose(scores, ref_nbin_scores(*args), **TOL)
+        # their mean is the gradient, summed another way
+        grad = kernels.nbin_loglik_grad(*args, table)[1]
+        np.testing.assert_allclose(scores.mean(axis=0), grad, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n", COUNT_KINDS)
@@ -191,17 +234,19 @@ def test_overflow_raises():
 
 
 # nbin_loglik_grad's value and gradient on simulate(NBIN, n, seed=n) from x1 = 7.5, as
-# float hex, recorded before its buffers were reused; the last point has a > 1 and a path
-# that stays finite. A rewrite of the kernel that keeps its expressions keeps these bits.
+# float hex; the values were recorded before the kernel's buffers were reused, the
+# gradients after its score became (y - r u) / (u (1 + u)). The last point has a > 1 and
+# a path that stays finite. A rewrite of the kernel that keeps its expressions keeps
+# these bits.
 NBIN_PINS = [
-    (2, NBIN, "-0x1.eb106f3fa4520p+1", ["0x1.eff0385b4c380p-4", "0x1.d0f134d597748p-1",
-                                        "0x1.73f42a44792a0p+0", "0x1.ccfe10f13ab00p-2"]),
-    (128, NBIN, "-0x1.e2c310f948b27p+1", ["0x1.9773cf0ee99eep-6", "0x1.de3b997211f71p-3",
-                                          "0x1.8f23e90ac889ep-2", "0x1.5de9a6d2b7200p-4"]),
-    (4096, NBIN, "-0x1.c9e1f56555e4ap+1", ["-0x1.206d5c6123f22p-8", "-0x1.bd36ef73767b2p-6",
-                                           "-0x1.9fc111c37000ep-6", "-0x1.e92e2a07d7000p-8"]),
+    (2, NBIN, "-0x1.eb106f3fa4520p+1", ["0x1.eff0385b4c38dp-4", "0x1.d0f134d597754p-1",
+                                        "0x1.73f42a44792aap+0", "0x1.ccfe10f13ab00p-2"]),
+    (128, NBIN, "-0x1.e2c310f948b27p+1", ["0x1.9773cf0ee99ecp-6", "0x1.de3b997211f66p-3",
+                                          "0x1.8f23e90ac88a1p-2", "0x1.5de9a6d2b7200p-4"]),
+    (4096, NBIN, "-0x1.c9e1f56555e4ap+1", ["-0x1.206d5c6123f26p-8", "-0x1.bd36ef73767afp-6",
+                                           "-0x1.9fc111c37000cp-6", "-0x1.e92e2a07d7000p-8"]),
     (128, NbinParams(0.5, 1.1, 0.02, 2.0), "-0x1.e6a3c5564b7f4p+3",
-     ["-0x1.12332cbf7da1bp+0", "-0x1.a81aa6a67bca5p+6", "-0x1.7a16d628873bbp+4",
+     ["-0x1.12332cbf7da1cp+0", "-0x1.a81aa6a67bca5p+6", "-0x1.7a16d628873bbp+4",
       "-0x1.a4f4b13fb514bp+2"]),
 ]
 
