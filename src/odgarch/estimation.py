@@ -94,16 +94,19 @@ def _start_metric(theta0, x1, series):
     """BFGS's first inverse Hessian in z at the start theta0: (OPG + delta I)^-1.
 
     OPG = s_z' s_z / n, where s_z is the per-observation scores mapped to z by the
-    chain rule row by row. The identity where the model has no scores or the
-    damped OPG is not finite.
+    chain rule row by row. The identity where the model has no scores or a score
+    leaves the floating-point range: the kernel raises there, as it does for a
+    trial point of ``_bfgs``, instead of returning inf or nan.
     """
     eye = np.eye(theta0.encode().size)
-    s = theta0.scores(x1, series)
+    try:
+        s = theta0.scores(x1, series)
+    except (FloatingPointError, OverflowError, ValueError):
+        s = None
     if s is None:
         return eye
     s_z = theta0.chain_rule(s)
-    damped = s_z.T @ s_z / len(s_z) + OPG_DAMPING * eye
-    return np.linalg.inv(damped) if np.isfinite(damped).all() else eye
+    return np.linalg.inv(s_z.T @ s_z / len(s_z) + OPG_DAMPING * eye)
 
 
 def _bfgs(f_and_g, z0, start, tol, max_iter, h0):

@@ -382,9 +382,10 @@ def test_start_metric_is_the_identity_without_scores(star):
     assert np.array_equal(h0, np.eye(start.encode().size))
 
 
-def test_start_metric_nbin(monkeypatch):
-    # the damped inverse OPG is symmetric with eigenvalues in (0, 1/delta]; scores that
-    # are not finite give the identity
+def test_start_metric_nbin():
+    # the damped inverse OPG is symmetric with eigenvalues in (0, 1/delta]; at a start
+    # whose scores overflow (a state path near 1e-310) the kernel raises, and the start
+    # metric is the identity
     s = simulate(M1, 256, seed=5)
     start = init_generic(s)
     h0 = _start_metric(start, start.fixed_point(), s)
@@ -392,10 +393,10 @@ def test_start_metric_nbin(monkeypatch):
     eig = np.linalg.eigvalsh(h0)
     assert eig.min() > 0 and eig.max() <= 1.0 / OPG_DAMPING * (1 + 1e-12)
     assert not np.allclose(h0, np.eye(4))
-    for bad in (np.nan, np.inf):
-        monkeypatch.setattr(NbinParams, "scores",
-                            lambda self, x1, series, v=bad: np.full((256, 4), v))
-        assert np.array_equal(_start_metric(start, start.fixed_point(), s), np.eye(4))
+    tiny = NbinParams(1e-310, 0.2, 1e-310, 2.0)
+    with pytest.raises(FloatingPointError):
+        tiny.scores(1e-310, s)
+    assert np.array_equal(_start_metric(tiny, 1e-310, s), np.eye(4))
 
 
 # The first 50 replicates of the criterion-1 and criterion-2 studies at n = 128 and 1024:
