@@ -94,9 +94,10 @@ def _start_metric(theta0, x1, series):
     """BFGS's first inverse Hessian in z at the start theta0: (OPG + delta I)^-1.
 
     OPG = s_z' s_z / n, where s_z is the per-observation scores mapped to z by the
-    chain rule row by row. The identity where the model has no scores or a score
-    leaves the floating-point range: the kernel raises there, as it does for a
-    trial point of ``_bfgs``, instead of returning inf or nan.
+    chain rule row by row. The identity where the model has no scores, or where a
+    score leaves the floating-point range: the kernel raises there instead of
+    returning inf or nan, and the error is caught as ``_bfgs`` catches it at a
+    trial point.
     """
     eye = np.eye(theta0.encode().size)
     try:
