@@ -13,9 +13,11 @@ mean of the model's log density along the path.
 
 The NBIN gradient in (w, a, b) is the adjoint of the state recursion
 (reverse mode, Griewank & Walther 2008, "Evaluating Derivatives"): with
-the score g[k] = d log p / d u[k], one reverse solve v[j] = g[j] + a v[j+1]
-gives d/dtheta sum_k log p = sum_{j>=1} v[j] dc[j]/dtheta, where the
-drive's derivatives are (1, u[j-1], y[j-1]). ``nbin_loglik_grad`` returns
+the score g[k] = d log p / d u[k], the transposed solve L^T v = g, that is
+v[j] = g[j] + A^T v[j+1], gives d/dtheta sum_k log p = sum_{j>=1} v[j] dc[j]/dtheta,
+where the drive's derivatives are (1, u[j-1], y[j-1]). ``_reverse`` is that
+solve for any d: ``dtbsv`` on the path's own band with trans=1, which
+substitutes backward and leaves v in order. ``nbin_loglik_grad`` returns
 the value and the gradient from one solve of the state path, for a fitter
 that needs both at every point; ``nbin_loglik`` is its value. The score is
 written (y - r u) / (u (1 + u)), which does not cancel at large counts as
@@ -37,15 +39,22 @@ The kernels run with numpy raising on overflow, invalid operations and
 division by zero: a parameter point whose path or density leaves the
 floating-point range raises ``FloatingPointError`` instead of returning
 inf or nan. Each kernel sets that error state once per call; the private
-``_filter`` and ``_solve`` it calls do not set it again. BLAS ignores
-numpy's error state, so ``_solve`` checks its result itself.
+helpers it calls do not set it again. BLAS ignores numpy's error state, so
+``_solve`` checks the path it returns to ``affine_filter``, TING and NM;
+TING's cap at tau would otherwise hide an infinite path. The NBIN kernels
+solve unchecked and check their outputs once instead: an infinite path
+raises at log(u) - log1p(u), which is inf - inf, and a nan or an adjoint
+that overflows shows up in the outputs.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
 from scipy.special import psi
 
 from .models import nbin_count_term, nm_log_density, poisson_count_term, poisson_state_term
+from .params import _per_count
 
 # There is a single numpy backend and no JIT. The flag stays because the
 # environment block of perfbench/run.py reads it.
@@ -73,29 +82,45 @@ def _band(a, n):
     return band
 
 
-def _solve(x, band):
+def _forward(x, band):
     """Solve L x = c in place for the drive c held in x, a C-contiguous float array."""
     # positional: incx=1, offx=0, lower=1, trans=0, diag=1, overwrite_x=1
     dtbsv(len(band) - 1, band, x.reshape(-1), 1, 0, 1, 0, 1, 1)
-    if not np.isfinite(x).all():
+    return x
+
+
+def _reverse(v, band):
+    """Solve L^T v = g in place for g held in v: v[k] = g[k] + A^T v[k+1], the adjoint.
+
+    dtbsv with trans=1 reads the path's own band and substitutes backward, so v comes
+    out in order, C-contiguous, for any d.
+    """
+    # positional: incx=1, offx=0, lower=1, trans=1, diag=1, overwrite_x=1
+    dtbsv(len(band) - 1, band, v.reshape(-1), 1, 0, 1, 1, 1, 1)
+    return v
+
+
+def _solve(x, band):
+    """``_forward``, raising where the path leaves the floating-point range."""
+    if not np.isfinite(_forward(x, band)).all():
         raise FloatingPointError("affine recursion left the floating-point range")
     return x
 
 
-def _filter(y, x1, w, band, b):
-    """The state path, solved in place in the drive it builds; y broadcasts against b."""
+def _drive(y, x1, w, b):
+    """The drive c[0] = x1, c[k] = w + b y[k-1] of the state path; y broadcasts against b."""
     c = np.empty((len(y),) + np.shape(x1))
     c[0] = x1
     drive = c[1:]
     np.multiply(y[:-1], b, out=drive)
     drive += w
-    return _solve(c, band)
+    return c
 
 
 @_raise_fp
 def affine_filter(y, x1, w, a, b):
     """State path u[0] = x1, u[k] = w + a u[k-1] + b y[k-1]; a scalar or d x d."""
-    return _filter(y if np.ndim(b) == 0 else y[:, None], x1, w, _band(a, len(y)), b)
+    return _solve(_drive(y if np.ndim(b) == 0 else y[:, None], x1, w, b), _band(a, len(y)))
 
 
 def _nbin_score(y, u, r, out, work):
@@ -119,31 +144,26 @@ def nbin_loglik_grad(y, x1, w, a, b, r, table):
 
     Returns (value, grad) from one solve of the state path. The (w, a, b) part
     of the gradient comes from one reverse solve of the state recursion driven
-    by the score; the forward sensitivities are never formed. Both solves share
-    one band. The value's terms and the score are computed in place in two n-long
-    buffers, in the order of y log(u) - (y + r) log1p(u) and ``_nbin_score``, so they
-    round as those expressions do. The score is then copied reversed into the reverse
-    solve's array: numpy writes a negative-stride output slower than it copies one.
+    by the score, on the path's band; the forward sensitivities are never formed.
+    The state term is summed as y @ (log u - log1p u) - r sum(log1p u), whose sum of
+    log1p(u) the r-gradient shares. Each sum is one pass over a contiguous array.
     """
     values, weights, log_factorial = table
     n = len(y)
     band = _band(a, n)
-    u = _filter(y, x1, w, band, b)
+    u = _forward(_drive(y, x1, w, b), band)
     l1p = np.log1p(u)
-    ypr = y + r
-    # nbin_state_term(u, y, r), with log1p(u) shared with grad[3]
-    term = np.log(u)
-    term *= y
-    s = np.multiply(ypr, l1p)
-    term -= s
-    value = weights @ nbin_count_term(values, r, log_factorial) + term.sum() / n
-    s[:] = _nbin_score(y, u, r, term, s)[::-1]
-    v = _solve(s, band)[-2::-1]  # v[j] = score[j] + a v[j+1], j >= 1
-    grad = np.empty(4)
-    grad[:3] = (v.sum(), v @ u[:-1], v @ y[:-1])
-    grad[:3] /= n
-    grad[3] = weights @ psi(r + values) - psi(r) - l1p.sum() / n
-    return value, grad
+    sum_l1p = l1p.sum()
+    log_odds = np.log(u)
+    log_odds -= l1p  # inf - inf raises where the path is infinite
+    state = (y @ log_odds - r * sum_l1p) / n
+    value = weights @ nbin_count_term(values, r, log_factorial) + state
+    v = _reverse(_nbin_score(y, u, r, log_odds, l1p), band)[1:]  # j >= 1: c[0] is fixed
+    grad = (v.sum() / n, (v @ u[:-1]) / n, (v @ y[:-1]) / n,
+            weights @ psi(r + values) - psi(r) - sum_l1p / n)
+    if not all(map(math.isfinite, (value, *grad))):
+        raise FloatingPointError("NBIN loglik or gradient left the floating-point range")
+    return value, np.array(grad)
 
 
 @_raise_fp
@@ -153,13 +173,13 @@ def nbin_scores(y, x1, w, a, b, r, table):
     Column j < 3 is score[k] du[k]/dtheta_j: each sensitivity is one forward solve,
     on the state path's band, of the drive (1, u[k-1], y[k-1]), zero at k = 0 because
     the anchor is fixed; the three are held as C-contiguous rows. Column 3 is
-    psi(y[k] + r) - psi(r) - log1p(u[k]). The column means are ``nbin_loglik_grad``'s
-    gradient.
+    psi(y[k] + r) - psi(r) - log1p(u[k]), with psi(y + r) evaluated once per count.
+    The column means are ``nbin_loglik_grad``'s gradient. The kernel takes
+    ``nbin_loglik_grad``'s arguments; it does not read the count table.
     """
-    values = table[0]
     n = len(y)
     band = _band(a, n)
-    u = _filter(y, x1, w, band, b)
+    u = _forward(_drive(y, x1, w, b), band)
     out = np.empty((4, n))
     du = out[:3]
     du[:, 0] = 0.0
@@ -167,22 +187,24 @@ def nbin_scores(y, x1, w, a, b, r, table):
     du[1, 1:] = u[:-1]
     du[2, 1:] = y[:-1]
     for row in du:
-        _solve(row, band)
+        _forward(row, band)
     du *= _nbin_score(y, u, r, out[3], np.empty(n))
-    out[3] = psi(r + values)[np.searchsorted(values, y)]
+    out[3] = _per_count(lambda v: psi(r + v), y)
     out[3] -= psi(r)
     out[3] -= np.log1p(u)
+    if not np.isfinite(out).all():
+        raise FloatingPointError("NBIN scores left the floating-point range")
     return out.T
 
 
 @_raise_fp
 def ting_loglik(y, x1, w, a, b, tau, table):
     _, weights, log_factorial = table
-    lam = np.minimum(_filter(y, x1, w, _band(a, len(y)), b), tau)
+    lam = np.minimum(_solve(_drive(y, x1, w, b), _band(a, len(y))), tau)
     return weights @ poisson_count_term(log_factorial) + poisson_state_term(lam, y).sum() / len(y)
 
 
 @_raise_fp
 def nm_loglik(y, x1, wv, A, bv, gamma):
-    u = _filter((y * y)[:, None], x1, wv, _band(A, len(y)), bv)
+    u = _solve(_drive((y * y)[:, None], x1, wv, bv), _band(A, len(y)))
     return nm_log_density(u, y, gamma).sum() / len(y)

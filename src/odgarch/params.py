@@ -72,9 +72,9 @@ def _safe_log(v):
     return np.log(np.maximum(v, _LOG_FLOOR))
 
 
-def _acf(y, lag):
-    ym = y - y.mean()
-    return float((ym[:-lag] * ym[lag:]).sum() / (ym * ym).sum())
+def _acf(ym, ss, lag):
+    """The autocorrelation at lag of a centred series ym whose sum of squares is ss."""
+    return float((ym[:-lag] * ym[lag:]).sum() / ss)
 
 
 def _number(v):
@@ -338,10 +338,12 @@ class NbinParams(_CountModel):
         """
         y = series.y
         mu = y.mean()
-        var = y.var()
         n = y.size
-        rho1 = _acf(y, 1)
-        rho2 = _acf(y, 2)
+        ym = y - mu
+        ss = (ym * ym).sum()  # as y.var() sums it
+        var = ss / n
+        rho1 = _acf(ym, ss, 1)
+        rho2 = _acf(ym, ss, 2)
         if abs(rho1) < 2.0 / math.sqrt(n):  # no detectable dependence
             phi = EPS_MARGIN
         else:

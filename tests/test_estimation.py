@@ -139,6 +139,21 @@ def test_cls_init_degenerate():
         init_generic(np.array([1.0, 2.0, 3.0]), "nbin")  # too short
 
 
+# init_generic(simulate(truth, n, seed=1)) as float hex: the NBIN start's bits
+PINNED_STARTS = {
+    "m1-4096": (M1, 4096, ("0x1.8842c311fc067p+1", "0x1.1e232f439ab7ap-2",
+                           "0x1.1b7cb1bc91ea6p-3", "0x1.0264b417e4503p+1")),
+    "m2-128": (M2, 128, ("0x1.73d8fa75a24dfp+2", "0x1.a36e2eb1c432dp-15",
+                         "0x1.1bdb8e5bf68ebp-15", "0x1.7a44893d06815p+0")),
+}
+
+
+@pytest.mark.parametrize("truth,n,theta", PINNED_STARTS.values(), ids=PINNED_STARTS.keys())
+def test_cls_init_pinned(truth, n, theta):
+    start = init_generic(simulate(truth, n, seed=1))
+    assert tuple(float(v).hex() for v in start.as_array()) == theta
+
+
 def test_init_generic_contract():
     rng = np.random.default_rng(24)
     for tag, draw in (("nbin", random_nbin), ("ting", random_ting)):
@@ -460,42 +475,42 @@ def test_mle_fit_nm_takes_d_from_series():
 # float hex, n_inner, n_outer, converged and projected_grad_norm as float hex. A change
 # to the arithmetic of the kernels, the decode path or the optimizer shows up here.
 PINNED_FITS = {
-    "m1-128-1": (M1, 128, 1, None, ("0x1.057dc1742d8afp+2", "0x1.a0249372391c0p-26",
-                                    "0x1.42d71c1f76742p-3", "0x1.12156b020b146p+1"),
-                 "-0x1.bf7d67bae1280p+1", 36, 1, True, "0x1.09d816c829e79p-23"),
-    "m1-128-2": (M1, 128, 2, None, ("0x1.46f7859116577p+1", "0x1.5d97fcb6c7c2dp-3",
-                                    "0x1.8c13c99880214p-3", "0x1.39c8c0c9b17fcp+1"),
-                 "-0x1.d91f4de5b94c1p+1", 13, 1, True, "0x1.01b57d7d3f431p-26"),
-    "m1-1024-1": (M1, 1024, 1, None, ("0x1.a80af7152db57p+1", "0x1.8a86213c39badp-4",
-                                      "0x1.87d698bdefb30p-3", "0x1.1309241a132a7p+1"),
-                  "-0x1.c6d498b8c0515p+1", 13, 1, True, "0x1.c36b6090ca4c5p-22"),
-    "m1-1024-2": (M1, 1024, 2, None, ("0x1.693fc7ebdff8bp+1", "0x1.0f7d1794ba55cp-2",
-                                      "0x1.7a65feae615e4p-3", "0x1.0d75cbc6bdbb1p+1"),
-                  "-0x1.db4b85437b9c2p+1", 9, 1, True, "0x1.6811d3795f8a7p-27"),
-    "m1-4096-1": (M1, 4096, 1, None, ("0x1.67f00acb8f52fp+1", "0x1.9a14b97129384p-3",
-                                      "0x1.7d95106a780b7p-3", "0x1.08833acdc90b2p+1"),
-                  "-0x1.c3d78192851bap+1", 9, 1, True, "0x1.9770f80006d96p-23"),
-    "m1-4096-2": (M1, 4096, 2, None, ("0x1.7fd55fc2233e9p+1", "0x1.a941841999ea8p-3",
-                                      "0x1.a370376633905p-3", "0x1.020522e813ee5p+1"),
-                  "-0x1.d2a3193177d49p+1", 10, 1, True, "0x1.240613042a9fap-23"),
-    "m2-128-1": (M2, 128, 1, None, ("0x1.5e518a305d229p+0", "0x1.4de21d113db42p-1",
-                                    "0x1.3678397790dd2p-4", "0x1.7f4277ccc1c9fp+0"),
-                 "-0x1.957fe0839272ap+1", 70, 1, True, "0x1.831507f5372b7p-25"),
-    "m2-128-2": (M2, 128, 2, None, ("0x1.081418b7df695p+2", "0x1.db629935b8be6p-22",
-                                    "0x1.3432da3122fbbp-3", "0x1.9d669e0ac5480p+0"),
-                 "-0x1.96aca99fc3bc8p+1", 31, 1, True, "0x1.0a31a6e269d7cp-21"),
-    "m2-1024-1": (M2, 1024, 1, None, ("0x1.769888874bd74p+1", "0x1.35a94b72a175bp-2",
-                                      "0x1.816f1a9dba4a8p-4", "0x1.a5b7c87632d56p+0"),
-                  "-0x1.97babeed0ccb6p+1", 10, 1, True, "0x1.1cee4106485c2p-21"),
-    "m2-1024-2": (M2, 1024, 2, None, ("0x1.4142819875293p+1", "0x1.cba7e845b99d9p-2",
-                                      "0x1.65df0dfdd609ep-4", "0x1.8500fb8b41e9dp+0"),
-                  "-0x1.9e0763deb80f8p+1", 26, 1, True, "0x1.94b6be6f712c8p-24"),
-    "m2-4096-1": (M2, 4096, 1, None, ("0x1.6a717b3b27d89p+1", "0x1.6a11114bdb6f6p-2",
-                                      "0x1.7f010ab5157f2p-4", "0x1.8a6a09f572a8cp+0"),
-                  "-0x1.968a5fc6ee0c8p+1", 12, 1, True, "0x1.34c8e4a605984p-23"),
-    "m2-4096-2": (M2, 4096, 2, None, ("0x1.9e9ca9afdfb47p+1", "0x1.490fa86c704e0p-2",
-                                      "0x1.5c0b658cf07ffp-4", "0x1.8bafe8d7c69a1p+0"),
-                  "-0x1.9cfdecc94fea9p+1", 15, 1, True, "0x1.402fd7c4359efp-25"),
+    "m1-128-1": (M1, 128, 1, None, ("0x1.057dc1742d89cp+2", "0x1.a0249372670cep-26",
+                                    "0x1.42d71c1f7672dp-3", "0x1.12156b020b159p+1"),
+                 "-0x1.bf7d67bae128bp+1", 36, 1, True, "0x1.09d816c84fbbbp-23"),
+    "m1-128-2": (M1, 128, 2, None, ("0x1.46f785911656cp+1", "0x1.5d97fcb6c7c4dp-3",
+                                    "0x1.8c13c99880214p-3", "0x1.39c8c0c9b17f9p+1"),
+                 "-0x1.d91f4de5b94b9p+1", 13, 1, True, "0x1.01b57eb70803bp-26"),
+    "m1-1024-1": (M1, 1024, 1, None, ("0x1.a80af7152db61p+1", "0x1.8a86213c39bc3p-4",
+                                      "0x1.87d698bdefb39p-3", "0x1.1309241a1329ep+1"),
+                  "-0x1.c6d498b8c0513p+1", 13, 1, True, "0x1.c36b60b32b6ffp-22"),
+    "m1-1024-2": (M1, 1024, 2, None, ("0x1.693fc7ebdff84p+1", "0x1.0f7d1794ba559p-2",
+                                      "0x1.7a65feae615d9p-3", "0x1.0d75cbc6bdbb8p+1"),
+                  "-0x1.db4b85437b9bep+1", 9, 1, True, "0x1.6811d3392ab40p-27"),
+    "m1-4096-1": (M1, 4096, 1, None, ("0x1.67f00acb8f542p+1", "0x1.9a14b9712937cp-3",
+                                      "0x1.7d95106a780ccp-3", "0x1.08833acdc90a5p+1"),
+                  "-0x1.c3d78192851b6p+1", 9, 1, True, "0x1.9770f7bde6097p-23"),
+    "m1-4096-2": (M1, 4096, 2, None, ("0x1.7fd55fc2233f2p+1", "0x1.a941841999e9ep-3",
+                                      "0x1.a37037663390dp-3", "0x1.020522e813ee1p+1"),
+                  "-0x1.d2a3193177d4ap+1", 10, 1, True, "0x1.240612c3a956ap-23"),
+    "m2-128-1": (M2, 128, 1, None, ("0x1.5e518a6f4a6bdp+0", "0x1.4de21d5e2c7c5p-1",
+                                    "0x1.367836fd159d2p-4", "0x1.7f4278eaf9ad7p+0"),
+                 "-0x1.957fe08392731p+1", 74, 1, True, "0x1.bc6e7c1e61915p-25"),
+    "m2-128-2": (M2, 128, 2, None, ("0x1.081418b7df691p+2", "0x1.db629935b7526p-22",
+                                    "0x1.3432da3122fb0p-3", "0x1.9d669e0ac5487p+0"),
+                 "-0x1.96aca99fc3bcap+1", 31, 1, True, "0x1.0a31a6e101d42p-21"),
+    "m2-1024-1": (M2, 1024, 1, None, ("0x1.769888874bd74p+1", "0x1.35a94b72a1751p-2",
+                                      "0x1.816f1a9dba496p-4", "0x1.a5b7c87632d5ep+0"),
+                  "-0x1.97babeed0ccb4p+1", 10, 1, True, "0x1.1cee410891aa7p-21"),
+    "m2-1024-2": (M2, 1024, 2, None, ("0x1.41428198752a2p+1", "0x1.cba7e845b99c8p-2",
+                                      "0x1.65df0dfdd60a6p-4", "0x1.8500fb8b41e9ap+0"),
+                  "-0x1.9e0763deb80f6p+1", 26, 1, True, "0x1.94b6be618d1afp-24"),
+    "m2-4096-1": (M2, 4096, 1, None, ("0x1.6a717b3b27d8fp+1", "0x1.6a11114bdb6e3p-2",
+                                      "0x1.7f010ab5157f8p-4", "0x1.8a6a09f572a90p+0"),
+                  "-0x1.968a5fc6ee0cap+1", 12, 1, True, "0x1.34c8e4a605987p-23"),
+    "m2-4096-2": (M2, 4096, 2, None, ("0x1.9e9ca9afdfb54p+1", "0x1.490fa86c704ccp-2",
+                                      "0x1.5c0b658cf0804p-4", "0x1.8bafe8d7c69a0p+0"),
+                  "-0x1.9cfdecc94feaap+1", 15, 1, True, "0x1.402fd792bfa1cp-25"),
     # a fit that ends unconverged: its projected gradient stays above tol
     "ting-256-1": (TING, 256, 1, None, ("0x1.f3e68c44cbebbp+1", "0x1.a36e2a26e10c0p-15",
                                         "0x1.a36ef79134074p-15", "0x1.f3fa7e37099a8p+1"),

@@ -3,8 +3,8 @@
 The workflows run through ``cli.main`` and their files are compared with
 ``tests/golden/manifest.json``. A change that moves an output bit fails here and
 names the files that moved. A change that moves numbers on purpose rewrites the
-manifest with ``PYTHONPATH=src python tests/golden/regen.py`` and explains each
-changed file.
+manifest with ``PYTHONPATH=src python tests/golden/regen.py``, which prints each file
+that moved, appeared or vanished with its old and new digest, and explains each of them.
 """
 
 import hashlib
@@ -67,11 +67,15 @@ def run_workflows():
             if p.is_file() and p.name != "experiment.json"}
 
 
+def moved(want, got):
+    """The files whose digest differs between two {file: sha256} maps, or that one lacks."""
+    return sorted(p for p in want.keys() | got.keys() if want.get(p) != got.get(p))
+
+
 def test_golden_outputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = run_workflows()
     manifest = json.loads(MANIFEST.read_text())
-    want = manifest["files"]
-    moved = sorted(p for p in want.keys() | got.keys() if want.get(p) != got.get(p))
-    assert not moved, (f"outputs moved: {moved}; manifest written with "
-                       f"{manifest['environment']}, this run {environment()}")
+    changed = moved(manifest["files"], got)
+    assert not changed, (f"outputs moved: {changed}; manifest written with "
+                         f"{manifest['environment']}, this run {environment()}")

@@ -1,6 +1,8 @@
 """The array kernels against plain reference loops kept in this file."""
 
+import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -192,6 +194,64 @@ def test_nbin_scores_match_loop(n):
         np.testing.assert_allclose(scores.mean(axis=0), grad, rtol=1e-12, atol=0)
 
 
+def dense_l(a, n):
+    """L as a dense (n d) x (n d) matrix: identity blocks, -a below the diagonal."""
+    d = len(np.atleast_2d(a))
+    big = np.eye(n * d)
+    for k in range(1, n):
+        big[k * d:(k + 1) * d, (k - 1) * d:k * d] = -np.atleast_2d(a)
+    return big
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("n", (1, 2, 128))
+def test_reverse_solve_matches_dense(n, d):
+    # the adjoint's solve L^T v = g on the path's own band, in the (n, d) layout of a path
+    rng = np.random.default_rng(100 * d + n)
+    a = {1: np.array([[0.95]]), 2: SKEW, 3: rng.uniform(0, 0.3, (3, 3))}[d]
+    g = rng.normal(0, 1, (n, d))
+    want = np.linalg.solve(dense_l(a, n).T, g.reshape(-1)).reshape(n, d)
+    v = kernels._reverse(g.copy(), kernels._band(a, n))
+    np.testing.assert_allclose(v, want, rtol=1e-13, atol=0)
+    if d == 1:  # the scalar band of NBIN and TING, against v[j] = g[j] + a v[j+1]
+        g, a = g[:, 0], a[0, 0]
+        loop = g.copy()
+        for j in range(n - 2, -1, -1):
+            loop[j] += a * loop[j + 1]
+        v = kernels._reverse(g.copy(), kernels._band(a, n))
+        assert v.flags.c_contiguous
+        np.testing.assert_allclose(v, loop, **TOL)
+
+
+# From 1e-310 (subnormal) to 1e3. At 1e-310 the score, about y / u, overflows; near
+# 1e-306 and 1e-305 the path and the score are finite but the adjoint's sums overflow.
+EXTREME = (1e-310, 1e-306, 1e-305, 1e-303, 1.0, 1e3)
+
+
+@pytest.mark.parametrize("n", (128, 512))
+def test_nbin_kernels_finite_or_raise(n):
+    # on every point each NBIN kernel returns finite numbers or raises FloatingPointError,
+    # and never warns; a = 5 overflows the path at n = 512
+    y = simulate(NBIN, n, seed=n).y
+    table = count_table(y)
+    raised = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, r, w, b, x1 in itertools.product((0.5, 0.999, 1.05, 5.0), (1e-3, 2.0, 1e6),
+                                                EXTREME, EXTREME, EXTREME):
+            for kernel in (kernels.nbin_loglik_grad, kernels.nbin_scores):
+                try:
+                    out = kernel(y, x1, w, a, b, r, table)
+                except FloatingPointError:
+                    raised.add((kernel, a, r, w, b, x1))
+                    continue
+                assert all(np.isfinite(o).all() for o in out), (kernel, a, r, w, b, x1)
+    # it raises where only the adjoint leaves the range, and where the path is infinite
+    assert (kernels.nbin_loglik_grad, 0.999, 2.0, 1e-305, 1e-305, 1e-305) in raised
+    assert ((kernels.nbin_loglik_grad, 5.0, 2.0, 1.0, 1.0, 1.0) in raised) == (n == 512)
+    assert len(raised) < 2 * 4 * 3 * len(EXTREME) ** 3
+
+
 @pytest.mark.parametrize("n", COUNT_KINDS)
 def test_ting_kernel_matches_loop(n):
     for p in TINGS:
@@ -234,19 +294,19 @@ def test_overflow_raises():
 
 
 # nbin_loglik_grad's value and gradient on simulate(NBIN, n, seed=n) from x1 = 7.5, as
-# float hex; the values were recorded before the kernel's buffers were reused, the
-# gradients after its score became (y - r u) / (u (1 + u)). The last point has a > 1 and
-# a path that stays finite. A rewrite of the kernel that keeps its expressions keeps
-# these bits.
+# float hex, recorded after the value became y @ (log u - log1p u) - r sum(log1p u) and
+# the adjoint the transposed band solve, with BLAS dots for the sums. The last point has
+# a > 1 and a path that stays finite. A rewrite of the kernel that keeps its expressions
+# keeps these bits.
 NBIN_PINS = [
     (2, NBIN, "-0x1.eb106f3fa4520p+1", ["0x1.eff0385b4c38dp-4", "0x1.d0f134d597754p-1",
                                         "0x1.73f42a44792aap+0", "0x1.ccfe10f13ab00p-2"]),
-    (128, NBIN, "-0x1.e2c310f948b27p+1", ["0x1.9773cf0ee99ecp-6", "0x1.de3b997211f66p-3",
-                                          "0x1.8f23e90ac88a1p-2", "0x1.5de9a6d2b7200p-4"]),
-    (4096, NBIN, "-0x1.c9e1f56555e4ap+1", ["-0x1.206d5c6123f26p-8", "-0x1.bd36ef73767afp-6",
-                                           "-0x1.9fc111c37000cp-6", "-0x1.e92e2a07d7000p-8"]),
-    (128, NbinParams(0.5, 1.1, 0.02, 2.0), "-0x1.e6a3c5564b7f4p+3",
-     ["-0x1.12332cbf7da1cp+0", "-0x1.a81aa6a67bca5p+6", "-0x1.7a16d628873bbp+4",
+    (128, NBIN, "-0x1.e2c310f948b27p+1", ["0x1.9773cf0ee99ecp-6", "0x1.de3b997211f6cp-3",
+                                          "0x1.8f23e90ac889fp-2", "0x1.5de9a6d2b7200p-4"]),
+    (4096, NBIN, "-0x1.c9e1f56555e46p+1", ["-0x1.206d5c6123f26p-8", "-0x1.bd36ef73767b6p-6",
+                                           "-0x1.9fc111c36ffddp-6", "-0x1.e92e2a07d7000p-8"]),
+    (128, NbinParams(0.5, 1.1, 0.02, 2.0), "-0x1.e6a3c5564b7f6p+3",
+     ["-0x1.12332cbf7da19p+0", "-0x1.a81aa6a67bca1p+6", "-0x1.7a16d628873b5p+4",
       "-0x1.a4f4b13fb514bp+2"]),
 ]
 
