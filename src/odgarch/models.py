@@ -47,19 +47,27 @@ def nm_log_density(x, y, gamma):
     bit, without its per-call overhead: the maximum, the m components tied at it
     left out of the sum s of the shifted exponentials, then
     log1p(s / m) + log(m) + maximum.
+
+    Each component is one column x[..., l], worked on whole: numpy runs an op
+    that broadcasts a (d,) vector along a short last axis as one inner loop of
+    length d per row, several times slower. The maximum and the count are exact
+    in any order. numpy's sum over a last axis of fewer than 8 terms adds them
+    in order, which the columns' running sum repeats; from 8 terms on it sums
+    each row pairwise, so there the (..., d) sum itself runs.
     """
     with np.errstate(divide="ignore"):  # a zero weight drops its component
         log_gamma = np.log(gamma)
-    comps = log_gamma - 0.5 * (np.square(y)[..., None] / x + _LOG_2PI + np.log(x))
-    # numpy reduces a short last axis slowly; the maximum and the count are exact in
-    # any order, so they are taken one component at a time. The sum is scipy's call.
-    top = functools.reduce(np.maximum, np.moveaxis(comps, -1, 0))
-    tied = comps == top[..., None]
-    m = sum(np.moveaxis(tied, -1, 0))
+    y2 = np.square(y)
+    comps = [lg - 0.5 * (y2 / x[..., l] + _LOG_2PI + np.log(x[..., l]))
+             for l, lg in enumerate(log_gamma)]
+    top = functools.reduce(np.maximum, comps)
+    tied = [c == top for c in comps]
+    m = sum(tied)
     # where y^2 / x overflows in every component, top is -inf and the shift is finite,
     # so the result is -inf, as scipy's, and not -inf - (-inf) = nan
-    shift = np.maximum(top, -_FLOAT_MAX)[..., None]
-    s = np.exp(np.where(tied, -np.inf, comps) - shift).sum(axis=-1)
+    shift = np.maximum(top, -_FLOAT_MAX)
+    exps = [np.exp(np.where(t, -np.inf, c) - shift) for c, t in zip(comps, tied)]
+    s = functools.reduce(np.add, exps) if len(exps) < 8 else np.stack(exps, -1).sum(axis=-1)
     return np.log1p(s / m) + np.log(m) + top
 
 
@@ -105,9 +113,19 @@ def log_emission(params, x, y):
     return params.log_density(_check_state(params, x), params.check_obs(y))
 
 
-def sample_emission(params, x, rng):
-    """One exact draw from the emission distribution at each state in x."""
-    return np.asarray(params.sampler(rng)(_check_state(params, x)), dtype=float)[()]
+def sample_emission(params, x, rng, size=None):
+    """One exact draw from the emission distribution at each state in x.
+
+    With size, x is one state and the result holds size draws at it: the draws,
+    and the generator's state after them, are those at size copies of x.
+    """
+    x = _check_state(params, x)
+    if size is not None:
+        _check_int("size", size, 1)
+        if np.shape(x) != params.state_shape:
+            raise ValueError(f"size draws at one {params.tag} state, got states of shape "
+                             f"{np.shape(x)}")
+    return np.asarray(params.sampler(rng)(x, size), dtype=float)[()]
 
 
 def simulate(params, n, x0=None, seed=0, burn_in=BURN_IN):

@@ -10,6 +10,7 @@ call ``kernels``, ``models`` and ``likelihood`` through module attributes at
 call time; those modules import this one, so they are imported at its end.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
@@ -307,10 +308,14 @@ class NbinParams(_CountModel):
         return count + models.nbin_state_term(x, y, self.r)
 
     def sampler(self, rng):
-        """The emission draw as a function of the state, rng's methods and r bound once."""
+        """The emission draw as a function of the state, rng's methods and r bound once.
+
+        draw(x) draws once at each state in x; draw(x, size) draws size times at the
+        one state x, with a scalar scale, the draws and stream of size copies of x.
+        """
         poisson, gamma, r = rng.poisson, rng.gamma, self.r
         # Gamma-Poisson compounding gives NB(r, x/(1+x)) exactly.
-        return lambda x: poisson(gamma(r, x))
+        return lambda x, size=None: poisson(gamma(r, x, size))
 
     def kernel_loglik(self, y, x1, table):
         return kernels.nbin_loglik(y, x1, self.omega, self.a, self.b, self.r, table)
@@ -404,8 +409,9 @@ class TingParams(_CountModel):
         return count + models.poisson_state_term(lam, y)
 
     def sampler(self, rng):
+        """As ``NbinParams.sampler``'s: Poisson(min(x, tau)) at each state, or size times."""
         poisson, tau = rng.poisson, self.tau
-        return lambda x: poisson(np.minimum(x, tau))
+        return lambda x, size=None: poisson(np.minimum(x, tau), size)
 
     def kernel_loglik(self, y, x1, table):
         return kernels.ting_loglik(y, x1, self.omega, self.a, self.b, self.tau, table)
@@ -503,7 +509,26 @@ class NmParams(_Model):
         return self.omega_vec, self.A, self.b_vec
 
     def step(self, x, y):
-        return self.omega_vec + x @ self.A.T + np.multiply.outer(y * y, self.b_vec)
+        """w + A x + b y^2 at the states x against the observations y.
+
+        A batch is built one component column at a time, in place, as
+        ``models.nm_log_density`` is: a (d,) vector broadcast along a short last
+        axis runs one short inner loop per row. Its A x is one 2-D (rows, d)
+        product, which rounds as the product over any broadcast of those rows
+        does; a stacked (P, 1, d) one does not. One state is one row, where the
+        vectors cost nothing extra.
+        """
+        if x.ndim == 1:
+            return self.omega_vec + x @ self.A.T + np.multiply.outer(y * y, self.b_vec)
+        y2 = y * y
+        ax = (x.reshape(-1, self.d) @ self.A.T).reshape(x.shape)
+        shape = np.broadcast_shapes(x.shape[:-1], np.shape(y2))
+        out = ax if shape == x.shape[:-1] else np.empty(shape + (self.d,))
+        for l in range(self.d):
+            col = out[..., l]
+            np.add(ax[..., l], self.omega_vec[l], out=col)
+            col += y2 * self.b_vec[l]
+        return out
 
     def companion(self):
         return self.A + np.outer(self.b_vec, self.gamma)
@@ -528,9 +553,14 @@ class NmParams(_Model):
         return models.nm_log_density(x, y, self.gamma)
 
     def sampler(self, rng):
+        """As ``NbinParams.sampler``'s: a component by gamma, then a zero-mean normal
+        with its variance, at each state, or size times at one state from its d
+        standard deviations, taken once."""
         choice, normal, d, gamma = rng.choice, rng.normal, self.d, self.gamma
 
-        def draw(x):
+        def draw(x, size=None):
+            if size is not None:
+                return normal(0.0, np.sqrt(x)[choice(d, size=size, p=gamma)])
             comp = choice(d, size=np.shape(x)[:-1], p=gamma)
             return normal(0.0, np.sqrt(np.take_along_axis(x, comp[..., None], -1)[..., 0]))
         return draw
@@ -653,7 +683,9 @@ class NmParams(_Model):
         return rv, v, lam, beta
 
     def minorization_alpha(self, x, xp):
-        return np.min(np.sqrt(np.minimum(x, xp) / np.maximum(x, xp)), axis=-1)
+        """The least component of sqrt(min(x, x') / max(x, x')), a column at a time."""
+        ratio = np.sqrt(np.minimum(x, xp) / np.maximum(x, xp))
+        return functools.reduce(np.minimum, [ratio[..., l] for l in range(self.d)])
 
     def lipschitz_k(self, y):
         w_min = float(self.omega_vec.min())

@@ -18,7 +18,11 @@ Each check works on its whole grid in a few numpy calls. The drift check's
 Monte Carlo cross-check draws from a few grid states and batches everything
 but the draws: each state's draws stay one draw call, in the order of the
 states, because one call over all of them would consume the generator's
-stream in another order and change which draws each state gets.
+stream in another order and change which draws each state gets. That call
+draws all of a state's observations at the one state, with ``size``, so a
+scalar-state model's draw takes a scalar parameter and NM's takes the state's
+standard deviations once; the state map then meets the (points, 1) states
+against the (points, draws) observations, and evaluates A x once per state.
 """
 
 import math
@@ -173,9 +177,8 @@ def check_drift(params, n_triples=N_TRIPLES, seed=0):
     # call per point, in order, to keep the stream; the rest runs once over the batch.
     rng = np.random.default_rng(seed + 1)
     idx = np.linspace(0, len(x) - 1, DRIFT_MC_POINTS).astype(int)
-    xs = np.broadcast_to(x[idx, None], (DRIFT_MC_POINTS, DRIFT_MC_DRAWS) + params.state_shape)
-    ys = np.array([sample_emission(params, xi, rng) for xi in xs])
-    vals = params.drift(psi_step(params, xs, ys))[1]
+    ys = np.array([sample_emission(params, x[i], rng, size=DRIFT_MC_DRAWS) for i in idx])
+    vals = params.drift(psi_step(params, x[idx, None], ys))[1]
     se = vals.std(axis=1, ddof=1) / math.sqrt(DRIFT_MC_DRAWS)
     mc_fail = int(np.sum(np.abs(vals.mean(axis=1) - rv[idx]) > 4.0 * se + 1e-9))
     violations += mc_fail

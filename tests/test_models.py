@@ -141,7 +141,8 @@ def test_log_emission_zero_mixture_weight():
     assert np.isfinite(loglik(p, p.fixed_point(), s).value)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+# d = 8 and 9: numpy sums a last axis of 8 or more terms pairwise, not in order
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
 def test_nm_log_density_is_scipy_logsumexp(d):
     from scipy.special import logsumexp
     rng = np.random.default_rng(d)
@@ -267,6 +268,70 @@ def test_batched_sampler_moments():
     p = NmParams(gamma=[0.5, 0.5], omega_vec=[1.0, 1.0],
                  A=np.eye(2) * 0.1, b_vec=[0.1, 0.1])
     assert abs((sample_emission(p, x, rng) ** 2).mean() - 2.0) < 0.05
+
+
+# one set of each model, NM at d = 1, 2, 3 with a zero weight at d = 3, and a state of each
+SIZE_CASES = [(NbinParams(3, .2, .2, 2), 4.5), (TingParams(3, .35, .1, 4), 6.0),
+              (TingParams(3, .35, .1, 4), 2.5),
+              (NmParams(gamma=[1.0], omega_vec=[1.0], A=[[.4]], b_vec=[.25]), [2.0]),
+              (NmParams(gamma=[.4, .6], omega_vec=[1.0, 2.0], A=[[.3, .1], [.05, .25]],
+                        b_vec=[.2, .1]), [1.5, 7.0]),
+              (NmParams(gamma=[.5, 0.0, .5], omega_vec=[1.0, 2.0, .5], A=np.eye(3) * .3,
+                        b_vec=[.2, .1, .1]), [1.5, 7.0, 3.0])]
+
+
+@pytest.mark.parametrize("p, x", SIZE_CASES)
+def test_sample_emission_size_draws_as_size_copies_of_the_state(p, x):
+    rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
+    got = sample_emission(p, x, rng_a, size=2000)
+    want = sample_emission(p, np.broadcast_to(x, (2000,) + p.state_shape), rng_b)
+    assert got.shape == (2000,) and got.dtype == float
+    assert got.tobytes() == want.tobytes()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert sample_emission(p, x, rng_a) == sample_emission(p, x, rng_b)
+
+
+@pytest.mark.parametrize("p, x", SIZE_CASES)
+def test_sample_emission_size_needs_one_state_and_a_positive_integer(p, x):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"size draws at one {p.tag} state"):
+        sample_emission(p, np.stack([np.asarray(x, dtype=float)] * 3), rng, size=5)
+    for bad in (0, -2, 2.0, True, "5", [5]):
+        with pytest.raises(ValueError, match="size must be"):
+            sample_emission(p, x, rng, size=bad)
+
+
+def _nm_step_reference(p, x, y):
+    """NmParams.step as the one vector expression it was, (d,) vectors broadcast."""
+    return p.omega_vec + x @ p.A.T + np.multiply.outer(y * y, p.b_vec)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_nm_step_rounds_as_the_vector_expression(d):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(20):
+        p = random_nm(rng, d)
+        x = rng.uniform(0.5, 1e3, (4000, d))  # a contiguous batch
+        y = rng.normal(0.0, 30.0, 4000)
+        got = p.step(x, y)
+        assert got.flags.c_contiguous and np.array_equal(got, _nm_step_reference(p, x, y))
+        assert np.array_equal(p.step(x[7], y[7]), _nm_step_reference(p, x[7], y[7]))
+        # (P, 1, d) states against (P, M) observations, as the drift check steps them,
+        # round as the old batch: the (P, M, d) stride-0 broadcast of the states
+        xs, ys = x[:20, None], rng.normal(0.0, 30.0, (20, 2000))
+        got = p.step(xs, ys)
+        want = _nm_step_reference(p, np.broadcast_to(xs, (20, 2000, d)), ys)
+        assert got.flags.c_contiguous and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_nm_minorization_alpha_is_the_least_component(d):
+    rng = np.random.default_rng(50 + d)
+    p = random_nm(rng, d)
+    x, xp = rng.uniform(0.5, 1e3, (2, 4000, d))
+    want = np.min(np.sqrt(np.minimum(x, xp) / np.maximum(x, xp)), axis=-1)
+    assert np.array_equal(p.minorization_alpha(x, xp), want)
+    assert p.minorization_alpha(x[3], xp[3]) == want[3]
 
 
 def test_simulate_stream_pinned():
