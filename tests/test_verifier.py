@@ -148,6 +148,16 @@ def test_lipschitz_hand_values():
     assert actual <= q.lipschitz_k(0.0) * 1.0 == 0.5
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (3,), (8,), (9,)])
+def test_l1_distance_is_the_sum_over_the_state(shape):
+    # the column sum keeps numpy's order over the short last axis, which changes at 8
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    x, xp = rng.uniform(0.5, 1e3, (2, 5000) + shape)
+    want = np.abs(x - xp).reshape(len(x), -1).sum(axis=1)
+    got = verifier._l1_distance(x, xp)
+    assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_report_schema():
     report = verify_model(M1, n_triples=500, seed=0)
     d = report.to_dict()
