@@ -146,11 +146,19 @@ def _states(params, u):
     return lo * (STATE_HI / lo) ** u.reshape((len(u),) + params.state_shape)
 
 
-def _sample_triples(params, n, seed):
-    """n grid points (x, x', y)."""
+def sample_triples(params, n_triples=N_TRIPLES, seed=0):
+    """n_triples grid points (x, x', y), from the columns of one (2d + 1)-column grid.
+
+    The arrays are read-only, so the checks that share them cannot change what the
+    next one sees.
+    """
     d = params.d
-    u = _grid(2 * d + 1, n, seed)
-    return _states(params, u[:, :d]), _states(params, u[:, d:2 * d]), params.y_from_unit(u[:, -1])
+    u = _grid(2 * d + 1, n_triples, seed)
+    triples = (_states(params, u[:, :d]), _states(params, u[:, d:2 * d]),
+               params.y_from_unit(u[:, -1]))
+    for a in triples:
+        a.flags.writeable = False
+    return triples
 
 
 def _l1_distance(x, xp):
@@ -164,9 +172,9 @@ def _l1_distance(x, xp):
     return functools.reduce(np.add, diff.T) if diff.shape[1] < 8 else diff.sum(axis=1)
 
 
-def check_contraction(params, n_triples=N_TRIPLES, seed=0):
-    """Ratio d(psi_y(x), psi_y(x')) / d(x, x') stays below 1."""
-    x, xp, y = _sample_triples(params, n_triples, seed)
+def check_contraction(params, triples):
+    """Ratio d(psi_y(x), psi_y(x')) / d(x, x') stays below 1 on the triples (x, x', y)."""
+    x, xp, y = triples
     mask, slack, violations, info = params.contraction(x, xp, psi_step(params, x, y),
                                                        psi_step(params, xp, y))
     worst = float(slack.min()) if slack.size else math.inf
@@ -199,9 +207,9 @@ def check_drift(params, n_triples=N_TRIPLES, seed=0):
                        info={"lambda": lam, "beta": beta, "mc_failures": mc_fail})
 
 
-def check_minorization(params, n_triples=N_TRIPLES, seed=0):
-    """min{g(x;y), g(x';y)} >= alpha(x,x') * g(min(x,x'); y)."""
-    x, xp, y = _sample_triples(params, n_triples, seed)
+def check_minorization(params, triples):
+    """min{g(x;y), g(x';y)} >= alpha(x,x') * g(min(x,x'); y) on the triples (x, x', y)."""
+    x, xp, y = triples
     alpha = params.minorization_alpha(x, xp)
     phi = np.minimum(x, xp)
     lhs = np.exp(np.minimum(log_emission(params, x, y), log_emission(params, xp, y)))
@@ -209,26 +217,35 @@ def check_minorization(params, n_triples=N_TRIPLES, seed=0):
     slack = (lhs + SLACK_TIGHT) - rhs
     bad_alpha = int(np.sum((alpha <= 0) | (alpha > 1.0 + SLACK_TIGHT)))
     violations = int(np.sum(slack < 0)) + bad_alpha
-    return CheckRecord("minorization", n_triples, violations, float(slack.min()),
+    return CheckRecord("minorization", len(y), violations, float(slack.min()),
                        violations == 0)
 
 
-def check_lipschitz_logg(params, n_triples=N_TRIPLES, seed=0):
-    """|ln g(x;y) - ln g(x';y)| <= K(y) |x - x'| on X1 = [min w, inf)."""
-    x, xp, y = _sample_triples(params, n_triples, seed)
+def check_lipschitz_logg(params, triples):
+    """|ln g(x;y) - ln g(x';y)| <= K(y) |x - x'| on X1 = [min w, inf), on the triples."""
+    x, xp, y = triples
     lhs = np.abs(log_emission(params, x, y) - log_emission(params, xp, y))
     slack = (params.lipschitz_k(y) * _l1_distance(x, xp) + SLACK_LOOSE) - lhs
     violations = int(np.sum(slack < 0))
-    return CheckRecord("lipschitz_logg", n_triples, violations, float(slack.min()),
+    return CheckRecord("lipschitz_logg", len(y), violations, float(slack.min()),
                        violations == 0)
 
 
 def verify_model(params, n_triples=N_TRIPLES, seed=0):
+    """The four checks of params, each on n_triples grid points.
+
+    Contraction, minorization and the Lipschitz bound share one set of triples,
+    ``sample_triples(params, n_triples, seed)``; each still certifies its own inequality
+    on those points, and none combines its evidence with another's. The drift check
+    takes its states from its own d-column grid at seed + 101 and its Monte Carlo draws
+    from the generator at seed + 102.
+    """
     seed = _check_int("seed", seed, 0)
+    triples = sample_triples(params, n_triples, seed)
     checks = [
-        check_contraction(params, n_triples, seed),
+        check_contraction(params, triples),
         check_drift(params, n_triples, seed + 101),
-        check_minorization(params, n_triples, seed + 202),
-        check_lipschitz_logg(params, n_triples, seed + 303),
+        check_minorization(params, triples),
+        check_lipschitz_logg(params, triples),
     ]
     return VerifierReport(params=params, checks=checks)

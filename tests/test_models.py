@@ -97,8 +97,8 @@ def _count_cases(params):
     """(x, y) pairs: the verifier's grids of params, counts that repeat little or not at
     all, a scalar count, and (3, 4) batches of states against 4 counts."""
     rng = np.random.default_rng(5)
-    for seed in (202, 303):  # the minorization and Lipschitz checks' grids at seed 0
-        x, xp, y = verifier._sample_triples(params, 10_000, seed)
+    for seed in (0, 202, 303):  # the checks' triples at seed 0, and two more grids
+        x, xp, y = verifier.sample_triples(params, 10_000, seed)
         yield x, y
         yield xp, y
     y = rng.integers(0, 10 ** 6, size=50).astype(float)

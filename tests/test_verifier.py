@@ -13,7 +13,8 @@ from odgarch import (NbinParams, NmParams, TingParams, log_emission, sample_emis
                      verify_model)
 from odgarch.params import SLACK_LOOSE, _perron_weights
 from odgarch.models import psi_step
-from odgarch.verifier import CheckRecord, _halton, check_contraction, check_drift
+from odgarch.verifier import (CheckRecord, _halton, check_contraction, check_drift,
+                              check_lipschitz_logg, check_minorization, sample_triples)
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
 M2 = NbinParams(3.0, 0.35, 0.1, 1.5)
@@ -31,14 +32,14 @@ def test_verify_model_passes(params):
 
 
 def test_contraction_rate_scalar():
-    rec = check_contraction(M1, n_triples=2000, seed=0)
+    rec = check_contraction(M1, sample_triples(M1, 2000, 0))
     assert rec.passed and rec.info["rate"] == 0.2
-    rec = check_contraction(TING, n_triples=2000, seed=0)
+    rec = check_contraction(TING, sample_triples(TING, 2000, 0))
     assert rec.passed and rec.info["rate"] == 0.35
 
 
 def test_contraction_nm_weighted_norm():
-    rec = check_contraction(NM2, n_triples=2000, seed=0)
+    rec = check_contraction(NM2, sample_triples(NM2, 2000, 0))
     assert rec.passed
     assert rec.info["rho_weighted"] < 1.0
 
@@ -50,7 +51,7 @@ def test_contraction_nm_periodic_a():
     assert abs(w[1] / w[0] - math.sqrt(5.0)) < 1e-9
     assert abs(np.max((a_mat.T @ w) / w) - math.sqrt(0.8)) < 1e-9
     p = NmParams(gamma=[0.5, 0.5], omega_vec=[1.0, 1.0], A=a_mat, b_vec=[0.01, 0.01])
-    rec = check_contraction(p, n_triples=2000, seed=0)
+    rec = check_contraction(p, sample_triples(p, 2000, 0))
     assert rec.passed and abs(rec.info["rho_weighted"] - math.sqrt(0.8)) < 1e-9
 
 
@@ -75,7 +76,7 @@ NM_ROUNDING_SETS = [
 def test_contraction_nm_close_pairs_pass():
     for seed, gamma, omega, a, b in NM_ROUNDING_SETS:
         p = NmParams(gamma=[gamma], omega_vec=[omega], A=[[a]], b_vec=[b])
-        rec = check_contraction(p, n_triples=10_000, seed=seed)
+        rec = check_contraction(p, sample_triples(p, 10_000, seed))
         assert rec.n_violations == 0, (seed, rec.worst_slack)
 
 
@@ -182,7 +183,7 @@ def test_verify_deterministic():
 def _drift_reference(params, n_triples, seed):
     """check_drift as it was written first: states from the triples' grid, and the Monte
     Carlo cross-check as a loop that draws, steps and reduces one point at a time."""
-    x, _, _ = verifier._sample_triples(params, n_triples, seed)
+    x, _, _ = sample_triples(params, n_triples, seed)
     rv, v, lam, beta = params.drift(x)
     slack = (lam * v + beta + SLACK_LOOSE) - rv
     violations = int(np.sum(slack < 0))
@@ -220,24 +221,25 @@ def test_drift_batch_matches_point_loop():
 
 # verify_model(params, n_triples=2000, seed) of the named sets: each check's worst slack
 # as a float hex and its violations, and the drift check's Monte Carlo failures. A change
-# to the verifier's arithmetic shows up here.
+# to the verifier's arithmetic shows up here. The minorization and Lipschitz slacks are
+# those of the contraction check's triples, shared since the three checks use one grid.
 PINNED_REPORTS = {
     "m1-0": (M1, 0, ("0x1.b5f60fe5c71ddp-39", "0x1.b7c0000000000p-34",
-                     "0x1.1979800000000p-40", "0x1.6ece3334fafc2p+1"), [0, 0, 0, 0], 0),
+                     "0x1.1979800000000p-40", "0x1.5905897ab2817p-1"), [0, 0, 0, 0], 0),
     "m1-5": (M1, 5, ("0x1.e8836b4674204p-39", "0x1.b7c0000000000p-34",
-                     "0x1.1979978000000p-40", "0x1.ce566d995e629p-4"), [0, 0, 0, 0], 0),
+                     "0x1.1979400000000p-40", "0x1.25332c0eb7560p+1"), [0, 0, 0, 0], 0),
     "m2-0": (M2, 0, ("0x1.b5e543e5c71ddp-39", "0x1.b7c0000000000p-34",
-                     "0x1.1978800000000p-40", "0x1.641d1e473d7d1p+1"), [0, 0, 0, 0], 0),
+                     "0x1.1978c00000000p-40", "0x1.53d6861333c79p-1"), [0, 0, 0, 0], 0),
     "m2-5": (M2, 5, ("0x1.e838eb4674204p-39", "0x1.b7c0000000000p-34",
-                     "0x1.1979940000000p-40", "0x1.cc228eb7a3029p-4"), [0, 0, 0, 0], 0),
+                     "0x1.1979000000000p-40", "0x1.f7ae334452d88p+0"), [0, 0, 0, 0], 0),
     "ting-0": (TING, 0, ("0x1.b5e543e5c71ddp-39", "0x1.b7a0000000000p-34",
-                         "0x1.1979800000000p-40", "0x1.02aed0a61cc80p-1"), [0, 0, 0, 0], 0),
+                         "0x1.1979800000000p-40", "0x1.392d8aebe4d80p-5"), [0, 0, 0, 0], 0),
     "ting-5": (TING, 5, ("0x1.e838eb4674204p-39", "0x1.b7a0000000000p-34",
-                         "0x1.1979400000000p-40", "0x1.21386e41230acp-6"), [0, 0, 0, 0], 0),
+                         "0x1.1979400000000p-40", "0x1.3e6e64af9af94p-3"), [0, 0, 0, 0], 0),
     "nm2-0": (NM2, 0, ("0x1.6800000000000p-49", "0x1.255edc0ea2600p-4",
-                       "0x1.19799812dea11p-40", "0x1.018b18d8a393ep+2"), [0, 0, 0, 0], 0),
+                       "0x1.19799812dea11p-40", "0x1.c233e8655cac0p+0"), [0, 0, 0, 0], 0),
     "nm2-5": (NM2, 5, ("0x1.6800000000000p-49", "0x1.24a06c7731280p-4",
-                       "0x1.19799812dea11p-40", "0x1.b5fb28aa02260p+1"), [0, 0, 0, 0], 0),
+                       "0x1.19799812dea11p-40", "0x1.e38365a21aae6p-1"), [0, 0, 0, 0], 0),
 }
 
 
@@ -308,7 +310,42 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
-@pytest.mark.parametrize("check", [verify_model, check_contraction])
+@pytest.mark.parametrize("check", [verify_model, sample_triples])
 def test_n_triples_must_be_an_integer(check, value):
     with pytest.raises(ValueError, match=f"^n_triples must be an integer, got {value!r}$"):
         check(M1, n_triples=value)
+
+
+REPORT_SETS = [M1, TING, NM2, random_nm(np.random.default_rng(43), d=3)]
+REPORT_IDS = ["nbin", "ting", "nm2", "nm3"]
+
+
+@pytest.mark.parametrize("params", REPORT_SETS, ids=REPORT_IDS)
+def test_report_builds_two_grids(params, monkeypatch):
+    # one grid of triples for contraction, minorization and Lipschitz, one for drift
+    calls = []
+
+    def counted(dims, n, seed):
+        calls.append((dims, n, seed))
+        return _halton(dims, n, seed)
+
+    monkeypatch.setattr(verifier, "_halton", counted)
+    verify_model(params, n_triples=500, seed=7)
+    assert calls == [(2 * params.d + 1, 500, 7), (params.d, 500, 108)]
+
+
+@pytest.mark.parametrize("params", REPORT_SETS, ids=REPORT_IDS)
+def test_report_checks_are_the_checks_on_their_grids(params):
+    n, seed = 1500, 9
+    report = verify_model(params, n_triples=n, seed=seed).to_dict()["checks"]
+    triples = sample_triples(params, n, seed)
+    assert [c.to_dict() for c in (check_contraction(params, triples),
+                                  check_drift(params, n, seed + 101),
+                                  check_minorization(params, triples),
+                                  check_lipschitz_logg(params, triples))] == report
+
+
+def test_triples_are_read_only():
+    for a in sample_triples(NM2, 100, 0):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
