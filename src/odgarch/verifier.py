@@ -241,10 +241,12 @@ def verify_model(params, n_triples=N_TRIPLES, seed=0):
     from the generator at seed + 102.
     """
     seed = _check_int("seed", seed, 0)
+    # drift first, so that the triples do not add to its peak memory
+    drift = check_drift(params, n_triples, seed + 101)
     triples = sample_triples(params, n_triples, seed)
     checks = [
         check_contraction(params, triples),
-        check_drift(params, n_triples, seed + 101),
+        drift,
         check_minorization(params, triples),
         check_lipschitz_logg(params, triples),
     ]
