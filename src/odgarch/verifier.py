@@ -14,6 +14,15 @@ gives the same points, bit for bit, as scipy's
 ``qmc.Halton(d, scramble=True, seed=seed).random(n)``, without importing
 ``scipy.stats``.
 
+A report builds two grids. Contraction, minorization and the Lipschitz bound
+share one set of triples (x, x', y), the columns of one (2d + 1)-column grid
+(``sample_triples``). Each of them still certifies its own inequality on those
+points, and none combines its evidence with another's, so nothing needs their
+grids to be independent. The drift check takes its states from its own d-column
+grid. At the default 10 000 triples a report takes about 5.3, 4.2 and 8.0 ms for
+NBIN, TING and NM (d = 2), against 6.1, 5.1 and 10.1 ms with one grid per check
+(the README has the measurement).
+
 Each check works on its whole grid in a few numpy calls. The drift check's
 Monte Carlo cross-check draws from a few grid states and batches everything
 but the draws: each state's draws stay one draw call, in the order of the
@@ -35,7 +44,7 @@ from .models import _check_int, log_emission, psi_step, sample_emission
 from .params import SLACK_LOOSE, SLACK_TIGHT, params_to_dict
 
 STATE_HI = 1e3
-N_TRIPLES = 10_000  # the default size of each check's grid
+N_TRIPLES = 10_000  # the default number of grid points each check certifies
 DRIFT_MC_POINTS, DRIFT_MC_DRAWS = 20, 2000  # the drift check's Monte Carlo cross-check
 
 
@@ -137,7 +146,7 @@ def _halton(dims, n, seed):
 
 def _grid(dims, n, seed):
     """The first n points of the verifier's grid in [0, 1)^dims."""
-    return _halton(dims, _check_int("n_triples", n, 1), seed)
+    return _halton(dims, _check_int("n_triples", n, 1), _check_int("seed", seed, 0))
 
 
 def _states(params, u):

@@ -221,8 +221,8 @@ def test_drift_batch_matches_point_loop():
 
 # verify_model(params, n_triples=2000, seed) of the named sets: each check's worst slack
 # as a float hex and its violations, and the drift check's Monte Carlo failures. A change
-# to the verifier's arithmetic shows up here. The minorization and Lipschitz slacks are
-# those of the contraction check's triples, shared since the three checks use one grid.
+# to the verifier's arithmetic shows up here. Contraction, minorization and Lipschitz
+# are taken on the same triples.
 PINNED_REPORTS = {
     "m1-0": (M1, 0, ("0x1.b5f60fe5c71ddp-39", "0x1.b7c0000000000p-34",
                      "0x1.1979800000000p-40", "0x1.5905897ab2817p-1"), [0, 0, 0, 0], 0),
@@ -314,6 +314,16 @@ def test_import_leaves_scipy_stats_unloaded():
 def test_n_triples_must_be_an_integer(check, value):
     with pytest.raises(ValueError, match=f"^n_triples must be an integer, got {value!r}$"):
         check(M1, n_triples=value)
+
+
+@pytest.mark.parametrize("value,message", [(True, "must be an integer, got True"),
+                                           (2.5, "must be an integer, got 2.5"),
+                                           (-1, "must be >= 0, got -1")],
+                         ids=["bool", "float", "negative"])
+@pytest.mark.parametrize("check", [verify_model, sample_triples, check_drift])
+def test_seed_is_checked(check, value, message):
+    with pytest.raises(ValueError, match=f"^seed {message}$"):
+        check(M1, n_triples=10, seed=value)
 
 
 REPORT_SETS = [M1, TING, NM2, random_nm(np.random.default_rng(43), d=3)]
