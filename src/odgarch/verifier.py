@@ -19,9 +19,16 @@ share one set of triples (x, x', y), the columns of one (2d + 1)-column grid
 (``sample_triples``). Each of them still certifies its own inequality on those
 points, and none combines its evidence with another's, so nothing needs their
 grids to be independent. The drift check takes its states from its own d-column
-grid. At the default 10 000 triples a report takes about 5.3, 4.2 and 8.0 ms for
-NBIN, TING and NM (d = 2), against 6.1, 5.1 and 10.1 ms with one grid per check
-(the README has the measurement).
+grid.
+
+A set of triples is a ``Triples``, checked once as states and observations where
+it is built; the checks step and evaluate it without checking it again. It keeps
+log g(x; y) and log g(x'; y) once they are evaluated, for minorization and the
+Lipschitz bound to share. Where the state has one component, min(x, x') is x or x'
+at every point, so log g(min(x, x'); y) is selected from those two. A report thus
+evaluates the log density 2 times for NBIN, TING and NM with d = 1, and 3 times for
+NM with d >= 2. At the default 10 000 triples it takes about 5.0, 3.9 and 7.2 ms
+for NBIN, TING and NM (d = 2) (the README has the measurement).
 
 Each check works on its whole grid in a few numpy calls. The drift check's
 Monte Carlo cross-check draws from a few grid states and batches everything
@@ -40,7 +47,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .models import _check_int, log_emission, psi_step, sample_emission
+from .models import _check_int, _check_state, sample_emission
 from .params import SLACK_LOOSE, SLACK_TIGHT, params_to_dict
 
 STATE_HI = 1e3
@@ -155,6 +162,64 @@ def _states(params, u):
     return lo * (STATE_HI / lo) ** u.reshape((len(u),) + params.state_shape)
 
 
+class Triples:
+    """Grid points (x, x', y) checked once as states and observations of params' model.
+
+    Unpacks as (x, x', y). A set is built for one parameter set, and the triple checks
+    take it through ``Triples.of``, as the likelihood takes a ``Series``: the checks
+    then evaluate the model's step and log density on it directly. The log densities
+    log g(x; y) and log g(x'; y) are computed on first use and kept, so the checks
+    that share a set evaluate each once.
+    """
+
+    def __init__(self, params, x, xp, y):
+        # x, y, then x', as psi_step(params, x, y) and psi_step(params, xp, y) check them
+        self.x = _check_state(params, x)
+        self.y = params.check_obs(y)
+        self.xp = _check_state(params, xp)
+        self.params = params
+
+    def __iter__(self):
+        return iter((self.x, self.xp, self.y))
+
+    @classmethod
+    def of(cls, params, triples):
+        """triples as a checked set for params.
+
+        A set made for params (or for equal parameters) passes through; a set made for
+        other parameters raises; a plain (x, x', y) is checked and wrapped.
+        """
+        if not isinstance(triples, cls):
+            x, xp, y = triples
+            return cls(params, x, xp, y)
+        made_for = triples.params
+        if made_for is not params and (type(made_for) is not type(params)
+                                       or made_for.to_dict() != params.to_dict()):
+            raise ValueError(f"triples sampled for {made_for.tag} parameters "
+                             f"{made_for.to_dict()} cannot check {params.tag} parameters "
+                             f"{params.to_dict()}")
+        return triples
+
+    @functools.cached_property
+    def log_g(self):
+        """(log g(x; y), log g(x'; y)), evaluated on first use."""
+        log_density, y = self.params.log_density, self.y
+        return log_density(self.x, y), log_density(self.xp, y)
+
+    def log_g_at_min(self):
+        """log g(min(x, x'); y), the componentwise minimum.
+
+        A state of one component has min(x, x') = x or x' at every point, so this is a
+        selection from ``log_g``; only a state of several components evaluates it.
+        """
+        x, xp, y = self
+        if self.params.d > 1:
+            return self.params.log_density(np.minimum(x, xp), y)
+        first = x <= xp if self.params.state_shape == () else (x <= xp)[..., 0]
+        lx, lxp = self.log_g
+        return np.where(first, lx, lxp)
+
+
 def sample_triples(params, n_triples=N_TRIPLES, seed=0):
     """n_triples grid points (x, x', y), from the columns of one (2d + 1)-column grid.
 
@@ -163,8 +228,8 @@ def sample_triples(params, n_triples=N_TRIPLES, seed=0):
     """
     d = params.d
     u = _grid(2 * d + 1, n_triples, seed)
-    triples = (_states(params, u[:, :d]), _states(params, u[:, d:2 * d]),
-               params.y_from_unit(u[:, -1]))
+    triples = Triples(params, _states(params, u[:, :d]), _states(params, u[:, d:2 * d]),
+                      params.y_from_unit(u[:, -1]))
     for a in triples:
         a.flags.writeable = False
     return triples
@@ -183,9 +248,9 @@ def _l1_distance(x, xp):
 
 def check_contraction(params, triples):
     """Ratio d(psi_y(x), psi_y(x')) / d(x, x') stays below 1 on the triples (x, x', y)."""
-    x, xp, y = triples
-    mask, slack, violations, info = params.contraction(x, xp, psi_step(params, x, y),
-                                                       psi_step(params, xp, y))
+    x, xp, y = Triples.of(params, triples)
+    mask, slack, violations, info = params.contraction(x, xp, params.step(x, y),
+                                                       params.step(xp, y))
     worst = float(slack.min()) if slack.size else math.inf
     return CheckRecord("contraction", int(mask.sum()), violations, worst,
                        violations == 0, info=info)
@@ -196,18 +261,20 @@ def check_drift(params, n_triples=N_TRIPLES, seed=0):
     if not params.stable():
         return CheckRecord("drift", 0, 0, math.nan, True, skipped=True,
                            reason="unstable parameters: drift need not close")
-    # the first d columns of the triples' grid: the same states x
+    # states from the check's own d-column grid, not the triples' (a report's is at
+    # seed + 101)
     x = _states(params, _grid(params.d, n_triples, seed))
     rv, v, lam, beta = params.drift(x)
     slack = (lam * v + beta + SLACK_LOOSE) - rv
     violations = int(np.sum(slack < 0))
 
     # DRIFT_MC_DRAWS one-step draws from each of DRIFT_MC_POINTS grid states: one draw
-    # call per point, in order, to keep the stream; the rest runs once over the batch.
+    # call per point, in order, to keep the stream; the rest runs once over the batch,
+    # stepping the grid states and draws as they are: both are valid by construction.
     rng = np.random.default_rng(seed + 1)
     idx = np.linspace(0, len(x) - 1, DRIFT_MC_POINTS).astype(int)
     ys = np.array([sample_emission(params, x[i], rng, size=DRIFT_MC_DRAWS) for i in idx])
-    vals = params.drift(psi_step(params, x[idx, None], ys))[1]
+    vals = params.drift(params.step(x[idx, None], ys))[1]
     se = vals.std(axis=1, ddof=1) / math.sqrt(DRIFT_MC_DRAWS)
     mc_fail = int(np.sum(np.abs(vals.mean(axis=1) - rv[idx]) > 4.0 * se + 1e-9))
     violations += mc_fail
@@ -218,11 +285,11 @@ def check_drift(params, n_triples=N_TRIPLES, seed=0):
 
 def check_minorization(params, triples):
     """min{g(x;y), g(x';y)} >= alpha(x,x') * g(min(x,x'); y) on the triples (x, x', y)."""
+    triples = Triples.of(params, triples)
     x, xp, y = triples
     alpha = params.minorization_alpha(x, xp)
-    phi = np.minimum(x, xp)
-    lhs = np.exp(np.minimum(log_emission(params, x, y), log_emission(params, xp, y)))
-    rhs = alpha * np.exp(log_emission(params, phi, y))
+    lhs = np.exp(np.minimum(*triples.log_g))
+    rhs = alpha * np.exp(triples.log_g_at_min())
     slack = (lhs + SLACK_TIGHT) - rhs
     bad_alpha = int(np.sum((alpha <= 0) | (alpha > 1.0 + SLACK_TIGHT)))
     violations = int(np.sum(slack < 0)) + bad_alpha
@@ -232,8 +299,10 @@ def check_minorization(params, triples):
 
 def check_lipschitz_logg(params, triples):
     """|ln g(x;y) - ln g(x';y)| <= K(y) |x - x'| on X1 = [min w, inf), on the triples."""
+    triples = Triples.of(params, triples)
     x, xp, y = triples
-    lhs = np.abs(log_emission(params, x, y) - log_emission(params, xp, y))
+    lx, lxp = triples.log_g
+    lhs = np.abs(lx - lxp)
     slack = (params.lipschitz_k(y) * _l1_distance(x, xp) + SLACK_LOOSE) - lhs
     violations = int(np.sum(slack < 0))
     return CheckRecord("lipschitz_logg", len(y), violations, float(slack.min()),

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -9,11 +10,11 @@ import pytest
 from conftest import random_nbin, random_nm, random_ting
 
 import odgarch
-from odgarch import (NbinParams, NmParams, TingParams, log_emission, sample_emission, verifier,
-                     verify_model)
+from odgarch import (NbinParams, NmParams, TingParams, log_emission, models, sample_emission,
+                     verifier, verify_model)
 from odgarch.params import SLACK_LOOSE, _perron_weights
 from odgarch.models import psi_step
-from odgarch.verifier import (CheckRecord, _halton, check_contraction, check_drift,
+from odgarch.verifier import (CheckRecord, Triples, _halton, check_contraction, check_drift,
                               check_lipschitz_logg, check_minorization, sample_triples)
 
 M1 = NbinParams(3.0, 0.2, 0.2, 2.0)
@@ -359,3 +360,97 @@ def test_triples_are_read_only():
     for a in sample_triples(NM2, 100, 0):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
+
+
+NM1 = random_nm(np.random.default_rng(41), d=1)
+DENSITY_SETS = [(M1, 2), (TING, 2), (NM1, 2), (NM2, 3),
+                (random_nm(np.random.default_rng(43), d=3), 3)]
+
+
+@pytest.mark.parametrize("params,evaluations", DENSITY_SETS,
+                         ids=["nbin", "ting", "nm1", "nm2", "nm3"])
+def test_report_evaluates_each_log_density_once(params, evaluations, monkeypatch):
+    # log g(x; y) and log g(x'; y) serve minorization and Lipschitz; g(min(x, x'); y) is
+    # a third only where the state has several components
+    cls, calls = type(params), []
+    log_density = cls.log_density
+
+    def counted(self, x, y):
+        calls.append(np.shape(x))
+        return log_density(self, x, y)
+
+    monkeypatch.setattr(cls, "log_density", counted)
+    verify_model(params, n_triples=500, seed=3)
+    assert calls == [(500,) + params.state_shape] * evaluations
+
+
+@pytest.mark.parametrize("params", REPORT_SETS, ids=REPORT_IDS)
+def test_report_checks_each_triple_array_once(params, monkeypatch):
+    states, obs = [], []
+    check_state, check_obs = models._check_state, type(params).check_obs
+
+    def counted_state(p, x):
+        states.append(np.shape(x))
+        return check_state(p, x)
+
+    def counted_obs(y):
+        obs.append(np.shape(y))
+        return check_obs(y)
+
+    for module in (models, verifier):
+        monkeypatch.setattr(module, "_check_state", counted_state)
+    monkeypatch.setattr(type(params), "check_obs", staticmethod(counted_obs))
+    verify_model(params, n_triples=500, seed=3)
+    # the drift check's draws are checked one state at a time, as sample_emission takes them
+    assert [s for s in states if s != params.state_shape] == [(500,) + params.state_shape] * 2
+    assert obs == [(500,)]
+
+
+TRIPLE_CHECKS = [check_contraction, check_minorization, check_lipschitz_logg]
+STATE_ERROR = "a {} state must be real, positive and finite, in an array whose shape ends in {}"
+COUNT_ERROR = "count models require non-negative integer observations"
+
+
+def _bad_triples(params):
+    """(plain triples, message) of triples that the checks refuse."""
+    x, xp, y = (np.array(a) for a in sample_triples(params, 50, 0))
+    state_error = STATE_ERROR.format(params.tag, params.state_shape)
+    cases = [((x * 0.0, xp, y), state_error), ((x, xp * np.nan, y), state_error)]
+    if params.state_shape == ():
+        cases += [((x, xp, -1.0 - y), COUNT_ERROR), ((x, xp, y + 0.5), COUNT_ERROR),
+                  # x, then y, then x': the order of psi_step(x, y), psi_step(x', y)
+                  ((x * 0.0, xp, -1.0 - y), state_error),
+                  ((x, xp * np.nan, -1.0 - y), COUNT_ERROR)]
+    return cases
+
+
+@pytest.mark.parametrize("check", TRIPLE_CHECKS)
+@pytest.mark.parametrize("params", [M1, TING, NM2], ids=["nbin", "ting", "nm2"])
+def test_plain_triples_are_checked(params, check):
+    for triples, message in _bad_triples(params):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(params, triples)
+    # a valid plain tuple is checked the same as the set it was taken from
+    t = sample_triples(params, 300, 2)
+    assert check(params, tuple(np.array(a) for a in t)).to_dict() == check(params, t).to_dict()
+
+
+@pytest.mark.parametrize("check", TRIPLE_CHECKS)
+def test_triples_for_other_params_are_refused(check):
+    t = sample_triples(M1, 100, 0)
+    assert Triples.of(M1, t) is t
+    assert Triples.of(NbinParams(3.0, 0.2, 0.2, 2.0), t) is t  # equal parameters
+    for other in (M2, TingParams(3.0, 0.2, 0.2, 2.0), NM2):
+        with pytest.raises(ValueError, match="^triples sampled for nbin parameters "):
+            check(other, t)
+
+
+@pytest.mark.parametrize("params", [M1, TING, NM1], ids=["nbin", "ting", "nm1"])
+def test_log_g_at_min_selects_for_one_component(params):
+    x, xp, y = sample_triples(params, 3000, 4)
+    tie = (np.arange(len(y)) % 3 == 0).reshape((-1,) + (1,) * len(params.state_shape))
+    xt = np.where(tie, xp, x)  # x' itself at every third point
+    for a, b in ((x, xp), (xp, x), (xt, xp), (xp, xt), (x, x)):
+        got = Triples(params, a, b, y).log_g_at_min()
+        want = params.log_density(np.minimum(a, b), y)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
