@@ -167,15 +167,14 @@ def nbin_loglik_grad(y, x1, w, a, b, r, table):
 
 
 @_raise_fp
-def nbin_scores(y, x1, w, a, b, r, table):
+def nbin_scores(y, x1, w, a, b, r):
     """The (n, 4) per-observation scores d log p(y[k] | u[k]) / d(w, a, b, r).
 
     Column j < 3 is score[k] du[k]/dtheta_j: each sensitivity is one forward solve,
     on the state path's band, of the drive (1, u[k-1], y[k-1]), zero at k = 0 because
     the anchor is fixed; the three are held as C-contiguous rows. Column 3 is
     psi(y[k] + r) - psi(r) - log1p(u[k]), with psi(y + r) evaluated once per count.
-    The column means are ``nbin_loglik_grad``'s gradient. The kernel takes
-    ``nbin_loglik_grad``'s arguments; it does not read the count table.
+    The column means are ``nbin_loglik_grad``'s gradient.
     """
     n = len(y)
     band = _band(a, n)

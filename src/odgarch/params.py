@@ -328,7 +328,7 @@ class NbinParams(_CountModel):
         """The (n, 4) per-observation scores in theta; their mean is the gradient."""
         s = Series.of(series, self.tag)
         return kernels.nbin_scores(s.y, models._check_anchor(self, x1), self.omega, self.a,
-                                   self.b, self.r, s.count_table)
+                                   self.b, self.r)
 
     @classmethod
     def start(cls, series, x1=None):

@@ -265,6 +265,7 @@ def test_mc_bad_config(tmp_path, capsys):
         assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1, key
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and "Traceback" not in err, err
+        assert not (tmp_path / "o").exists(), key
 
 
 def test_mc_config_names_a_value_that_is_not_real(tmp_path, capsys):
@@ -358,6 +359,20 @@ def test_mc_config_of_a_bad_shape(tmp_path, capsys, config, message):
     assert not os.path.exists(tmp_path / "o")
 
 
+@pytest.mark.parametrize("config,message", [
+    ({**NBIN_CONFIG, "x1": [1, 2]}, "x1 must be one positive finite nbin state, got [1, 2]"),
+    ({"model": "nm", "theta_star": VALID_PARAMS["nm"], "x1": [True, 2.0]},
+     "x1 must be one positive finite nm state, got [True, 2.0]"),
+], ids=["nbin-vector", "nm-bool-inside"])
+def test_mc_config_x1_that_is_not_a_state(tmp_path, capsys, config, message):
+    cpath = str(tmp_path / "bad.json")
+    with open(cpath, "w") as fh:
+        json.dump(config, fh)
+    assert run(["mc", "--config", cpath, "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {cpath}: {message}\n"
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_fit_without_a_sidecar_needs_a_model(tmp_path, capsys):
     series = str(tmp_path / "s.csv")
     with open(series, "w") as fh:
@@ -395,6 +410,8 @@ def test_flags_of_another_model_are_refused(tmp_path, capsys, command, argv):
     out = str(tmp_path / "out")
     assert run([command, *M1_FLAGS, "--tau", "9", "--gamma", "1", *argv, out]) == 2
     assert capsys.readouterr().err == "error: --model nbin takes no --gamma --tau\n"
+    assert run([command, *M1_FLAGS, "--tau", "9", *argv, out]) == 2
+    assert capsys.readouterr().err == "error: --model nbin takes no --tau\n"
     assert not os.path.exists(out)
 
 

@@ -106,7 +106,8 @@ def test_drift_closed_form_values():
 
 
 def test_drift_skipped_when_unstable():
-    rec = check_drift(NbinParams(1.0, 0.6, 0.5, 1.0), n_triples=100, seed=0)
+    p = NbinParams(1.0, 0.6, 0.5, 1.0)
+    rec = check_drift(p, sample_triples(p, 100, 0), seed=0)
     assert rec.skipped and rec.passed
     assert "unstable" in rec.reason
 
@@ -133,6 +134,30 @@ def test_minorization_equality_at_equal_states():
     lhs = log_emission(M1, x, y)
     assert abs(math.exp(lhs[0]) - M1.minorization_alpha(4.0, 4.0)
                * math.exp(log_emission(M1, x, y)[0])) < 1e-15
+
+
+# sets whose minorization weight underflows to 0.0 on part of the grid: NBIN's
+# ((1 + lo)/(1 + hi))^r at large r, TING's exp(min(lo, tau) - min(hi, tau)) at large tau
+UNDERFLOW_SETS = [NbinParams(3.0, 0.2, 0.2 / 300, 300.0), NbinParams(1.0, 0.5, 1e-5, 1e4),
+                  TingParams(1.0, 0.5, 0.1, 800.0)]
+
+
+@pytest.mark.parametrize("params", UNDERFLOW_SETS, ids=["nbin-r300", "nbin-r1e4", "ting-tau800"])
+def test_an_alpha_that_underflowed_is_no_violation(params):
+    for seed in (0, 1, 7):
+        x, xp, _ = sample_triples(params, verifier.N_TRIPLES, seed)
+        assert np.any(params.minorization_alpha(x, xp) == 0.0)
+        report = verify_model(params, seed=seed)
+        assert report.passed and all(c.n_violations == 0 for c in report.checks), seed
+
+
+@pytest.mark.parametrize("params", [M1, TING, NM2], ids=["nbin", "ting", "nm2"])
+def test_an_alpha_above_one_fails_minorization(params, monkeypatch):
+    triples = sample_triples(params, 500, 0)
+    monkeypatch.setattr(type(params), "minorization_alpha",
+                        lambda self, x, xp: np.full(len(x), 1.5))
+    rec = check_minorization(params, triples)
+    assert not rec.passed and rec.n_violations >= 500  # every alpha counts
 
 
 def test_lipschitz_hand_values():
@@ -181,14 +206,14 @@ def test_verify_deterministic():
     assert [c.worst_slack for c in r1.checks] == [c.worst_slack for c in r2.checks]
 
 
-def _drift_reference(params, n_triples, seed):
-    """check_drift as it was written first: states from the triples' grid, and the Monte
-    Carlo cross-check as a loop that draws, steps and reduces one point at a time."""
-    x, _, _ = sample_triples(params, n_triples, seed)
+def _drift_reference(params, triples, seed):
+    """check_drift as it was written first: the triples' states, and the Monte Carlo
+    cross-check as a loop that draws, steps and reduces one point at a time."""
+    x, _, _ = triples
     rv, v, lam, beta = params.drift(x)
     slack = (lam * v + beta + SLACK_LOOSE) - rv
     violations = int(np.sum(slack < 0))
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(seed)
     draws = verifier.DRIFT_MC_DRAWS
     mc_fail = 0
     for i in np.linspace(0, len(x) - 1, verifier.DRIFT_MC_POINTS).astype(int):
@@ -197,7 +222,7 @@ def _drift_reference(params, n_triples, seed):
         if abs(vals.mean() - rv[i]) > 4.0 * vals.std(ddof=1) / math.sqrt(draws) + 1e-9:
             mc_fail += 1
     violations += mc_fail
-    return CheckRecord("drift", n_triples + verifier.DRIFT_MC_POINTS, violations,
+    return CheckRecord("drift", len(x) + verifier.DRIFT_MC_POINTS, violations,
                        float(slack.min()), violations == 0,
                        info={"lambda": lam, "beta": beta, "mc_failures": mc_fail})
 
@@ -214,16 +239,17 @@ def test_drift_batch_matches_point_loop():
     for name, draw, seeds in DRIFT_CASES:
         for seed in seeds:
             params = draw(np.random.default_rng(seed))
-            ref = _drift_reference(params, 500, seed).to_dict()
-            assert check_drift(params, n_triples=500, seed=seed).to_dict() == ref, (name, seed)
+            triples = sample_triples(params, 500, seed)
+            ref = _drift_reference(params, triples, seed + 1).to_dict()
+            assert check_drift(params, triples, seed + 1).to_dict() == ref, (name, seed)
             mc_failures += ref["info"]["mc_failures"]
     assert mc_failures >= 2  # the failing branch is compared too
 
 
 # verify_model(params, n_triples=2000, seed) of the named sets: each check's worst slack
 # as a float hex and its violations, and the drift check's Monte Carlo failures. A change
-# to the verifier's arithmetic shows up here. Contraction, minorization and Lipschitz
-# are taken on the same triples.
+# to the verifier's arithmetic shows up here. All four checks are taken on the same
+# triples.
 PINNED_REPORTS = {
     "m1-0": (M1, 0, ("0x1.b5f60fe5c71ddp-39", "0x1.b7c0000000000p-34",
                      "0x1.1979800000000p-40", "0x1.5905897ab2817p-1"), [0, 0, 0, 0], 0),
@@ -237,9 +263,9 @@ PINNED_REPORTS = {
                          "0x1.1979800000000p-40", "0x1.392d8aebe4d80p-5"), [0, 0, 0, 0], 0),
     "ting-5": (TING, 5, ("0x1.e838eb4674204p-39", "0x1.b7a0000000000p-34",
                          "0x1.1979400000000p-40", "0x1.3e6e64af9af94p-3"), [0, 0, 0, 0], 0),
-    "nm2-0": (NM2, 0, ("0x1.6800000000000p-49", "0x1.255edc0ea2600p-4",
+    "nm2-0": (NM2, 0, ("0x1.6800000000000p-49", "0x1.2492a40c39400p-4",
                        "0x1.19799812dea11p-40", "0x1.c233e8655cac0p+0"), [0, 0, 0, 0], 0),
-    "nm2-5": (NM2, 5, ("0x1.6800000000000p-49", "0x1.24a06c7731280p-4",
+    "nm2-5": (NM2, 5, ("0x1.6800000000000p-49", "0x1.2505dfb1b4780p-4",
                        "0x1.19799812dea11p-40", "0x1.e38365a21aae6p-1"), [0, 0, 0, 0], 0),
 }
 
@@ -323,8 +349,10 @@ def test_n_triples_must_be_an_integer(check, value):
                          ids=["bool", "float", "negative"])
 @pytest.mark.parametrize("check", [verify_model, sample_triples, check_drift])
 def test_seed_is_checked(check, value, message):
+    # the grid's seed, or for check_drift its generator's
+    first = {"triples": sample_triples(M1, 10, 0)} if check is check_drift else {"n_triples": 10}
     with pytest.raises(ValueError, match=f"^seed {message}$"):
-        check(M1, n_triples=10, seed=value)
+        check(M1, **first, seed=value)
 
 
 REPORT_SETS = [M1, TING, NM2, random_nm(np.random.default_rng(43), d=3)]
@@ -332,8 +360,8 @@ REPORT_IDS = ["nbin", "ting", "nm2", "nm3"]
 
 
 @pytest.mark.parametrize("params", REPORT_SETS, ids=REPORT_IDS)
-def test_report_builds_two_grids(params, monkeypatch):
-    # one grid of triples for contraction, minorization and Lipschitz, one for drift
+def test_report_builds_one_grid(params, monkeypatch):
+    # one grid of triples for all four checks
     calls = []
 
     def counted(dims, n, seed):
@@ -342,7 +370,7 @@ def test_report_builds_two_grids(params, monkeypatch):
 
     monkeypatch.setattr(verifier, "_halton", counted)
     verify_model(params, n_triples=500, seed=7)
-    assert sorted(calls) == [(params.d, 500, 108), (2 * params.d + 1, 500, 7)]
+    assert calls == [(2 * params.d + 1, 500, 7)]
 
 
 @pytest.mark.parametrize("params", REPORT_SETS, ids=REPORT_IDS)
@@ -351,9 +379,22 @@ def test_report_checks_are_the_checks_on_their_grids(params):
     report = verify_model(params, n_triples=n, seed=seed).to_dict()["checks"]
     triples = sample_triples(params, n, seed)
     assert [c.to_dict() for c in (check_contraction(params, triples),
-                                  check_drift(params, n, seed + 101),
+                                  check_drift(params, triples, seed + 1),
                                   check_minorization(params, triples),
                                   check_lipschitz_logg(params, triples))] == report
+
+
+# DRIFT_CASES' sets whose cross-check fails at one point of verify_model(params, 500, seed),
+# so that the drift record shows which draws it took
+@pytest.mark.parametrize("draw,seed", [(random_ting, 9), (lambda rng: random_nm(rng, d=2), 56)],
+                         ids=["ting", "nm2"])
+def test_report_draws_drift_at_seed_plus_one(draw, seed):
+    params = draw(np.random.default_rng(seed))
+    triples = sample_triples(params, 500, seed)
+    drift = verify_model(params, n_triples=500, seed=seed).checks[1].to_dict()
+    assert drift == check_drift(params, triples, seed + 1).to_dict()
+    assert drift["info"]["mc_failures"] == 1
+    assert check_drift(params, triples, seed).info["mc_failures"] == 0
 
 
 def test_triples_are_read_only():
@@ -406,7 +447,7 @@ def test_report_checks_each_triple_array_once(params, monkeypatch):
     assert obs == [(500,)]
 
 
-TRIPLE_CHECKS = [check_contraction, check_minorization, check_lipschitz_logg]
+TRIPLE_CHECKS = [check_contraction, check_drift, check_minorization, check_lipschitz_logg]
 STATE_ERROR = "a {} state must be real, positive and finite, in an array whose shape ends in {}"
 COUNT_ERROR = "count models require non-negative integer observations"
 
