@@ -50,11 +50,8 @@ def grad_loglik_nbin(params, x1, series, *, with_value=False):
     x1 = _check_anchor(params, x1)
     value, grad = kernels.nbin_loglik_grad(s.y, x1, params.omega, params.a, params.b,
                                            params.r, s.count_table)
-    if not with_value:
-        return grad
-    if not math.isfinite(value):
-        raise FloatingPointError("log-likelihood is not finite")
-    return float(value), grad
+    # the kernel has raised FloatingPointError on any value or gradient that is not finite
+    return (float(value), grad) if with_value else grad
 
 
 def grad_loglik_numeric(params, x1, series, step=FD_STEP):

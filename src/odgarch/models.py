@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 from scipy.special import gammaln
 
-from .params import Series, _holds_bool, _is_state
+from .params import Series, _holds_bool, _is_state, _read_array
 
 BURN_IN = 500  # the default number of simulated steps discarded before the recorded ones
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -73,8 +73,8 @@ def nm_log_density(x, y, gamma):
 
 def _check_state(params, x):
     """x as floats, if it holds states of params' model by ``params._is_state``."""
-    arr = np.asarray(x)
-    if not _is_state(arr, params.state_shape) or _holds_bool(x):
+    arr = _read_array(x)
+    if arr is None or not _is_state(arr, params.state_shape) or _holds_bool(x):
         raise ValueError(f"a {params.tag} state must be real, positive and finite, in an "
                          f"array whose shape ends in {params.state_shape}")
     return np.asarray(arr, dtype=float)[()]
@@ -86,8 +86,8 @@ def _check_anchor(params, x1):
     if (type(x1) is float or type(x1) is np.float64) and params.state_shape == () \
             and 0.0 < x1 < math.inf:
         return np.float64(x1)
-    x = np.asarray(x1)
-    if x.shape == params.state_shape and _is_state(x, params.state_shape) \
+    x = _read_array(x1)
+    if x is not None and x.shape == params.state_shape and _is_state(x, params.state_shape) \
             and not _holds_bool(x1):
         return np.asarray(x, dtype=float)[()]
     shown = x.tolist() if isinstance(x1, (np.ndarray, np.generic)) else x1  # values, not a repr

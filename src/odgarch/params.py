@@ -54,6 +54,15 @@ def _check_positive(tag, name, value):
         raise _field_error(tag, name, "a positive finite real", value)
 
 
+def _read_array(value):
+    """value as an array, or None where numpy cannot read it as one (a ragged list), so
+    that each caller raises its own message for it."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        return None
+
+
 def _holds_bool(value):
     """Whether value holds a bool, which numpy casts to a number among numbers: a list
     or tuple is searched, an array is judged by its dtype."""
@@ -164,8 +173,9 @@ class _Model:
     @staticmethod
     def check_obs(y):
         """y as floats (a scalar for a single observation); raises unless real and finite."""
-        arr = np.asarray(y)
-        if arr.dtype.kind not in "iuf" or _holds_bool(y) or not np.all(np.isfinite(arr)):
+        arr = _read_array(y)
+        if (arr is None or arr.dtype.kind not in "iuf" or _holds_bool(y)
+                or not np.all(np.isfinite(arr))):
             raise ValueError("observation must be finite and real")
         return np.asarray(arr, dtype=float)[()]
 
@@ -462,14 +472,11 @@ class NmParams(_Model):
     def __post_init__(self):
         for name, ndim in (("gamma", 1), ("omega_vec", 1), ("A", 2), ("b_vec", 1)):
             value = getattr(self, name)
-            try:
-                arr = np.array(value, ndmin=ndim)  # a copy: the caller's array stays writeable
-            except ValueError:  # a ragged list
-                arr = None
+            arr = _read_array(value)
             if (arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr))
                     or _holds_bool(value)):
                 raise _field_error(self.tag, name, "an array of finite reals", value)
-            arr = arr.astype(float, copy=False)
+            arr = np.array(arr, dtype=float, ndmin=ndim)  # a copy: the caller's stays writeable
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         d = len(self.gamma)
@@ -631,8 +638,8 @@ class NmParams(_Model):
             d = series.params.d
         elif series.x_trace is not None:
             d = series.x_trace.shape[1]
-        else:
-            d = np.size(x1) if x1 is not None else 1
+        else:  # None, or a ragged x1 that the fit's anchor check then refuses, gives d = 1
+            d = 1 if (x := _read_array(x1)) is None else x.size
         m2 = max(float((series.y * series.y).mean()), EPS_MARGIN)
         spread = 0.5 + (np.arange(d) + 0.5) / d
         return cls(gamma=np.full(d, 1.0 / d), omega_vec=m2 * (0.5 + 0.7 * (spread - 1.0)),
@@ -676,11 +683,8 @@ class NmParams(_Model):
         k = self.companion()
         one_plus_x0 = np.linalg.solve(np.eye(self.d) - k.T, np.ones(self.d))
         x0 = one_plus_x0 - 1.0
-        v = x @ one_plus_x0
-        rv = float(self.omega_vec @ one_plus_x0) + x @ x0
-        lam = float(np.max(x0 / one_plus_x0))
         beta = float(self.omega_vec @ one_plus_x0)
-        return rv, v, lam, beta
+        return beta + x @ x0, x @ one_plus_x0, float(np.max(x0 / one_plus_x0)), beta
 
     def minorization_alpha(self, x, xp):
         """The least component of sqrt(min(x, x') / max(x, x')), a column at a time."""
@@ -729,8 +733,8 @@ class Series:
 
     def __post_init__(self):
         y = self.y
-        self.y = np.asarray(y)
-        if self.y.ndim != 1 or self.y.size == 0:
+        arr = _read_array(y)  # None where y is ragged, which check_obs refuses below
+        if arr is not None and (arr.ndim != 1 or arr.size == 0):
             raise ValueError("observations must be a nonempty 1-d array")
         self._model = model = model_class(self.model_tag)
         if self.params is not None and not isinstance(self.params, model):
@@ -738,11 +742,11 @@ class Series:
         self.y = model.check_obs(y)  # checked as given, before it is cast to floats
         self.count_table = model.obs_table(self.y)
         if self.x_trace is not None:
-            x_trace = np.asarray(self.x_trace)
-            if x_trace.ndim not in (1, 2):
+            x_trace = _read_array(self.x_trace)
+            if x_trace is not None and x_trace.ndim not in (1, 2):
                 raise ValueError(f"x_trace must be a 1-d or 2-d array, got {x_trace.ndim}-d")
             # its columns' shape is the model's state shape, checked below
-            if not _is_state(x_trace, ()) or _holds_bool(self.x_trace):
+            if x_trace is None or not _is_state(x_trace, ()) or _holds_bool(self.x_trace):
                 raise ValueError("x_trace must hold positive finite real states")
             self.x_trace = model.state_trace(np.asarray(x_trace, dtype=float))
             if self.x_trace.shape[0] != self.y.shape[0]:

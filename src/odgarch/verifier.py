@@ -15,20 +15,20 @@ gives the same points, bit for bit, as scipy's
 ``scipy.stats``.
 
 A report builds one grid. The four checks share one set of triples (x, x', y), the
-columns of one (2d + 1)-column grid (``sample_triples``); the drift check reads only
-their states x. Each check still certifies its own inequality on those points, and
-none combines its evidence with another's, so nothing needs their grids to be
-independent. The drift check's Monte Carlo draws come from the generator at the
-report's seed + 1.
+columns of one (2d + 1)-column grid (``sample_triples``), with states log-scaled in
+[min w, max(STATE_HI, 100 min w)]; the drift check reads only their states x. Each check
+still certifies its own inequality on those points, and none combines its evidence with
+another's, so nothing needs their grids to be independent. The drift check's Monte Carlo
+draws come from the generator at the report's seed + 1.
 
-A set of triples is a ``Triples``, checked once as states and observations where
-it is built; the checks step and evaluate it without checking it again. It keeps
-log g(x; y) and log g(x'; y) once they are evaluated, for minorization and the
-Lipschitz bound to share. Where the state has one component, min(x, x') is x or x'
-at every point, so log g(min(x, x'); y) is selected from those two. A report thus
-evaluates the log density 2 times for NBIN, TING and NM with d = 1, and 3 times for
-NM with d >= 2. At the default 10 000 triples it takes about 5.0, 3.9 and 7.2 ms
-for NBIN, TING and NM (d = 2) (the README has the measurement).
+A set of triples is a ``Triples``, made for one parameter set and checked once as its
+states and observations where it is built; a check takes the set alone, reads its model
+from it, and steps and evaluates it without checking it again. It keeps log g(x; y) and
+log g(x'; y) once they are evaluated, for minorization and the Lipschitz bound to share.
+Where the state has one component, min(x, x') is x or x' at every point, so
+log g(min(x, x'); y) is selected from those two. A report thus evaluates the log density
+2 times for NBIN, TING and NM with d = 1, and 3 times for NM with d >= 2; the README has
+what a report costs.
 
 Each check works on its whole grid in a few numpy calls. The drift check's
 Monte Carlo cross-check draws from a few grid states and batches everything
@@ -152,19 +152,18 @@ def _halton(dims, n, seed):
 
 
 def _states(params, u):
-    """States log-scaled in [min w, STATE_HI] from d grid columns; w bounds every state."""
+    """States log-scaled in [min w, max(STATE_HI, 100 min w)] from d grid columns: w bounds
+    every state, and the grid spans at least two decades above it."""
     lo = float(np.min(params.coefficients()[0]))
-    return lo * (STATE_HI / lo) ** u.reshape((len(u),) + params.state_shape)
+    return lo * (max(STATE_HI, 100.0 * lo) / lo) ** u.reshape((len(u),) + params.state_shape)
 
 
 class Triples:
     """Grid points (x, x', y) checked once as states and observations of params' model.
 
-    Unpacks as (x, x', y). A set is built for one parameter set, and the checks take it
-    through ``Triples.of``, as the likelihood takes a ``Series``: the checks then
-    evaluate the model's step and log density on it directly. The log densities
-    log g(x; y) and log g(x'; y) are computed on first use and kept, so the checks
-    that share a set evaluate each once.
+    Unpacks as (x, x', y). A set carries the parameters it is made for, and the checks
+    take it alone. log g(x; y) and log g(x'; y) are computed on first use and kept, so the
+    checks that share a set evaluate each once.
     """
 
     def __init__(self, params, x, xp, y):
@@ -176,24 +175,6 @@ class Triples:
 
     def __iter__(self):
         return iter((self.x, self.xp, self.y))
-
-    @classmethod
-    def of(cls, params, triples):
-        """triples as a checked set for params.
-
-        A set made for params (or for equal parameters) passes through; a set made for
-        other parameters raises; a plain (x, x', y) is checked and wrapped.
-        """
-        if not isinstance(triples, cls):
-            x, xp, y = triples
-            return cls(params, x, xp, y)
-        made_for = triples.params
-        if made_for is not params and (type(made_for) is not type(params)
-                                       or made_for.to_dict() != params.to_dict()):
-            raise ValueError(f"triples sampled for {made_for.tag} parameters "
-                             f"{made_for.to_dict()} cannot check {params.tag} parameters "
-                             f"{params.to_dict()}")
-        return triples
 
     @functools.cached_property
     def log_g(self):
@@ -241,9 +222,18 @@ def _l1_distance(x, xp):
     return functools.reduce(np.add, diff.T) if diff.shape[1] < 8 else diff.sum(axis=1)
 
 
-def check_contraction(params, triples):
+def _model_of(triples):
+    """The parameters that a set of triples was made for; raises unless it is a set."""
+    if not isinstance(triples, Triples):
+        raise TypeError("a check takes a Triples, from sample_triples or "
+                        f"Triples(params, x, x', y), got {type(triples).__name__}")
+    return triples.params
+
+
+def check_contraction(triples):
     """Ratio d(psi_y(x), psi_y(x')) / d(x, x') stays below 1 on the triples (x, x', y)."""
-    x, xp, y = Triples.of(params, triples)
+    params = _model_of(triples)
+    x, xp, y = triples
     mask, slack, violations, info = params.contraction(x, xp, params.step(x, y),
                                                        params.step(xp, y))
     worst = float(slack.min()) if slack.size else math.inf
@@ -251,10 +241,10 @@ def check_contraction(params, triples):
                        violations == 0, info=info)
 
 
-def check_drift(params, triples, seed=0):
+def check_drift(triples, seed=0):
     """RV <= lambda*V + beta at the states x of the triples (x, x', y), with a Monte Carlo
     cross-check drawn from the generator at seed."""
-    x = Triples.of(params, triples).x
+    params, x = _model_of(triples), triples.x
     seed = _check_int("seed", seed, 0)
     if not params.stable():
         return CheckRecord("drift", 0, 0, math.nan, True, skipped=True,
@@ -278,9 +268,9 @@ def check_drift(params, triples, seed=0):
                        info={"lambda": lam, "beta": beta, "mc_failures": mc_fail})
 
 
-def check_minorization(params, triples):
+def check_minorization(triples):
     """min{g(x;y), g(x';y)} >= alpha(x,x') * g(min(x,x'); y) on the triples (x, x', y)."""
-    triples = Triples.of(params, triples)
+    params = _model_of(triples)
     x, xp, y = triples
     alpha = params.minorization_alpha(x, xp)
     lhs = np.exp(np.minimum(*triples.log_g))
@@ -294,9 +284,9 @@ def check_minorization(params, triples):
                        violations == 0)
 
 
-def check_lipschitz_logg(params, triples):
+def check_lipschitz_logg(triples):
     """|ln g(x;y) - ln g(x';y)| <= K(y) |x - x'| on X1 = [min w, inf), on the triples."""
-    triples = Triples.of(params, triples)
+    params = _model_of(triples)
     x, xp, y = triples
     lx, lxp = triples.log_g
     lhs = np.abs(lx - lxp)
@@ -307,17 +297,13 @@ def check_lipschitz_logg(params, triples):
 
 
 def verify_model(params, n_triples=N_TRIPLES, seed=0):
-    """The four checks of params on one set of n_triples grid points.
-
-    The checks share ``sample_triples(params, n_triples, seed)``; each still certifies its
-    own inequality on those points, and none combines its evidence with another's. The
-    drift check takes its Monte Carlo draws from the generator at seed + 1.
-    """
+    """The four checks of params on the one set ``sample_triples(params, n_triples, seed)``;
+    the drift check takes its Monte Carlo draws from the generator at seed + 1."""
     triples = sample_triples(params, n_triples, seed)
     checks = [
-        check_contraction(params, triples),
-        check_drift(params, triples, seed + 1),
-        check_minorization(params, triples),
-        check_lipschitz_logg(params, triples),
+        check_contraction(triples),
+        check_drift(triples, seed + 1),
+        check_minorization(triples),
+        check_lipschitz_logg(triples),
     ]
     return VerifierReport(params=params, checks=checks)

@@ -363,7 +363,9 @@ def test_mc_config_of_a_bad_shape(tmp_path, capsys, config, message):
     ({**NBIN_CONFIG, "x1": [1, 2]}, "x1 must be one positive finite nbin state, got [1, 2]"),
     ({"model": "nm", "theta_star": VALID_PARAMS["nm"], "x1": [True, 2.0]},
      "x1 must be one positive finite nm state, got [True, 2.0]"),
-], ids=["nbin-vector", "nm-bool-inside"])
+    ({"model": "nm", "theta_star": VALID_PARAMS["nm"], "x1": [1, [2]]},
+     "x1 must be one positive finite nm state, got [1, [2]]"),
+], ids=["nbin-vector", "nm-bool-inside", "nm-ragged"])
 def test_mc_config_x1_that_is_not_a_state(tmp_path, capsys, config, message):
     cpath = str(tmp_path / "bad.json")
     with open(cpath, "w") as fh:
@@ -488,6 +490,12 @@ def test_verify_pass_and_report(tmp_path):
     d = json.loads(open(out).read())
     assert d["passed"] is True
     assert len(d["checks"]) == 4
+
+
+def test_verify_passes_at_large_omega(capsys):
+    # the grid's states lie above w = 3000, where the Lipschitz bound holds
+    assert run(["verify", "--model", "nm", "--gamma", "1", "--omega", "3000", "--A", ".3",
+                "--bvec", ".1"]) == 0
 
 
 @pytest.mark.parametrize("triples", ["0", "-5"])

@@ -9,9 +9,9 @@ import pytest
 from conftest import BAD_FIELDS, VALID_PARAMS
 
 import odgarch
-from odgarch import (NbinParams, NmParams, Series, TingParams, filter_series,
+from odgarch import (ExperimentConfig, NbinParams, NmParams, Series, TingParams, filter_series,
                      grad_loglik_nbin, grad_loglik_numeric, init_generic, loglik, mle_fit,
-                     simulate, spectral_radius)
+                     models, simulate, spectral_radius, verifier)
 from odgarch.params import model_class, params_to_dict
 
 
@@ -267,6 +267,42 @@ def test_bad_anchor_is_rejected(entry, tag):
     for x1 in anchors:
         with pytest.raises(ValueError, match=f"^x1 must be one positive finite {tag} state"):
             ANCHOR_ENTRY_POINTS[entry](params, x1, series)
+
+
+RAGGED = [1, [2]]
+NM2_SERIES = simulate(NM2, 32, seed=1)
+NM2_STATE = "a nm state must be real, positive and finite, in an array whose shape ends in (2,)"
+NM2_ANCHOR = "x1 must be one positive finite nm state, got [1, [2]]"
+# (entry, message) of every entry that reads an array from outside, given a ragged list
+RAGGED_ENTRIES = {
+    "series-y": (lambda: Series(y=RAGGED, model_tag="nm"), "observation must be finite and real"),
+    "psi_step-y": (lambda: models.psi_step(NM2, NM2.fixed_point(), RAGGED),
+                   "observation must be finite and real"),
+    "log_emission-y": (lambda: models.log_emission(NM2, NM2.fixed_point(), RAGGED),
+                       "observation must be finite and real"),
+    "psi_step-x": (lambda: models.psi_step(NM2, RAGGED, 1.0), NM2_STATE),
+    "log_emission-x": (lambda: models.log_emission(NM2, RAGGED, 1.0), NM2_STATE),
+    "sample_emission-x": (lambda: models.sample_emission(NM2, RAGGED, np.random.default_rng(0)),
+                          NM2_STATE),
+    "triples-x": (lambda: verifier.Triples(NM2, RAGGED, [[1.0, 2.0]], [1.0]), NM2_STATE),
+    "loglik-x1": (lambda: loglik(NM2, RAGGED, NM2_SERIES), NM2_ANCHOR),
+    "filter_series-x1": (lambda: filter_series(NM2, RAGGED, NM2_SERIES), NM2_ANCHOR),
+    # a plain series: the start reads d from x1 before the fit checks it
+    "mle_fit-x1": (lambda: mle_fit(Series(y=NM2_SERIES.y, model_tag="nm"), x1=RAGGED),
+                   NM2_ANCHOR),
+    "simulate-x0": (lambda: simulate(NM2, 16, x0=RAGGED), NM2_ANCHOR),
+    "config-x1": (lambda: ExperimentConfig.from_dict({"model": "nm", "theta_star": NM2.to_dict(),
+                                                      "x1": RAGGED}), NM2_ANCHOR),
+    "series-x_trace": (lambda: Series(y=[1.0, 2.0], model_tag="nm", x_trace=[[1.0], [2.0, 3.0]]),
+                       "x_trace must hold positive finite real states"),
+}
+
+
+@pytest.mark.parametrize("entry", RAGGED_ENTRIES)
+def test_a_ragged_list_gets_the_entrys_message(entry):
+    call, message = RAGGED_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("bad", [math.nan, -2.0, math.inf, 0.0], ids=["nan", "-2", "inf", "0"])

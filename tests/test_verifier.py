@@ -33,14 +33,14 @@ def test_verify_model_passes(params):
 
 
 def test_contraction_rate_scalar():
-    rec = check_contraction(M1, sample_triples(M1, 2000, 0))
+    rec = check_contraction(sample_triples(M1, 2000, 0))
     assert rec.passed and rec.info["rate"] == 0.2
-    rec = check_contraction(TING, sample_triples(TING, 2000, 0))
+    rec = check_contraction(sample_triples(TING, 2000, 0))
     assert rec.passed and rec.info["rate"] == 0.35
 
 
 def test_contraction_nm_weighted_norm():
-    rec = check_contraction(NM2, sample_triples(NM2, 2000, 0))
+    rec = check_contraction(sample_triples(NM2, 2000, 0))
     assert rec.passed
     assert rec.info["rho_weighted"] < 1.0
 
@@ -52,7 +52,7 @@ def test_contraction_nm_periodic_a():
     assert abs(w[1] / w[0] - math.sqrt(5.0)) < 1e-9
     assert abs(np.max((a_mat.T @ w) / w) - math.sqrt(0.8)) < 1e-9
     p = NmParams(gamma=[0.5, 0.5], omega_vec=[1.0, 1.0], A=a_mat, b_vec=[0.01, 0.01])
-    rec = check_contraction(p, sample_triples(p, 2000, 0))
+    rec = check_contraction(sample_triples(p, 2000, 0))
     assert rec.passed and abs(rec.info["rho_weighted"] - math.sqrt(0.8)) < 1e-9
 
 
@@ -77,7 +77,7 @@ NM_ROUNDING_SETS = [
 def test_contraction_nm_close_pairs_pass():
     for seed, gamma, omega, a, b in NM_ROUNDING_SETS:
         p = NmParams(gamma=[gamma], omega_vec=[omega], A=[[a]], b_vec=[b])
-        rec = check_contraction(p, sample_triples(p, 10_000, seed))
+        rec = check_contraction(sample_triples(p, 10_000, seed))
         assert rec.n_violations == 0, (seed, rec.worst_slack)
 
 
@@ -107,7 +107,7 @@ def test_drift_closed_form_values():
 
 def test_drift_skipped_when_unstable():
     p = NbinParams(1.0, 0.6, 0.5, 1.0)
-    rec = check_drift(p, sample_triples(p, 100, 0), seed=0)
+    rec = check_drift(sample_triples(p, 100, 0), seed=0)
     assert rec.skipped and rec.passed
     assert "unstable" in rec.reason
 
@@ -156,7 +156,7 @@ def test_an_alpha_above_one_fails_minorization(params, monkeypatch):
     triples = sample_triples(params, 500, 0)
     monkeypatch.setattr(type(params), "minorization_alpha",
                         lambda self, x, xp: np.full(len(x), 1.5))
-    rec = check_minorization(params, triples)
+    rec = check_minorization(triples)
     assert not rec.passed and rec.n_violations >= 500  # every alpha counts
 
 
@@ -241,7 +241,7 @@ def test_drift_batch_matches_point_loop():
             params = draw(np.random.default_rng(seed))
             triples = sample_triples(params, 500, seed)
             ref = _drift_reference(params, triples, seed + 1).to_dict()
-            assert check_drift(params, triples, seed + 1).to_dict() == ref, (name, seed)
+            assert check_drift(triples, seed + 1).to_dict() == ref, (name, seed)
             mc_failures += ref["info"]["mc_failures"]
     assert mc_failures >= 2  # the failing branch is compared too
 
@@ -350,9 +350,9 @@ def test_n_triples_must_be_an_integer(check, value):
 @pytest.mark.parametrize("check", [verify_model, sample_triples, check_drift])
 def test_seed_is_checked(check, value, message):
     # the grid's seed, or for check_drift its generator's
-    first = {"triples": sample_triples(M1, 10, 0)} if check is check_drift else {"n_triples": 10}
+    first = (sample_triples(M1, 10, 0),) if check is check_drift else (M1, 10)
     with pytest.raises(ValueError, match=f"^seed {message}$"):
-        check(M1, **first, seed=value)
+        check(*first, seed=value)
 
 
 REPORT_SETS = [M1, TING, NM2, random_nm(np.random.default_rng(43), d=3)]
@@ -378,10 +378,10 @@ def test_report_checks_are_the_checks_on_their_grids(params):
     n, seed = 1500, 9
     report = verify_model(params, n_triples=n, seed=seed).to_dict()["checks"]
     triples = sample_triples(params, n, seed)
-    assert [c.to_dict() for c in (check_contraction(params, triples),
-                                  check_drift(params, triples, seed + 1),
-                                  check_minorization(params, triples),
-                                  check_lipschitz_logg(params, triples))] == report
+    assert [c.to_dict() for c in (check_contraction(triples),
+                                  check_drift(triples, seed + 1),
+                                  check_minorization(triples),
+                                  check_lipschitz_logg(triples))] == report
 
 
 # DRIFT_CASES' sets whose cross-check fails at one point of verify_model(params, 500, seed),
@@ -392,15 +392,43 @@ def test_report_draws_drift_at_seed_plus_one(draw, seed):
     params = draw(np.random.default_rng(seed))
     triples = sample_triples(params, 500, seed)
     drift = verify_model(params, n_triples=500, seed=seed).checks[1].to_dict()
-    assert drift == check_drift(params, triples, seed + 1).to_dict()
+    assert drift == check_drift(triples, seed + 1).to_dict()
     assert drift["info"]["mc_failures"] == 1
-    assert check_drift(params, triples, seed).info["mc_failures"] == 0
+    assert check_drift(triples, seed).info["mc_failures"] == 0
 
 
 def test_triples_are_read_only():
     for a in sample_triples(NM2, 100, 0):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
+
+
+@pytest.mark.parametrize("lo", [1e-3, 1.0, 999.0, 1e3, 5e3])
+def test_grid_states_lie_above_min_w(lo):
+    # the grid spans [min w, top], at least two decades, however large w is
+    top = max(verifier.STATE_HI, 100.0 * lo)
+    for params in (NbinParams(lo, 0.2, 0.2, 2.0),
+                   NmParams(gamma=[0.5, 0.5], omega_vec=[2.0 * lo, lo], A=0.2 * np.eye(2),
+                            b_vec=[0.1, 0.1])):
+        x, xp, _ = sample_triples(params, 2000, 3)
+        for states in (x, xp):
+            assert lo <= states.min() and states.max() <= top
+            assert states.max() > 0.9 * top
+
+
+# NM sets whose min w lies above 1e3 or just below it: every state of the grid must lie
+# above w, where the Lipschitz bound holds
+LARGE_W_SETS = [NmParams(gamma=[1.0], omega_vec=[3000.0], A=[[0.3]], b_vec=[0.1]),
+                NmParams(gamma=[0.5, 0.5], omega_vec=[1500.0, 2500.0], A=0.2 * np.eye(2),
+                         b_vec=[0.1, 0.1]),
+                NmParams(gamma=[1.0], omega_vec=[1200.0], A=[[0.3]], b_vec=[0.1])]
+
+
+@pytest.mark.parametrize("params", LARGE_W_SETS, ids=["nm1-3000", "nm2-1500", "nm1-1200"])
+def test_report_passes_at_large_w(params):
+    for seed in range(5):
+        report = verify_model(params, seed=seed)
+        assert report.passed and all(c.n_violations == 0 for c in report.checks), seed
 
 
 NM1 = random_nm(np.random.default_rng(41), d=1)
@@ -453,7 +481,7 @@ COUNT_ERROR = "count models require non-negative integer observations"
 
 
 def _bad_triples(params):
-    """(plain triples, message) of triples that the checks refuse."""
+    """(plain triples, message) of triples that the constructor refuses."""
     x, xp, y = (np.array(a) for a in sample_triples(params, 50, 0))
     state_error = STATE_ERROR.format(params.tag, params.state_shape)
     cases = [((x * 0.0, xp, y), state_error), ((x, xp * np.nan, y), state_error)]
@@ -465,25 +493,22 @@ def _bad_triples(params):
     return cases
 
 
+NOT_A_SET = "a check takes a Triples, from sample_triples or Triples(params, x, x', y), got "
+
+
 @pytest.mark.parametrize("check", TRIPLE_CHECKS)
 @pytest.mark.parametrize("params", [M1, TING, NM2], ids=["nbin", "ting", "nm2"])
 def test_plain_triples_are_checked(params, check):
-    for triples, message in _bad_triples(params):
+    # the constructor checks plain arrays; a check takes only the set it builds
+    for (x, xp, y), message in _bad_triples(params):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            check(params, triples)
-    # a valid plain tuple is checked the same as the set it was taken from
+            Triples(params, x, xp, y)
     t = sample_triples(params, 300, 2)
-    assert check(params, tuple(np.array(a) for a in t)).to_dict() == check(params, t).to_dict()
-
-
-@pytest.mark.parametrize("check", TRIPLE_CHECKS)
-def test_triples_for_other_params_are_refused(check):
-    t = sample_triples(M1, 100, 0)
-    assert Triples.of(M1, t) is t
-    assert Triples.of(NbinParams(3.0, 0.2, 0.2, 2.0), t) is t  # equal parameters
-    for other in (M2, TingParams(3.0, 0.2, 0.2, 2.0), NM2):
-        with pytest.raises(ValueError, match="^triples sampled for nbin parameters "):
-            check(other, t)
+    plain = tuple(np.array(a) for a in t)
+    assert check(Triples(params, *plain)).to_dict() == check(t).to_dict()
+    for other in (plain, params):
+        with pytest.raises(TypeError, match=f"^{re.escape(NOT_A_SET)}{type(other).__name__}$"):
+            check(other)
 
 
 @pytest.mark.parametrize("params", [M1, TING, NM1], ids=["nbin", "ting", "nm1"])
