@@ -68,11 +68,11 @@ def _band(a, n):
 
     band[r - s, s] = L[r, s]: column k d + j holds -A[:, j] in rows d - j ... 2d - 1 - j
     and zeros above. With diag=1 dtbsv takes the diagonal as ones and never reads row 0.
-    A scalar a, the d = 1 of NBIN and TING, fills row 1 directly.
+    A scalar a, the d = 1 of NBIN and TING, is one fill of both rows with -a.
     """
     if np.ndim(a) == 0:
-        band = np.zeros((2, n), order="F")
-        band[1] = -a
+        band = np.empty((2, n), order="F")
+        band.fill(-a)
         return band
     neg = -np.asarray(a, dtype=float)
     d = len(neg)
@@ -157,10 +157,11 @@ def nbin_loglik_grad(y, x1, w, a, b, r, table):
     log_odds = np.log(u)
     log_odds -= l1p  # inf - inf raises where the path is infinite
     state = (y @ log_odds - r * sum_l1p) / n
-    value = weights @ nbin_count_term(values, r, log_factorial) + state
+    values_r = values + r
+    value = weights @ nbin_count_term(values_r, r, log_factorial) + state
     v = _reverse(_nbin_score(y, u, r, log_odds, l1p), band)[1:]  # j >= 1: c[0] is fixed
     grad = (v.sum() / n, (v @ u[:-1]) / n, (v @ y[:-1]) / n,
-            weights @ psi(r + values) - psi(r) - sum_l1p / n)
+            weights @ psi(values_r) - psi(r) - sum_l1p / n)
     if not all(map(math.isfinite, (value, *grad))):
         raise FloatingPointError("NBIN loglik or gradient left the floating-point range")
     return value, np.array(grad)

@@ -20,9 +20,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _FLOAT_MAX = np.finfo(float).max
 
 
-def nbin_count_term(y, r, log_factorial):
-    """The count-only part of the NBIN log pmf, log C(y + r - 1, y); log_factorial is log y!."""
-    return gammaln(y + r) - gammaln(r) - log_factorial
+def nbin_count_term(y_r, r, log_factorial):
+    """The count-only part of the NBIN log pmf, log C(y + r - 1, y), from y_r = y + r
+    and log_factorial = log y!."""
+    return gammaln(y_r) - gammaln(r) - log_factorial
 
 
 def nbin_state_term(x, y, r):

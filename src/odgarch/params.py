@@ -314,18 +314,24 @@ class NbinParams(_CountModel):
 
     def log_density(self, x, y):
         """Log pmf of NB(r, x/(1+x)) at y."""
-        count = _per_count(lambda v: models.nbin_count_term(v, self.r, gammaln(v + 1.0)), y)
-        return count + models.nbin_state_term(x, y, self.r)
+        r = self.r
+        count = _per_count(lambda v: models.nbin_count_term(v + r, r, gammaln(v + 1.0)), y)
+        return count + models.nbin_state_term(x, y, r)
 
     def sampler(self, rng):
-        """The emission draw as a function of the state, rng's methods and r bound once.
+        """The emission draw as a function of the state, rng's method and r bound once.
 
         draw(x) draws once at each state in x; draw(x, size) draws size times at the
-        one state x, with a scalar scale, the draws and stream of size copies of x.
+        one state x, the draws and stream of size copies of x. Each draw is one call of
+        ``rng.negative_binomial(r, 1 / (1 + x))``: numpy draws Poisson(Gamma(r, x)), the
+        gamma-Poisson compounding that gives NB(r, x/(1+x)) exactly, one gamma and then
+        one Poisson variate per draw, as ``rng.poisson(rng.gamma(r, x))`` does at one
+        state. numpy refuses a state, before drawing, once x (r + 10 sqrt(r)) passes its
+        Poisson limit of about 9.2e18 ("n too large or p too small"): at r = 2, once x
+        passes about 5.7e17. At x <= 2^-53, 1 + x rounds to 1 and the draw is 0.
         """
-        poisson, gamma, r = rng.poisson, rng.gamma, self.r
-        # Gamma-Poisson compounding gives NB(r, x/(1+x)) exactly.
-        return lambda x, size=None: poisson(gamma(r, x, size))
+        negative_binomial, r = rng.negative_binomial, self.r
+        return lambda x, size=None: negative_binomial(r, 1.0 / (1.0 + x), size)
 
     def kernel_loglik(self, y, x1, table):
         return kernels.nbin_loglik(y, x1, self.omega, self.a, self.b, self.r, table)

@@ -478,7 +478,7 @@ def test_simulate_explosive_nbin_exits_1(tmp_path, capsys):
                 "--r", "2", "--n", "64", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "warning: parameters are outside the stability region"
-    assert err[1].startswith("error: nbin draw failed at step 70 of 564 (burn-in included)")
+    assert err[1].startswith("error: nbin draw failed at step 67 of 564 (burn-in included)")
     assert err[1].endswith("the parameters are outside the stability region")
     assert not out.exists()
 

@@ -395,12 +395,47 @@ def test_simulate_needs_integer_settings(name, value, message):
 
 
 def test_simulate_explosive_nbin_names_the_step():
-    # the state passes what rng.poisson takes; the error says where the path went
+    # the state passes what rng.negative_binomial takes; the error says where the path
+    # went. numpy 2 ends its message with "Notes", numpy 1 with "Docstring".
     with pytest.warns(UserWarning), pytest.raises(ValueError) as info:
         simulate(NbinParams(3, .9, .5, 2), 64)
-    assert re.fullmatch(r"nbin draw failed at step 70 of 564 \(burn-in included\), from "
-                        r"state \S+e\+18: lam value too large; the parameters are outside "
-                        r"the stability region", str(info.value)), str(info.value)
+    assert re.fullmatch(r"nbin draw failed at step 67 of 564 \(burn-in included\), from "
+                        r"state \S+e\+17: n too large or p too small, see "
+                        r"Generator\.negative_binomial (Notes|Docstring); the parameters are "
+                        r"outside the stability region", str(info.value)), str(info.value)
+
+
+def test_nbin_draw_refused_past_the_poisson_limit():
+    # numpy refuses a state once x (r + 10 sqrt(r)) passes about 9.2e18: r = 2 draws at
+    # 1e17 and raises at 1e18, before drawing
+    p, rng = NbinParams(3, .2, .2, 2), np.random.default_rng(0)
+    assert sample_emission(p, 1e17, rng) >= 0
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n too large or p too small"):
+        sample_emission(p, 1e18, rng)
+    assert rng.bit_generator.state == state
+
+
+NBIN_STREAM_SETS = [(3, .2, .2, 2), (3, .35, .1, 1.5), (.5, .3, .05, 8)]
+
+
+@pytest.mark.parametrize("theta", NBIN_STREAM_SETS, ids=str)
+def test_simulate_nbin_is_the_gamma_poisson_loop(theta):
+    # one negative_binomial call per step draws what rng.poisson(rng.gamma(r, x)) does,
+    # on whatever numpy is installed
+    p = NbinParams(*theta)
+    for seed in range(50):
+        rng, x = np.random.default_rng(seed), float(p.fixed_point())
+        ys, xs = [], []
+        for k in range(100 + 256):
+            y = float(rng.poisson(rng.gamma(p.r, x)))
+            if k >= 100:
+                xs.append(x)
+                ys.append(y)
+            x = p.omega + p.a * x + p.b * y
+        s = simulate(p, 256, seed=seed, burn_in=100)
+        assert s.y.tobytes() == np.array(ys).tobytes(), seed
+        assert s.x_trace.tobytes() == np.array(xs).tobytes(), seed
 
 
 def test_simulate_unstable_warns():
