@@ -35,15 +35,6 @@ class UsageError(Exception):
     pass
 
 
-def _parse_x1(model, text):
-    """The --x1 literal as a state of model; a literal that is not one raises naming x1."""
-    try:
-        return model.parse_state(text)
-    except ValueError:
-        raise ValueError(f"x1 must be one positive finite {model.tag} state, "
-                         f"got {text!r}") from None
-
-
 def _param_flags():
     """(flag, metavar, help) of each parameter flag; a flag's models with equal help
     share its text."""
@@ -84,7 +75,7 @@ def _opts_from_args(args):
 
 def cmd_simulate(args):
     params = _params_from_args(args)
-    x0 = None if args.x1 is None else _parse_x1(params, args.x1)
+    x0 = None if args.x1 is None else params.check_anchor(params.parse_state(args.x1))
     if not params.stable():
         print("warning: parameters are outside the stability region", file=sys.stderr)
     import warnings
@@ -98,7 +89,7 @@ def cmd_simulate(args):
 def cmd_fit(args):
     options = _opts_from_args(args)
     series = odio.read_series(args.series, model_tag=args.model)
-    x1 = None if args.x1 is None else _parse_x1(series.model, args.x1)
+    x1 = None if args.x1 is None else series.model.parse_state(args.x1)
     fit = mle_fit(series, x1=x1, options=options)
     if args.out:
         odio.write_json(args.out, fit.to_dict())

@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .likelihood import FD_STEP, grad_loglik_numeric
-from .models import _check_anchor
 from .params import EPS_MARGIN, ModelParams, Series, params_to_dict
 from .reparam import FeasibleMap
 
@@ -172,7 +171,7 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None):
     series = _validate_series(Series.of(series, model_tag))
     theta0 = theta_init if theta_init is not None else init_generic(series, x1=x1)
     theta0 = theta0.pull_inside(opts.margin)
-    x1 = _check_anchor(theta0, theta0.fixed_point() if x1 is None else x1)
+    x1 = theta0.check_anchor(theta0.fixed_point() if x1 is None else x1)
     fmap = FeasibleMap(theta0)
     z = fmap.encode(theta0)
     theta0 = fmap.decode(z)  # the start as the optimizer evaluates it

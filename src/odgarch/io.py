@@ -223,6 +223,13 @@ def read_replicates(path):
     if bad.size:
         raise _bad_cell(path, bad[0], "model", f"not row 1's model {str(model[0])!r}",
                         model[bad[0]])
+    try:
+        names = model_class(str(model[0])).names_for(len(header) - lead)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if header[lead:] != names:
+        raise ValueError(f"{path}: {model[0]} replicates have parameter columns "
+                         f"{', '.join(names)}, got {', '.join(header[lead:]) or 'none'}")
     converged = cells[:, 4]
     bad = np.flatnonzero((converged != "true") & (converged != "false"))
     if bad.size:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .models import _check_anchor
 from .params import NbinParams, Series
 from .reparam import FeasibleMap
 
@@ -25,13 +24,13 @@ class LoglikValue:
 def filter_series(params, x1, series):
     """The state path, (n,) or (n, d): row k is the state reached from x1 along y[:k]."""
     s = Series.of(series, params.tag)
-    return kernels.affine_filter(params.h(s.y), _check_anchor(params, x1), *params.coefficients())
+    return kernels.affine_filter(params.h(s.y), params.check_anchor(x1), *params.coefficients())
 
 
 def loglik(params, x1, series):
     """Normalized conditional log-likelihood given X_1 = x1."""
     s = Series.of(series, params.tag)
-    x1 = _check_anchor(params, x1)
+    x1 = params.check_anchor(x1)
     value = params.kernel_loglik(s.y, x1, s.count_table)
     if not math.isfinite(value):
         raise FloatingPointError("log-likelihood is not finite")
@@ -47,7 +46,7 @@ def grad_loglik_nbin(params, x1, series, *, with_value=False):
     if not isinstance(params, NbinParams):
         raise TypeError("grad_loglik_nbin requires NbinParams")
     s = Series.of(series, params.tag)
-    x1 = _check_anchor(params, x1)
+    x1 = params.check_anchor(x1)
     value, grad = kernels.nbin_loglik_grad(s.y, x1, params.omega, params.a, params.b,
                                            params.r, s.count_table)
     # the kernel has raised FloatingPointError on any value or gradient that is not finite

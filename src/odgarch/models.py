@@ -7,13 +7,12 @@ shape S + (d,), and observations broadcast against S.
 
 import functools
 import math
-import numbers
 import warnings
 
 import numpy as np
 from scipy.special import gammaln
 
-from .params import Series, _holds_bool, _is_state, _read_array
+from .params import Series, _check_int
 
 BURN_IN = 500  # the default number of simulated steps discarded before the recorded ones
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -72,46 +71,14 @@ def nm_log_density(x, y, gamma):
     return np.log1p(s / m) + np.log(m) + top
 
 
-def _check_state(params, x):
-    """x as floats, if it holds states of params' model by ``params._is_state``."""
-    arr = _read_array(x)
-    if arr is None or not _is_state(arr, params.state_shape) or _holds_bool(x):
-        raise ValueError(f"a {params.tag} state must be real, positive and finite, in an "
-                         f"array whose shape ends in {params.state_shape}")
-    return np.asarray(arr, dtype=float)[()]
-
-
-def _check_anchor(params, x1):
-    """x1 as one positive finite state of params' model: the anchor X_1 = x1."""
-    # the fitter's case, a float for a scalar state, skips the array checks
-    if (type(x1) is float or type(x1) is np.float64) and params.state_shape == () \
-            and 0.0 < x1 < math.inf:
-        return np.float64(x1)
-    x = _read_array(x1)
-    if x is not None and x.shape == params.state_shape and _is_state(x, params.state_shape) \
-            and not _holds_bool(x1):
-        return np.asarray(x, dtype=float)[()]
-    shown = x.tolist() if isinstance(x1, (np.ndarray, np.generic)) else x1  # values, not a repr
-    raise ValueError(f"x1 must be one positive finite {params.tag} state, got {shown!r}")
-
-
-def _check_int(name, value, least):
-    """value as given, if it is an integer (not a bool) and, unless least is None, >= least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
-
-
 def psi_step(params, x, y):
     """One application of the state-update map."""
-    return params.step(_check_state(params, x), params.check_obs(y))
+    return params.step(params.check_state(x), params.check_obs(y))
 
 
 def log_emission(params, x, y):
     """Log conditional density/pmf of an observation given the state."""
-    return params.log_density(_check_state(params, x), params.check_obs(y))
+    return params.log_density(params.check_state(x), params.check_obs(y))
 
 
 def sample_emission(params, x, rng, size=None):
@@ -120,7 +87,7 @@ def sample_emission(params, x, rng, size=None):
     With size, x is one state and the result holds size draws at it: the draws,
     and the generator's state after them, are those at size copies of x.
     """
-    x = _check_state(params, x)
+    x = params.check_state(x)
     if size is not None:
         _check_int("size", size, 1)
         if np.shape(x) != params.state_shape:
@@ -143,7 +110,7 @@ def simulate(params, n, x0=None, seed=0, burn_in=BURN_IN):
     if not stable:
         warnings.warn("parameters are outside the stability region; "
                       "the simulated path need not be stationary", stacklevel=2)
-    x = _check_anchor(params, params.fixed_point() if x0 is None else x0)
+    x = params.check_anchor(params.fixed_point() if x0 is None else x0)
     draw, step = params.sampler(np.random.default_rng(_check_int("seed", seed, 0))), params.step
     if params.state_shape == ():
         x = x.item()  # a Python float steps faster than a numpy scalar, to the same bits

@@ -7,8 +7,8 @@ import numpy as np
 
 from .estimation import FitOptions, mle_fit
 from .likelihood import loglik
-from .models import BURN_IN, _check_anchor, _check_int, simulate
-from .params import model_class
+from .models import BURN_IN, simulate
+from .params import _check_int, model_class
 
 
 def splitmix64(x):
@@ -49,7 +49,7 @@ class ExperimentConfig:
         if not self.theta_star.stable():
             raise ValueError("theta_star must be stable")
         if self.x1 is not None:
-            _check_anchor(self.theta_star, self.x1)
+            self.theta_star.check_anchor(self.x1)
         if not self.sample_sizes:
             raise ValueError("sample_sizes must not be empty")
         if len(set(self.sample_sizes)) < len(self.sample_sizes):

@@ -54,27 +54,40 @@ def _check_positive(tag, name, value):
         raise _field_error(tag, name, "a positive finite real", value)
 
 
-def _read_array(value):
-    """value as an array, or None where numpy cannot read it as one (a ragged list), so
-    that each caller raises its own message for it."""
-    try:
-        return np.asarray(value)
-    except ValueError:
-        return None
+def _check_int(name, value, least):
+    """value as given, if it is an integer (not a bool) and, unless least is None, >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _holds_bool(value):
     """Whether value holds a bool, which numpy casts to a number among numbers: a list
-    or tuple is searched, an array is judged by its dtype."""
+    or tuple is searched, an entry of another kind is judged by its dtype."""
     if isinstance(value, (list, tuple)):
         return any(map(_holds_bool, value))
     return type(value) not in (int, float) and np.asarray(value).dtype == bool
 
 
+def _reals(value):
+    """value from outside as a float array, or None, for each caller to raise its own
+    message, where it is not real numbers: numpy cannot read it (a ragged list), its dtype
+    is not a real number's, or a list or tuple holds a bool."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        return None
+    if arr.dtype.kind not in "iuf" or (isinstance(value, (list, tuple)) and _holds_bool(value)):
+        return None
+    return np.asarray(arr, dtype=float)
+
+
 def _is_state(x, shape):
-    """The rule for a model's states: whether the array x has a real dtype (not bool,
-    string or object), positive finite entries and a shape that ends in shape."""
-    return (x.dtype.kind in "iuf" and x.shape[x.ndim - len(shape):] == shape
+    """The rule for a model's states: whether the float array x has positive finite
+    entries and a shape that ends in shape."""
+    return (x.shape[x.ndim - len(shape):] == shape
             and bool(((x > 0) & (x < np.inf)).all()))  # also false for nan
 
 
@@ -173,16 +186,41 @@ class _Model:
     @staticmethod
     def check_obs(y):
         """y as floats (a scalar for a single observation); raises unless real and finite."""
-        arr = _read_array(y)
-        if (arr is None or arr.dtype.kind not in "iuf" or _holds_bool(y)
-                or not np.all(np.isfinite(arr))):
+        arr = _reals(y)
+        if arr is None or not np.all(np.isfinite(arr)):
             raise ValueError("observation must be finite and real")
-        return np.asarray(arr, dtype=float)[()]
+        return arr[()]
+
+    def check_state(self, x):
+        """x as floats, if it holds states of the model by ``_is_state``."""
+        arr = _reals(x)
+        if arr is None or not _is_state(arr, self.state_shape):
+            raise ValueError(f"a {self.tag} state must be real, positive and finite, in an "
+                             f"array whose shape ends in {self.state_shape}")
+        return arr[()]
+
+    def check_anchor(self, x1):
+        """x1 as one positive finite state of the model: the anchor X_1 = x1."""
+        # the fitter's case, a float for a scalar state, skips the array checks
+        if (type(x1) is float or type(x1) is np.float64) and self.state_shape == () \
+                and 0.0 < x1 < math.inf:
+            return np.float64(x1)
+        x = _reals(x1)
+        if x is not None and x.shape == self.state_shape and _is_state(x, self.state_shape):
+            return x[()]
+        # a numpy value is shown by its values, not by its repr
+        shown = x1.tolist() if isinstance(x1, (np.ndarray, np.generic)) else x1
+        raise ValueError(f"x1 must be one positive finite {self.tag} state, got {shown!r}")
 
     @staticmethod
     def obs_table(y):
         """The summary of y that the model's likelihood kernel takes: none."""
         return None
+
+    @classmethod
+    def names_for(cls, width):
+        """The names of a set of width parameters: a count model has one set of names."""
+        return cls.param_names
 
     def to_dict(self):
         """The fields as plain numbers and lists, the form that JSON holds."""
@@ -258,7 +296,8 @@ class _CountModel(_Model):
 
     @staticmethod
     def parse_state(text):
-        return float(text)
+        """The --x1 literal as a state, or as it is where it is not a number."""
+        return _number(text)
 
     @classmethod
     def state_trace(cls, columns):
@@ -343,8 +382,8 @@ class NbinParams(_CountModel):
     def scores(self, x1, series):
         """The (n, 4) per-observation scores in theta; their mean is the gradient."""
         s = Series.of(series, self.tag)
-        return kernels.nbin_scores(s.y, models._check_anchor(self, x1), self.omega, self.a,
-                                   self.b, self.r)
+        return kernels.nbin_scores(s.y, self.check_anchor(x1), self.omega, self.a, self.b,
+                                   self.r)
 
     @classmethod
     def start(cls, series, x1=None):
@@ -478,11 +517,10 @@ class NmParams(_Model):
     def __post_init__(self):
         for name, ndim in (("gamma", 1), ("omega_vec", 1), ("A", 2), ("b_vec", 1)):
             value = getattr(self, name)
-            arr = _read_array(value)
-            if (arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr))
-                    or _holds_bool(value)):
+            arr = _reals(value)
+            if arr is None or not np.all(np.isfinite(arr)):
                 raise _field_error(self.tag, name, "an array of finite reals", value)
-            arr = np.array(arr, dtype=float, ndmin=ndim)  # a copy: the caller's stays writeable
+            arr = np.array(arr, ndmin=ndim)  # a copy: the caller's stays writeable
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         d = len(self.gamma)
@@ -507,7 +545,13 @@ class NmParams(_Model):
 
     @property
     def param_names(self):
-        d = self.d
+        return self.names_for(self.d * (self.d + 3))
+
+    @classmethod
+    def names_for(cls, width):
+        """The names of the d^2 + 3d parameters of d components, d from width (the
+        nearest d >= 1 where width is not of that form)."""
+        d = max(1, round((math.sqrt(9 + 4 * width) - 3) / 2))
         names = [f"gamma{l + 1}" for l in range(d)]
         names += [f"omega{l + 1}" for l in range(d)]
         names += [f"A{i + 1}{j + 1}" for i in range(d) for j in range(d)]
@@ -599,7 +643,9 @@ class NmParams(_Model):
 
     @staticmethod
     def parse_state(text):
-        return np.array(_parse_vector(text), dtype=float)
+        """The --x1 literal, a comma list, as a state, or as it is where it is not numbers."""
+        values = _parse_vector(text)
+        return text if any(isinstance(v, str) for v in values) else np.array(values, dtype=float)
 
     @staticmethod
     def state_trace(columns):
@@ -644,8 +690,8 @@ class NmParams(_Model):
             d = series.params.d
         elif series.x_trace is not None:
             d = series.x_trace.shape[1]
-        else:  # None, or a ragged x1 that the fit's anchor check then refuses, gives d = 1
-            d = 1 if (x := _read_array(x1)) is None else x.size
+        else:  # None, or an x1 that the fit's anchor check then refuses, gives d = 1
+            d = 1 if (x := _reals(x1)) is None else x.size
         m2 = max(float((series.y * series.y).mean()), EPS_MARGIN)
         spread = 0.5 + (np.arange(d) + 0.5) / d
         return cls(gamma=np.full(d, 1.0 / d), omega_vec=m2 * (0.5 + 0.7 * (spread - 1.0)),
@@ -738,23 +784,22 @@ class Series:
     _model: type | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        y = self.y
-        arr = _read_array(y)  # None where y is ragged, which check_obs refuses below
-        if arr is not None and (arr.ndim != 1 or arr.size == 0):
+        y = _reals(self.y)  # None where y is not real numbers, which check_obs refuses below
+        if y is not None and (y.ndim != 1 or y.size == 0):
             raise ValueError("observations must be a nonempty 1-d array")
         self._model = model = model_class(self.model_tag)
         if self.params is not None and not isinstance(self.params, model):
             raise ValueError(f"a {self.model_tag} series cannot carry {self.params.tag} parameters")
-        self.y = model.check_obs(y)  # checked as given, before it is cast to floats
+        self.y = model.check_obs(self.y if y is None else y)
         self.count_table = model.obs_table(self.y)
         if self.x_trace is not None:
-            x_trace = _read_array(self.x_trace)
+            x_trace = _reals(self.x_trace)
             if x_trace is not None and x_trace.ndim not in (1, 2):
                 raise ValueError(f"x_trace must be a 1-d or 2-d array, got {x_trace.ndim}-d")
             # its columns' shape is the model's state shape, checked below
-            if x_trace is None or not _is_state(x_trace, ()) or _holds_bool(self.x_trace):
+            if x_trace is None or not _is_state(x_trace, ()):
                 raise ValueError("x_trace must hold positive finite real states")
-            self.x_trace = model.state_trace(np.asarray(x_trace, dtype=float))
+            self.x_trace = model.state_trace(x_trace)
             if self.x_trace.shape[0] != self.y.shape[0]:
                 raise ValueError("x_trace must match y in length")
             if self.params is not None and self.x_trace.shape[1:] != self.params.state_shape:

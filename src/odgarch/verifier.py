@@ -47,8 +47,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .models import _check_int, _check_state, sample_emission
-from .params import SLACK_LOOSE, SLACK_TIGHT, params_to_dict
+from .models import sample_emission
+from .params import SLACK_LOOSE, SLACK_TIGHT, _check_int, params_to_dict
 
 STATE_HI = 1e3
 N_TRIPLES = 10_000  # the default number of grid points each check certifies
@@ -168,9 +168,9 @@ class Triples:
 
     def __init__(self, params, x, xp, y):
         # x, y, then x', as psi_step(params, x, y) and psi_step(params, xp, y) check them
-        self.x = _check_state(params, x)
+        self.x = params.check_state(x)
         self.y = params.check_obs(y)
-        self.xp = _check_state(params, xp)
+        self.xp = params.check_state(xp)
         self.params = params
 
     def __iter__(self):

@@ -119,8 +119,8 @@ def test_bad_cell_names_its_place(tmp_path, capsys, command):
         text, args = "k,y\n1,3\n2,x\n", ["--series", path, "--model", "nbin"]
         where = "row 2, column y: not a number: 'x'"
     else:
-        text = "model,n,j,seed,converged,loglik_gap,omega\nnbin,64,0,1,true,0.5,3\n"
-        text += "nbin,6e1,1,2,true,0.5,3\n"
+        text = "model,n,j,seed,converged,loglik_gap,omega,a,b,r\nnbin,64,0,1,true,0.5,3,.2,.2,2\n"
+        text += "nbin,6e1,1,2,true,0.5,3,.2,.2,2\n"
         args = ["--replicates", path, "--out-dir", str(tmp_path / "p")]
         where = "row 2, column n: not an integer: '6e1'"
     with open(path, "w") as fh:
@@ -406,6 +406,22 @@ def test_simulate_x1_that_is_not_a_state(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_partly_numeric_nm_x1_is_refused(tmp_path, capsys):
+    # parse_state returns a literal that is not all numbers as it is, and the anchor check
+    # refuses it; simulate does so before it warns of the unstable parameters
+    unstable = ["--model", "nm", "--gamma", "1", "--omega", "1", "--A", ".9", "--bvec", ".25"]
+    series, out = str(tmp_path / "s.csv"), str(tmp_path / "out")
+    assert run(["simulate", *unstable, "--n", "16", "--x1", "1,abc", "--out", out]) == 1
+    assert capsys.readouterr().err == ("error: x1 must be one positive finite nm state, "
+                                       "got '1,abc'\n")
+    nm1 = ["--model", "nm", "--gamma", "1", "--omega", "1", "--A", ".4", "--bvec", ".25"]
+    assert run(["simulate", *nm1, "--n", "64", "--out", series]) == 0
+    assert run(["fit", "--series", series, "--x1", "1,abc", "--out", out]) == 1
+    assert capsys.readouterr().err == ("error: x1 must be one positive finite nm state, "
+                                       "got '1,abc'\n")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command,argv", [("simulate", ["--n", "16", "--out"]),
                                           ("verify", ["--triples", "10", "--out"])])
 def test_flags_of_another_model_are_refused(tmp_path, capsys, command, argv):
@@ -617,6 +633,23 @@ def test_plot_refuses_gaps_a_float_cannot_span(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: boxplot 'loglik(MLE) - loglik(truth)': "
                                                "the padded range"), err
+
+
+def test_plot_refuses_replicates_of_no_model(tmp_path, capsys):
+    # a file name made from a column could hold markup, and an SVG title too
+    path = str(tmp_path / "r.csv")
+    with open(path, "w") as fh:
+        fh.write("model,n,j,seed,converged,loglik_gap,<b>&x\n"
+                 "bogus,64,0,1,true,0.5,3\nbogus,64,1,2,true,0.25,2.5\n")
+    pdir = str(tmp_path / "p")
+    assert run(["plot", "--replicates", path, "--out-dir", pdir]) == 1
+    assert capsys.readouterr().err == f"error: {path}: unknown model tag 'bogus'\n"
+    with open(path, "w") as fh:
+        fh.write(NBIN_REPLICATES.replace(",r\n", ",<b>&x\n"))
+    assert run(["plot", "--replicates", path, "--out-dir", pdir]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: nbin replicates have parameter columns "
+                                       "omega, a, b, r, got omega, a, b, <b>&x\n")
+    assert not os.path.exists(pdir)
 
 
 def test_plot_without_a_config(tmp_path):

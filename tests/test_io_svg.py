@@ -188,12 +188,55 @@ def test_read_series_bad_cell(tmp_path, text, message):
     ("nbin,64,1,2,1,0.5,3", "row 2, column converged: not true or false: '1'"),
 ])
 def test_read_replicates_bad_cell(tmp_path, row, message):
+    # each row ends in omega; a, b and r follow it, as NBIN's columns are
     path = str(tmp_path / "r.csv")
     with open(path, "w") as fh:
-        fh.write(f"model,n,j,seed,converged,loglik_gap,omega\nnbin,64,0,1,false,0.5,3\n{row}\n")
+        fh.write("model,n,j,seed,converged,loglik_gap,omega,a,b,r\n"
+                 f"nbin,64,0,1,false,0.5,3,.2,.2,2\n{row},.2,.2,2\n")
     with pytest.raises(ValueError) as exc:
         read_replicates(path)
     assert str(exc.value) == f"{path}: {message}"
+
+
+NM2_COLUMNS = "gamma1,gamma2,omega1,omega2,A11,A12,A21,A22,b1,b2"
+
+
+# a tag that is not a model's, and a column that is markup: tests/test_cli.py, through plot
+@pytest.mark.parametrize("tag,columns,values,message", [
+    ("nbin", "omega,a,b,tau", "3,.2,.2,2",
+     "nbin replicates have parameter columns omega, a, b, r, got omega, a, b, tau"),
+    ("nbin", "a,omega,b,r", "3,.2,.2,2",
+     "nbin replicates have parameter columns omega, a, b, r, got a, omega, b, r"),
+    ("ting", "omega,a,b,r", "3,.2,.2,2",
+     "ting replicates have parameter columns omega, a, b, tau, got omega, a, b, r"),
+    ("nm", "gamma1,omega1,A11,b2", "1,1,.4,.25",
+     "nm replicates have parameter columns gamma1, omega1, A11, b1, got gamma1, omega1, A11, b2"),
+    ("nm", "gamma1,omega1,A11", "1,1,.4",
+     "nm replicates have parameter columns gamma1, omega1, A11, b1, got gamma1, omega1, A11"),
+    ("nm", "", "", "nm replicates have parameter columns gamma1, omega1, A11, b1, got none"),
+], ids=["nbin-ting-name", "nbin-order", "ting-nbin-name", "nm-name", "nm-width", "nm-none"])
+def test_read_replicates_checks_its_model_and_columns(tmp_path, tag, columns, values, message):
+    path = str(tmp_path / "r.csv")
+    with open(path, "w") as fh:
+        fh.write(f"model,n,j,seed,converged,loglik_gap{',' * bool(columns)}{columns}\n"
+                 f"{tag},64,0,1,false,0.5{',' * bool(values)}{values}\n")
+    with pytest.raises(ValueError) as exc:
+        read_replicates(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("tag,columns,values", [
+    ("ting", "omega,a,b,tau", "3,.2,.2,2"),
+    ("nm", "gamma1,omega1,A11,b1", "1,1,.4,.25"),
+    ("nm", NM2_COLUMNS, ".4,.6,1,2,.3,.1,.05,.25,.2,.1")], ids=["ting", "nm1", "nm2"])
+def test_read_replicates_takes_each_models_columns(tmp_path, tag, columns, values):
+    path = str(tmp_path / "r.csv")
+    with open(path, "w") as fh:
+        fh.write(f"model,n,j,seed,converged,loglik_gap,{columns}\n"
+                 f"{tag},64,0,1,false,0.5,{values}\n")
+    rep = read_replicates(path)
+    assert rep["model"] == tag and rep["param_names"] == columns.split(",")
+    assert rep["estimates"].tolist() == [[float(v) for v in values.split(",")]]
 
 
 def test_box_stats_hand_oracle():

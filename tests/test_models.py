@@ -11,7 +11,7 @@ from scipy.special import gammaln
 
 from odgarch import (NbinParams, NmParams, TingParams, log_emission, loglik, psi_step,
                      sample_emission, simulate, verifier)
-from odgarch.models import _check_anchor, nm_log_density
+from odgarch.models import nm_log_density
 
 
 def test_psi_step_examples():
@@ -460,7 +460,7 @@ def test_stationary_mean_m1():
     assert abs(float(np.mean(means)) - 15.0) < 1.0
 
 
-ANCHOR_CASES = [  # x1, what _check_anchor returns for an NBIN state, or None for its message
+ANCHOR_CASES = [  # x1, what check_anchor returns for an NBIN state, or None for its message
     (2.5, 2.5), (np.float64(2.5), 2.5), (np.float32(2.5), 2.5), (np.array(3), 3.0),
     (np.array(2.5), 2.5), (7, 7.0), (True, None), (np.bool_(True), None), (math.nan, None),
     (np.float64(math.nan), None), (math.inf, None), (0.0, None), (-1.0, None),
@@ -476,9 +476,9 @@ def test_check_anchor_scalar_state(x1, want):
         shown = x1.tolist() if isinstance(x1, (np.ndarray, np.generic)) else x1
         message = re.escape(f"x1 must be one positive finite nbin state, got {shown!r}")
         with pytest.raises(ValueError, match=f"^{message}$"):
-            _check_anchor(p, x1)
+            p.check_anchor(x1)
         return
-    got = _check_anchor(p, x1)
+    got = p.check_anchor(x1)
     assert type(got) is np.float64 and got == want
 
 
@@ -487,7 +487,7 @@ def test_a_bool_inside_a_vector_anchor_is_refused():
     series = simulate(NM2, 64, seed=1)
     for x1 in ([True, 2.0], (1.0, np.True_)):
         with pytest.raises(ValueError, match="^x1 must be one positive finite nm state, got "):
-            _check_anchor(NM2, x1)
+            NM2.check_anchor(x1)
         with pytest.raises(ValueError, match="^x1 must be one positive finite nm state, got "):
             loglik(NM2, x1, series)
 
@@ -495,5 +495,5 @@ def test_a_bool_inside_a_vector_anchor_is_refused():
 def test_check_anchor_float_for_a_vector_state():
     nm = NmParams(gamma=[1.0], omega_vec=[1.0], A=[[0.4]], b_vec=[0.25])
     with pytest.raises(ValueError, match="^x1 must be one positive finite nm state, got 2.5$"):
-        _check_anchor(nm, 2.5)
-    assert _check_anchor(nm, [2.5]).tolist() == [2.5]
+        nm.check_anchor(2.5)
+    assert nm.check_anchor([2.5]).tolist() == [2.5]

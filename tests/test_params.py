@@ -402,6 +402,49 @@ def test_no_model_branches_outside_model_classes():
                 assert model_branches(fh.read()) == [], name
 
 
+# The boundary's rule: what is read from outside as numbers, and what is a state.
+BOUNDARY_NAMES = {"_reals", "_is_state", "_holds_bool"}
+
+
+def _private_imports(tree):
+    """(module, name) of each private name that tree takes from another odgarch module,
+    by ``from .m import _x`` or as ``m._x`` of a module it imports."""
+    modules, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("odgarch")):
+            package = node.module is None or node.module == "odgarch"
+            for alias in node.names:
+                if package:  # from . import m: a module, whose attributes are looked at below
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.append((node.module.rsplit(".", 1)[-1], alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append((modules[node.value.id], node.attr))
+    return found
+
+
+def test_values_from_outside_cross_one_module():
+    # the array reader and the state rule are named in params alone, and every private name
+    # that a module takes from another comes from params
+    probe = ast.parse("from .models import _f\nfrom . import io\nio._g()\n")
+    assert _private_imports(probe) == [("models", "_f"), ("io", "_g")]
+    src = os.path.dirname(os.path.abspath(odgarch.__file__))
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            if name != "params.py":
+                named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+                named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+                named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                          for a in n.names}
+                assert not named & BOUNDARY_NAMES, name
+            assert [m for m, _ in _private_imports(tree) if m != "params"] == [], name
+
+
 # The modules where a model tag enters the program: Series construction, --model, the
 # series and sidecar readers and the experiment config. All else takes the class from
 # the parameters or the Series it holds.

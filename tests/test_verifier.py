@@ -10,7 +10,7 @@ import pytest
 from conftest import random_nbin, random_nm, random_ting
 
 import odgarch
-from odgarch import (NbinParams, NmParams, TingParams, log_emission, models, sample_emission,
+from odgarch import (NbinParams, NmParams, TingParams, log_emission, sample_emission,
                      verifier, verify_model)
 from odgarch.params import SLACK_LOOSE, _perron_weights
 from odgarch.models import psi_step
@@ -456,7 +456,7 @@ def test_report_evaluates_each_log_density_once(params, evaluations, monkeypatch
 @pytest.mark.parametrize("params", REPORT_SETS, ids=REPORT_IDS)
 def test_report_checks_each_triple_array_once(params, monkeypatch):
     states, obs = [], []
-    check_state, check_obs = models._check_state, type(params).check_obs
+    check_state, check_obs = type(params).check_state, type(params).check_obs
 
     def counted_state(p, x):
         states.append(np.shape(x))
@@ -466,8 +466,7 @@ def test_report_checks_each_triple_array_once(params, monkeypatch):
         obs.append(np.shape(y))
         return check_obs(y)
 
-    for module in (models, verifier):
-        monkeypatch.setattr(module, "_check_state", counted_state)
+    monkeypatch.setattr(type(params), "check_state", counted_state)
     monkeypatch.setattr(type(params), "check_obs", staticmethod(counted_obs))
     verify_model(params, n_triples=500, seed=3)
     # the drift check's draws are checked one state at a time, as sample_emission takes them
