@@ -133,19 +133,16 @@ def _bfgs(f_and_g, z0, start, tol, max_iter, h0):
             p = -g
             slope = float(g @ p)
         step = 1.0
-        accepted = False
         for _ in range(60):
             z_new = z + step * p
             try:
                 f_new, g_new, extra_new = f_and_g(z_new)
             except (FloatingPointError, OverflowError, ValueError):
                 f_new = np.inf
-                g_new = extra_new = None
             if math.isfinite(f_new) and f_new <= fval + 1e-4 * step * slope:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             return z, fval, g, extra, n_iter, False
         # stop once improvements sink below double precision for a while
         n_flat = n_flat + 1 if fval - f_new <= 1e-13 * max(1.0, abs(fval)) else 0
@@ -209,14 +206,13 @@ def mle_fit(series, model_tag=None, x1=None, options=None, theta_init=None):
         def f_and_g(zv, _lam=lam, _mu=mu):
             params = fmap.decode(zv)
             val, gz = loglik_and_grad_z(params)
-            return (*penalized(params, val, gz, _lam, _mu), (val, gz))
+            return (*penalized(params, val, gz, _lam, _mu), (params, val, gz))
 
         # each inner problem starts at the point the last one accepted
-        start = (*penalized(theta, ll_z, gz_z, lam, mu), (ll_z, gz_z))
-        z, fv, _, (ll_z, gz_z), n_it, inner_ok = _bfgs(f_and_g, z, start, opts.tol,
-                                                      opts.max_inner, h0)
+        start = (*penalized(theta, ll_z, gz_z, lam, mu), (theta, ll_z, gz_z))
+        z, fv, _, (theta, ll_z, gz_z), n_it, inner_ok = _bfgs(f_and_g, z, start, opts.tol,
+                                                             opts.max_inner, h0)
         n_inner_total += n_it
-        theta = fmap.decode(z)
         c = theta.constraint(opts.margin)
         v = max(0.0, c)
         lam = max(0.0, lam + mu * c)

@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 
-from .montecarlo import ExperimentConfig
+from .montecarlo import MIN_SAMPLE_SIZE, ExperimentConfig
 from .params import Series, model_class, params_to_dict
 
 SUMMARY_COLUMNS = ("model", "n", "param", "mc_mean", "made", "n_converged")
@@ -96,23 +96,26 @@ def _bad_cell(path, i, name, what, cell):
 # what _numbers can require of the numbers it reads: (test, what a cell that fails it is)
 _FINITE = (np.isfinite, "not a finite number")
 _POSITIVE_FINITE = (lambda v: (v > 0) & (v < np.inf), "not a positive finite number")
+_SAMPLE_SIZE = (lambda v: v >= MIN_SAMPLE_SIZE, f"not an integer >= {MIN_SAMPLE_SIZE}")
 
 
 def _numbers(path, header, cells, cols, dtype=float, require=None):
     """The cells of the columns in slice cols as numbers of dtype, each passing the test
-    of require, (test, what), if given.
+    of require, (test, what), if given. An integer dtype takes only its own range.
 
     Raises naming the row and the column of the first cell that is not one.
     """
     block = cells[:, cols]
     try:
         numbers = block.astype(dtype)
-    except ValueError:
+    except (ValueError, OverflowError):
         for (i, j), cell in np.ndenumerate(block):
             try:
                 np.asarray(cell).astype(dtype)
-            except ValueError:
-                what = "not an integer" if dtype is int else "not a number"
+            except (ValueError, OverflowError) as exc:
+                what = ("not a number" if dtype is float else "not an integer"
+                        if isinstance(exc, ValueError) else
+                        "not an integer in [{0.min}, {0.max}]".format(np.iinfo(dtype)))
                 raise _bad_cell(path, i, header[cols][j], what, cell) from None
         raise
     if require is not None:
@@ -234,11 +237,13 @@ def read_replicates(path):
     bad = np.flatnonzero((converged != "true") & (converged != "false"))
     if bad.size:
         raise _bad_cell(path, bad[0], "converged", "not true or false", converged[bad[0]])
-    return {
+    replicates = {
         "model": str(model[0]),
         "param_names": list(header[lead:]),
-        "n": _numbers(path, header, cells, slice(1, 2), int)[:, 0],
+        "n": _numbers(path, header, cells, slice(1, 2), int, require=_SAMPLE_SIZE)[:, 0],
         "converged": converged == "true",
         "gap": _numbers(path, header, cells, slice(5, 6), require=_FINITE)[:, 0],
         "estimates": _numbers(path, header, cells, slice(lead, None), require=_FINITE),
     }
+    _numbers(path, header, cells, slice(2, 4), np.uint64)  # j and the replicate's seed
+    return replicates

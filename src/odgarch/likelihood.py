@@ -4,7 +4,6 @@ Observations are a Series of the params' model or a 1-d array, checked once
 by ``Series.of``.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +27,11 @@ def filter_series(params, x1, series):
 
 
 def loglik(params, x1, series):
-    """Normalized conditional log-likelihood given X_1 = x1."""
+    """Normalized conditional log-likelihood given X_1 = x1: finite, or the kernel raises
+    FloatingPointError."""
     s = Series.of(series, params.tag)
     x1 = params.check_anchor(x1)
     value = params.kernel_loglik(s.y, x1, s.count_table)
-    if not math.isfinite(value):
-        raise FloatingPointError("log-likelihood is not finite")
     return LoglikValue(value=float(value))
 
 
@@ -49,7 +47,6 @@ def grad_loglik_nbin(params, x1, series, *, with_value=False):
     x1 = params.check_anchor(x1)
     value, grad = kernels.nbin_loglik_grad(s.y, x1, params.omega, params.a, params.b,
                                            params.r, s.count_table)
-    # the kernel has raised FloatingPointError on any value or gradient that is not finite
     return (float(value), grad) if with_value else grad
 
 

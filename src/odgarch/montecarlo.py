@@ -10,6 +10,8 @@ from .likelihood import loglik
 from .models import BURN_IN, simulate
 from .params import _check_int, model_class
 
+MIN_SAMPLE_SIZE = 16  # the least n of a study
+
 
 def splitmix64(x):
     """One splitmix64 step; used to derive independent replicate seeds."""
@@ -43,7 +45,7 @@ class ExperimentConfig:
         _check_int("base_seed", self.base_seed, None)
         _check_int("burn_in", self.burn_in, 0)
         for n in self.sample_sizes:
-            _check_int("sample_sizes", n, 16)
+            _check_int("sample_sizes", n, MIN_SAMPLE_SIZE)
         if not isinstance(self.drop_nonconverged, (bool, np.bool_)):
             raise ValueError(f"drop_nonconverged must be a boolean, got {self.drop_nonconverged!r}")
         if not self.theta_star.stable():

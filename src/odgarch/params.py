@@ -670,11 +670,13 @@ class NmParams(_Model):
         return cls.from_array(np.concatenate([gamma, np.exp(z[d - 1:])]), d)
 
     def chain_rule(self, grad_theta):
-        """d/dz: the softmax Jacobian for the logits, theta * d/dtheta for the logs."""
+        """d/dz of a gradient or of its rows (the last axis): the softmax Jacobian for the
+        logits, theta * d/dtheta for the logs."""
         g = np.asarray(grad_theta)
         d = self.d
-        d_logits = self.gamma * (g[:d] - self.gamma @ g[:d])
-        return np.concatenate([d_logits[1:], g[d:] * self.as_array()[d:]])
+        g_gamma = g[..., :d]
+        d_logits = self.gamma * (g_gamma - (g_gamma @ self.gamma)[..., None])
+        return np.concatenate([d_logits[..., 1:], g[..., d:] * self.as_array()[d:]], axis=-1)
 
     @classmethod
     def start(cls, series, x1=None):

@@ -587,7 +587,8 @@ def test_plot_config_of_another_model(tmp_path, capsys, theta_star, named):
 @pytest.mark.parametrize("row,where", [
     ("nbin,64,2,3,true,nan,3,.2,.2,2", "row 3, column loglik_gap: not a finite number: 'nan'"),
     ("nbin,64,2,3,true,0.5,3,inf,.2,2", "row 3, column a: not a finite number: 'inf'"),
-], ids=["nan_gap", "inf_estimate"])
+    ("nbin,-5,xyz,abc,true,0.5,3,.2,.2,2", "row 3, column n: not an integer >= 16: '-5'"),
+], ids=["nan_gap", "inf_estimate", "negative_n"])
 def test_plot_rejects_a_non_finite_cell(tmp_path, capsys, row, where):
     path = str(tmp_path / "r.csv")
     with open(path, "w") as fh:

@@ -414,6 +414,30 @@ def test_start_metric_nbin():
     assert np.array_equal(_start_metric(tiny, 1e-310, s), np.eye(4))
 
 
+CHAIN_RULE_PARAMS = [random_nbin(np.random.default_rng(1)), random_ting(np.random.default_rng(2)),
+                     *(random_nm(np.random.default_rng(3), d=d) for d in (1, 2, 3))]
+
+
+@pytest.mark.parametrize("params", CHAIN_RULE_PARAMS, ids=["nbin", "ting", "nm1", "nm2", "nm3"])
+def test_chain_rule_maps_rows(params):
+    # a stack of gradients, as _start_metric's scores, maps row by row; the rows go through
+    # a matrix-vector product where one gradient goes through a dot, so equal to rounding
+    rows = np.random.default_rng(4).normal(size=(5, params.as_array().size))
+    np.testing.assert_allclose(params.chain_rule(rows), [params.chain_rule(g) for g in rows],
+                               rtol=1e-13, atol=1e-15)
+
+
+def test_start_metric_maps_nm_score_rows(monkeypatch):
+    # NM has no scores yet; given rows, its start metric is the damped inverse OPG in z
+    nm = random_nm(np.random.default_rng(5), d=2)
+    rows = np.random.default_rng(6).normal(size=(64, 10))
+    monkeypatch.setattr(NmParams, "scores", lambda self, x1, series: rows)
+    s_z = np.array([nm.chain_rule(g) for g in rows])
+    expected = np.linalg.inv(s_z.T @ s_z / 64 + OPG_DAMPING * np.eye(9))
+    h0 = _start_metric(nm, nm.fixed_point(), simulate(nm, 64, seed=5))
+    np.testing.assert_allclose(h0, expected, rtol=1e-10, atol=1e-12)
+
+
 # The first 50 replicates of the criterion-1 and criterion-2 studies at n = 128 and 1024:
 # no fit started from the damped inverse OPG ends below its identity-start fit by more
 # than 1e-6. The worst over the 1600 fits of both studies was -7.9e-7, at n = 128.

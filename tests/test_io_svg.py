@@ -186,13 +186,24 @@ def test_read_series_bad_cell(tmp_path, text, message):
     ("nbin,64,1,2,true,0.5,", "row 2, column omega: not a number: ''"),
     ("nbin,64,1,2,True,0.5,3", "row 2, column converged: not true or false: 'True'"),
     ("nbin,64,1,2,1,0.5,3", "row 2, column converged: not true or false: '1'"),
+    ("nbin,-5,1,2,true,0.5,3", "row 2, column n: not an integer >= 16: '-5'"),
+    ("nbin,15,1,2,true,0.5,3", "row 2, column n: not an integer >= 16: '15'"),
+    ("nbin,99999999999999999999,1,2,true,0.5,3", "row 2, column n: not an integer in "
+     "[-9223372036854775808, 9223372036854775807]: '99999999999999999999'"),
+    ("nbin,64,xyz,2,true,0.5,3", "row 2, column j: not an integer: 'xyz'"),
+    ("nbin,64,-1,2,true,0.5,3",
+     "row 2, column j: not an integer in [0, 18446744073709551615]: '-1'"),
+    ("nbin,64,1,abc,true,0.5,3", "row 2, column seed: not an integer: 'abc'"),
+    ("nbin,64,1,18446744073709551616,true,0.5,3",
+     "row 2, column seed: not an integer in [0, 18446744073709551615]: '18446744073709551616'"),
 ])
 def test_read_replicates_bad_cell(tmp_path, row, message):
-    # each row ends in omega; a, b and r follow it, as NBIN's columns are
+    # each row ends in omega; a, b and r follow it, as NBIN's columns are; row 1 holds the
+    # least n and the greatest seed
     path = str(tmp_path / "r.csv")
     with open(path, "w") as fh:
         fh.write("model,n,j,seed,converged,loglik_gap,omega,a,b,r\n"
-                 f"nbin,64,0,1,false,0.5,3,.2,.2,2\n{row},.2,.2,2\n")
+                 f"nbin,16,0,18446744073709551615,false,0.5,3,.2,.2,2\n{row},.2,.2,2\n")
     with pytest.raises(ValueError) as exc:
         read_replicates(path)
     assert str(exc.value) == f"{path}: {message}"

@@ -252,6 +252,39 @@ def test_nbin_kernels_finite_or_raise(n):
     assert len(raised) < 2 * 4 * 3 * len(EXTREME) ** 3
 
 
+@pytest.mark.parametrize("n", (128, 512))
+def test_ting_and_nm_kernels_finite_or_raise(n):
+    # as the NBIN kernels: finite or FloatingPointError, never a warning, so that
+    # likelihood.loglik need not test the value again; NM at d = 2, once with a zero weight
+    ting_y = simulate(TINGS[1], n, seed=n).y
+    table = count_table(ting_y)
+    nm = NmParams(gamma=[0.4, 0.6], omega_vec=[1.0, 2.0], A=[[0.3, 0.1], [0.05, 0.25]],
+                  b_vec=[0.2, 0.1])
+    nm_y = simulate(nm, n, seed=n).y
+    mix = np.array([[0.6, 0.4], [0.4, 0.6]])  # spectral radius 1: A = a mix has radius a
+    raised = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, w, b, x1 in itertools.product((0.5, 0.999, 1.05, 5.0), EXTREME, EXTREME, EXTREME):
+            calls = [(("ting", tau), kernels.ting_loglik, (ting_y, x1, w, a, b, tau, table))
+                     for tau in (1e-3, 4.0, 1e6)]
+            calls += [(("nm", gamma), kernels.nm_loglik,
+                       (nm_y, np.array([x1, 2 * x1]), np.array([w, 2 * w]), a * mix,
+                        np.array([b, b / 2]), np.array(gamma)))
+                      for gamma in ((0.4, 0.6), (0.0, 1.0))]
+            for key, kernel, args in calls:
+                try:
+                    value = kernel(*args)
+                except FloatingPointError:
+                    raised.add((*key, a, w, b, x1))
+                    continue
+                assert math.isfinite(value), (key, a, w, b, x1)
+    # a = 5 overflows the path at n = 512 for both models, with or without a zero weight
+    for key in (("ting", 4.0), ("nm", (0.4, 0.6)), ("nm", (0.0, 1.0))):
+        assert ((*key, 5.0, 1.0, 1.0, 1.0) in raised) == (n == 512)
+    assert len(raised) < 4 * 5 * len(EXTREME) ** 3
+
+
 @pytest.mark.parametrize("n", COUNT_KINDS)
 def test_ting_kernel_matches_loop(n):
     for p in TINGS:
